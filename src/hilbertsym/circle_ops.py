@@ -33,7 +33,6 @@ import numpy as np
 from .signals import (
     CircleSamples,
     CircleSignal,
-    circle_coeffs_from_samples,
     evaluate_fourier_series,
 )
 
@@ -259,9 +258,13 @@ def moebius_act(s: CircleSamples, m: MoebiusElement, weight: str = "plain") -> C
     t = np.exp(1j * s.angles())
     rotated = np.exp(-1j * m.theta) * t
     pre = (rotated + a) / (1.0 + a * rotated)
-    K = (s.n - 1) // 2
-    coeffs = circle_coeffs_from_samples(s, K)
-    vals = evaluate_fourier_series(coeffs, np.angle(pre))
+    # Coefficients k = -K..K, K = n//2: for even n the shared Nyquist bin is
+    # split half-and-half between k = +-n/2, so no sampled mode is lost.
+    K = s.n // 2
+    coeffs = np.fft.fft(s.values)[np.arange(-K, K + 1) % s.n] / s.n
+    if s.n % 2 == 0:
+        coeffs[[0, -1]] *= 0.5
+    vals = evaluate_fourier_series(CircleSignal(coeffs), np.angle(pre))
     if weight == "plain":
         wt = math.sqrt(1.0 - a * a) / (1.0 - a * t)
     else:

@@ -14,12 +14,11 @@ Conventions fixed here (and relied on by the symmetry engine):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.signal import czt, fftconvolve
 
 from .signals import (
     Grid1D,
@@ -80,11 +79,42 @@ def group_inverse(g: AffineElement) -> AffineElement:
 
 
 def _sign_multiplier(grid: Grid1D) -> np.ndarray:
+    """sgn(xi) binwise in storage order, zero on the mean bin and on the
+    even-n extreme bin; the one line sign symbol every multiplier derives
+    from."""
     ks = grid.signed_indices()
     m = np.sign(ks).astype(complex)
     if grid.n % 2 == 0:
         m[grid.n // 2] = 0.0
     return m
+
+
+def _next_fast_len(target: int) -> int:
+    """Smallest 11-smooth integer >= target: the complex FFT sizes that
+    pocketfft (numpy's and scipy's FFT backend) transforms fastest."""
+    n = target
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+@functools.lru_cache(maxsize=32)
+def _pv_kernel_fft(n: int) -> np.ndarray:
+    """FFT of the principal-value kernel 1/(pi m), m = +-1..+-(n-1), laid out
+    circularly on a padded length >= 2n-1 so that the circular convolution
+    of an n-sample input equals the linear one on the n outputs kept."""
+    m = np.arange(1, n)
+    kern = np.zeros(_next_fast_len(2 * n - 1))
+    kern[m] = 1.0 / (np.pi * m)
+    kern[-m] = -1.0 / (np.pi * m)
+    kern_fft = np.fft.fft(kern)
+    kern_fft.setflags(write=False)
+    return kern_fft
 
 
 def hilbert_multiplier(f: LineSignal) -> LineSignal:
@@ -114,11 +144,8 @@ def hilbert_pv_quadrature(f: LineSignal, *, edge_tol: float = EDGE_DECAY_TOL) ->
     if peak > 0 and max(abs(v[0]), abs(v[-1])) > edge_tol * peak:
         flags = flags + ("edge-decay",)
 
-    offsets = np.arange(-(n - 1), n)
-    kern = np.zeros(2 * n - 1)
-    nz = offsets != 0
-    kern[nz] = 1.0 / (np.pi * offsets[nz])
-    out = fftconvolve(v, kern, mode="same")
+    kern_fft = _pv_kernel_fft(n)
+    out = np.fft.ifft(np.fft.fft(v, kern_fft.shape[0]) * kern_fft)[:n]
     out = out - np.gradient(v, f.grid.dx) * (f.grid.dx / np.pi)
     return LineSignal(f.grid, out, flags)
 
@@ -139,6 +166,33 @@ def hardy_project(f: LineSignal, sign: str) -> LineSignal:
     return idft(s.with_values(mask * s.values))
 
 
+@functools.lru_cache(maxsize=32)
+def _chirp_z_plan(n: int, a: float, kmin: int):
+    """Bluestein plan for the n-point chirp z-transform along
+    z_k = A * w^-k, w = exp(-2 pi i a / n), A = w^-kmin, i.e. the semidiscrete
+    transform at the scaled bins a*(kmin + k) (Bluestein 1970; Rabiner,
+    Schafer & Rader 1969).  The formulas are those of scipy.signal.CZT, so
+    the output matches scipy.signal.czt to the last bit on numpy >= 2 (both
+    run the same pocketfft)."""
+    w = np.exp(-2j * np.pi * a / n)
+    A = 1.0 * w ** (-kmin)
+    k = np.arange(n)
+    wk2 = w ** (k**2 / 2.0)
+    nfft = _next_fast_len(2 * n - 1)
+    pre = A**-k * wk2
+    kern_fft = np.fft.fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2)), nfft)
+    for arr in (pre, kern_fft, wk2):
+        arr.setflags(write=False)
+    return pre, kern_fft, wk2
+
+
+def _chirp_z(x: np.ndarray, a: float, kmin: int) -> np.ndarray:
+    n = x.shape[0]
+    pre, kern_fft, wk2 = _chirp_z_plan(n, a, kmin)
+    y = np.fft.ifft(kern_fft * np.fft.fft(x * pre, kern_fft.shape[0]))
+    return y[n - 1 : 2 * n - 1] * wk2
+
+
 def _semidiscrete_spectrum_scaled(f: LineSignal, a: float) -> np.ndarray:
     """Sample the semidiscrete transform of f at the scaled grid frequencies
     a*xi_k, in wrap order.  Bins with |a*k| beyond the representable band are
@@ -148,8 +202,7 @@ def _semidiscrete_spectrum_scaled(f: LineSignal, a: float) -> np.ndarray:
     n = g.n
     ks = g.signed_indices()
     kmin = int(ks.min())
-    w = np.exp(-2j * np.pi * a / n)
-    sorted_vals = czt(f.values, m=n, w=w, a=w ** (-kmin))
+    sorted_vals = _chirp_z(f.values, a, kmin)
     wrapped = np.roll(sorted_vals, kmin)
     xi = g.frequencies()
     s = (g.dx / math.sqrt(2.0 * math.pi)) * np.exp(-1j * a * xi * g.x_min) * wrapped
@@ -286,6 +339,8 @@ def _resample_halfline(g: HalfLineSignal, a: float) -> np.ndarray:
         ok = (idx >= 0) & (idx < g.n)
         vals[ok] = g.values[idx[ok]]
         return vals
+    from scipy.interpolate import CubicSpline  # deferred: the only scipy use
+
     spline = CubicSpline(x, g.values, extrapolate=False)
     vals = spline(target)
     return np.where(np.isnan(vals), 0.0, vals)

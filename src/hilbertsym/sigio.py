@@ -66,25 +66,34 @@ def signal_to_dict(sig) -> dict:
     raise ValueError(f"unsupported signal type {type(sig).__name__}")
 
 
+def _object(doc: dict, key: str) -> dict:
+    value = doc[key]
+    if not isinstance(value, dict):
+        raise TypeError(f"field {key!r} must be an object, got {type(value).__name__}")
+    return value
+
+
 def signal_from_dict(doc: dict):
     try:
         kind = doc["type"]
-        grid = doc["grid"]
+        grid = _object(doc, "grid")
         values = _unpairs(doc["values"])
-    except (KeyError, TypeError) as exc:
+        if kind == "line":
+            return LineSignal(Grid1D(x_min=grid["x_min"], n=int(grid["n"]), dx=grid["dx"]), values)
+        if kind == "circle-coeffs":
+            K = int(grid["K"])
+            if len(values) != 2 * K + 1:
+                raise ValueError(
+                    f"expected {2 * K + 1} coefficients for K={K}, got {len(values)}"
+                )
+            return CircleSignal(values)
+        if kind == "circle-samples":
+            n = int(grid["n"])
+            if len(values) != n:
+                raise ValueError(f"expected {n} samples, got {len(values)}")
+            return CircleSamples(values)
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed signal document: {exc}") from exc
-    if kind == "line":
-        return LineSignal(Grid1D(x_min=grid["x_min"], n=int(grid["n"]), dx=grid["dx"]), values)
-    if kind == "circle-coeffs":
-        K = int(grid["K"])
-        if len(values) != 2 * K + 1:
-            raise ValueError(f"expected {2 * K + 1} coefficients for K={K}, got {len(values)}")
-        return CircleSignal(values)
-    if kind == "circle-samples":
-        n = int(grid["n"])
-        if len(values) != n:
-            raise ValueError(f"expected {n} samples, got {len(values)}")
-        return CircleSamples(values)
     raise ValueError(f"unknown signal type {kind!r}")
 
 
@@ -107,20 +116,24 @@ def operator_to_dict(op: OperatorMatrix) -> dict:
 def operator_from_dict(doc: dict) -> OperatorMatrix:
     try:
         dim = int(doc["dim"])
-        basis_doc = doc["basis"]
+        basis_doc = _object(doc, "basis")
         entries = _unpairs(doc["entries"])
-    except (KeyError, TypeError) as exc:
+        if entries.shape[0] != dim * dim:
+            raise ValueError(f"expected {dim * dim} row-major entries, got {entries.shape[0]}")
+        kind = basis_doc.get("kind")
+        if kind == "fourier":
+            basis = FourierBasis(K=int(basis_doc["K"]))
+        elif kind == "line":
+            basis = LineBasis(
+                n=int(basis_doc["n"]),
+                x_min=float(basis_doc["x_min"]),
+                dx=float(basis_doc["dx"]),
+            )
+        else:
+            raise ValueError(f"unknown basis kind {kind!r}")
+        return OperatorMatrix(basis, entries.reshape(dim, dim))
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed operator document: {exc}") from exc
-    if entries.shape[0] != dim * dim:
-        raise ValueError(f"expected {dim * dim} row-major entries, got {entries.shape[0]}")
-    kind = basis_doc.get("kind")
-    if kind == "fourier":
-        basis = FourierBasis(K=int(basis_doc["K"]))
-    elif kind == "line":
-        basis = LineBasis(n=int(basis_doc["n"]), x_min=basis_doc["x_min"], dx=basis_doc["dx"])
-    else:
-        raise ValueError(f"unknown basis kind {kind!r}")
-    return OperatorMatrix(basis, entries.reshape(dim, dim))
 
 
 def save_operator(op: OperatorMatrix, path):

@@ -14,6 +14,7 @@ oracles and off-grid evaluation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,7 +47,7 @@ def _frozen_complex_array(values, expected_len=None) -> np.ndarray:
         raise ValueError(
             f"value length {arr.shape[0]} does not match declared length {expected_len}"
         )
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValueError("signal values must be finite (no NaN/Inf)")
     arr.setflags(write=False)
     return arr
@@ -214,6 +215,18 @@ class CircleSamples:
         return 2.0 * math.pi * np.arange(self.n) / self.n
 
 
+@functools.lru_cache(maxsize=32)
+def _calibration(g: Grid1D):
+    """Per-grid factors of the transform pair: (dx/sqrt(2 pi)) exp(-i xi x_min)
+    for :func:`dft` and exp(i xi x_min) for :func:`idft`."""
+    xi = g.frequencies()
+    forward = (g.dx / _SQRT_2PI) * np.exp(-1j * xi * g.x_min)
+    inverse = np.exp(1j * xi * g.x_min)
+    forward.setflags(write=False)
+    inverse.setflags(write=False)
+    return forward, inverse
+
+
 def dft(f: LineSignal) -> LineSpectrum:
     """Forward transform, calibrated to the continuum unitary convention.
 
@@ -221,16 +234,12 @@ def dft(f: LineSignal) -> LineSpectrum:
     grid Riemann sum, so ``idft(dft(f)) == f`` exactly and Parseval holds
     between the weighted norms of :func:`inner_product`.
     """
-    g = f.grid
-    xi = g.frequencies()
-    spec = (g.dx / _SQRT_2PI) * np.exp(-1j * xi * g.x_min) * np.fft.fft(f.values)
-    return LineSpectrum(g, spec)
+    return LineSpectrum(f.grid, _calibration(f.grid)[0] * np.fft.fft(f.values))
 
 
 def idft(s: LineSpectrum) -> LineSignal:
     g = s.grid
-    xi = g.frequencies()
-    vals = np.fft.ifft(s.values * np.exp(1j * xi * g.x_min)) * (_SQRT_2PI / g.dx)
+    vals = np.fft.ifft(s.values * _calibration(g)[1]) * (_SQRT_2PI / g.dx)
     return LineSignal(g, vals)
 
 
@@ -291,6 +300,21 @@ def circle_coeffs_from_samples(s: CircleSamples, K: int) -> CircleSignal:
 
 def evaluate_fourier_series(c: CircleSignal, angles: np.ndarray) -> np.ndarray:
     """Evaluate sum_k c_k exp(i k theta) at arbitrary angles (exact for the
-    truncated series; used by off-grid actions and quadrature oracles)."""
-    angles = np.asarray(angles, dtype=float)
-    return np.exp(1j * np.outer(angles, c.indices())) @ c.coeffs
+    truncated series; used by off-grid actions and quadrature oracles).
+
+    The index is split as k + K = B*q + r with B ~ sqrt(2K+1), so that
+
+        sum_k c_k e^{ik theta} = sum_q e^{i(Bq-K) theta} sum_r c_{Bq+r-K} e^{ir theta},
+
+    which needs n*(B+Q) exponentials and one (n, B) x (B, Q) product instead
+    of an (n, 2K+1) exponential matrix.
+    """
+    theta = np.asarray(angles, dtype=float).ravel()
+    size = c.coeffs.shape[0]
+    B = math.isqrt(size - 1) + 1
+    Q = -(-size // B)
+    blocks = np.zeros(B * Q, dtype=complex)
+    blocks[:size] = c.coeffs
+    inner = np.exp(1j * np.outer(theta, np.arange(B))) @ blocks.reshape(Q, B).T
+    outer = np.exp(1j * np.outer(theta, B * np.arange(Q) - c.K))
+    return np.einsum("nq,nq->n", outer, inner)

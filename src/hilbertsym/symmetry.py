@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .circle_ops import RationalScale, semigroup_act
-from .line_ops import AffineElement, rep_natural
+from .line_ops import AffineElement, _sign_multiplier, rep_natural
 from .signals import CircleSignal, Grid1D, LineSignal, norm, signed_indices
 
 __all__ = [
@@ -90,7 +90,7 @@ class OperatorMatrix:
             raise ValueError(
                 f"dimension {arr.shape[0]} inconsistent with basis dim {self.basis.dim}"
             )
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        if not np.isfinite(arr).all():
             raise ValueError("operator entries must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
@@ -484,15 +484,13 @@ def synthesize_commuting_operator(lam: complex, eta: complex, basis: Basis) -> O
     Hilbert transform of that basis); the line decomposition recovers
     (lam, eta) exactly up to roundoff."""
     if isinstance(basis, LineBasis):
-        n = basis.n
-        ks = signed_indices(n)
-        mult = np.sign(ks).astype(complex)
-        if n % 2 == 0:
-            mult[n // 2] = 0.0
-        diag_vals = lam + eta * (-1j) * mult
-        F = np.fft.fft(np.eye(n), axis=0)
-        entries = np.fft.ifft(diag_vals[:, None] * F, axis=0)
-        return OperatorMatrix(basis, entries)
+        # F^-1 diag(symbol) F is the circulant T[j, l] = h[(j - l) mod n] of
+        # the single column h = ifft(symbol); with p = (h[1:], h), that is
+        # p[n-1-l+j], the transposed reversed sliding windows of p.
+        h = np.fft.ifft(lam + eta * (-1j) * _sign_multiplier(basis.grid()))
+        p = np.concatenate((h[1:], h))
+        windows = np.lib.stride_tricks.sliding_window_view(p, basis.n)
+        return OperatorMatrix(basis, windows[::-1].T)
     if isinstance(basis, FourierBasis):
         ks = np.arange(-basis.K, basis.K + 1)
         diag_vals = lam + eta * (-1j) * np.sign(ks)

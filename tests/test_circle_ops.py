@@ -385,3 +385,42 @@ def test_plemelj_partition_property(coeffs):
     assert np.array_equal(parts[0] + parts[1] + parts[2], c.coeffs)
     plus = plemelj_project(c, "plus").coeffs
     assert np.array_equal(plus, parts[0] + parts[1])
+
+
+class TestMoebiusEvenSampleCount:
+    """An even sample count carries a Nyquist mode (-1)^j; the action must
+    keep it rather than truncate it away."""
+
+    def test_identity_keeps_nyquist_mode(self):
+        n = 16
+        s = CircleSamples((-1.0) ** np.arange(n))
+        for weight in ("plain", "jacobian"):
+            out = moebius_act(s, MoebiusElement(0.0, 0.0), weight)
+            np.testing.assert_allclose(out.values, s.values, atol=1e-13)
+
+    def test_off_grid_rotation_splits_nyquist_mode(self):
+        # half to each of k = +-n/2: the real mode (-1)^j rotates into the
+        # real cosine, not into a one-sided complex exponential
+        n, theta = 16, 0.3
+        s = CircleSamples((-1.0) ** np.arange(n))
+        out = moebius_act(s, MoebiusElement(theta, 0.0))
+        np.testing.assert_allclose(out.values, np.cos(n / 2 * (s.angles() - theta)), atol=1e-13)
+
+    @pytest.mark.parametrize("n", [16, 17, 64])
+    def test_identity_on_arbitrary_samples(self, n):
+        rng = np.random.default_rng(n)
+        s = CircleSamples(rng.normal(size=n) + 1j * rng.normal(size=n))
+        out = moebius_act(s, MoebiusElement(0.0, 0.0))
+        np.testing.assert_allclose(out.values, s.values, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_grid_rotation_round_trip(self, n):
+        # a rotation by m grid steps is an exact cyclic shift, Nyquist mode
+        # included, so rotating forth and back restores the samples
+        rng = np.random.default_rng(n + 1)
+        s = CircleSamples(rng.normal(size=n) + 1j * rng.normal(size=n))
+        step = 2.0 * np.pi / n
+        there = moebius_act(s, MoebiusElement(3 * step, 0.0))
+        np.testing.assert_allclose(there.values, np.roll(s.values, 3), atol=1e-12)
+        back = moebius_act(there, MoebiusElement(-3 * step, 0.0))
+        np.testing.assert_allclose(back.values, s.values, atol=1e-12)

@@ -351,3 +351,65 @@ class TestIntertwining:
         bad = np.linalg.norm(lhs - s * np.exp(+1j * xi * b))
         assert good <= 1e-9
         assert bad > 1.0
+
+
+def _direct_chirp_z(x, a, kmin):
+    """O(n^2) sum X_k = sum_j x_j exp(-2 pi i a j (kmin + k) / n)."""
+    n = x.shape[0]
+    j = np.arange(n)
+    return np.exp(-2j * np.pi * a * np.outer(kmin + j, j) / n) @ x
+
+
+@pytest.mark.parametrize("n", [2, 7, 13, 64, 97, 509, 512])
+@pytest.mark.parametrize("a", [0.5, 1.3, 2.0, 4.0])
+def test_chirp_z_matches_direct_sum(n, a):
+    from hilbertsym.line_ops import _chirp_z
+
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=n) + 1j * rng.normal(size=n)
+    kmin = -((n - 1) // 2)
+    got = _chirp_z(x, a, kmin)
+    assert np.abs(got - _direct_chirp_z(x, a, kmin)).max() <= 1e-11 * np.abs(x).sum()
+
+
+@pytest.mark.parametrize("n", [512, 750, 4093, 4096])
+@pytest.mark.parametrize("a", [0.5, 1.3, 2.0, 4.0])
+def test_chirp_z_matches_scipy(n, a):
+    signal = pytest.importorskip("scipy.signal")
+    from hilbertsym.line_ops import _chirp_z
+
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=n) + 1j * rng.normal(size=n)
+    kmin = -((n - 1) // 2)
+    w = np.exp(-2j * np.pi * a / n)
+    ref = signal.czt(x, m=n, w=w, a=w ** (-kmin))
+    assert np.abs(_chirp_z(x, a, kmin) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [2, 5, 16, 33, 64])
+def test_pv_quadrature_matches_direct_kernel_sum(n):
+    rng = np.random.default_rng(n)
+    g = Grid1D(x_min=-1.0, n=n, dx=2.0 / n)
+    f = LineSignal(g, rng.normal(size=n) + 1j * rng.normal(size=n))
+    j = np.arange(n)
+    offsets = j[:, None] - j[None, :]
+    kern = np.zeros((n, n))
+    kern[offsets != 0] = 1.0 / (np.pi * offsets[offsets != 0])
+    direct = kern @ f.values - np.gradient(f.values, g.dx) * (g.dx / np.pi)
+    got = hilbert_pv_quadrature(f).values
+    assert np.abs(got - direct).max() <= 1e-13 * np.abs(f.values).sum()
+
+
+def test_import_loads_no_scipy():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import hilbertsym
+
+    src = str(Path(hilbertsym.__file__).resolve().parent.parent)
+    code = "import sys, hilbertsym; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilbertsym import (
     CircleSamples,
@@ -12,6 +16,7 @@ from hilbertsym import (
     LineSignal,
     OperatorMatrix,
 )
+from hilbertsym.cli import main
 from hilbertsym.sigio import (
     load_operator,
     load_signal,
@@ -91,3 +96,84 @@ def test_json_is_plain_and_row_major(tmp_path):
     assert doc["dim"] == 3
     assert doc["entries"][1] == [1.0, 0.0]  # row-major: entry (0,1) comes second
     assert doc["entries"][3] == [3.0, 0.0]
+
+
+# --- malformed documents through the CLI: a usage (1) or i/o (2) exit, never
+# the internal-error exit 4
+
+_SIGNAL_TEMPLATES = (
+    {"type": "line", "grid": {"x_min": -1.0, "n": 4, "dx": 0.5}, "values": [[1, 0]] * 4},
+    {"type": "circle-coeffs", "grid": {"K": 1}, "values": [[1, 0]] * 3},
+    {"type": "circle-samples", "grid": {"n": 4}, "values": [[1, 0]] * 4},
+)
+_OPERATOR_TEMPLATES = (
+    {"dim": 3, "basis": {"kind": "fourier", "K": 1}, "entries": [[1, 0]] * 9},
+    {"dim": 2, "basis": {"kind": "line", "n": 2, "x_min": 0.0, "dx": 1.0}, "entries": [[1, 0]] * 4},
+)
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_non_objects = _json_values.filter(lambda v: not isinstance(v, dict))
+_non_lists = _json_values.filter(lambda v: not isinstance(v, list))
+# values no int()/float() conversion accepts
+_non_numbers = st.none() | st.lists(_json_values, max_size=2) | st.dictionaries(
+    st.text(max_size=3), _json_values, max_size=2
+)
+
+
+@st.composite
+def _malformed(draw, templates, sub_key, list_key):
+    doc = json.loads(json.dumps(draw(st.sampled_from(templates))))
+    how = draw(st.sampled_from(["doc", "sub", "sub-field", "drop-sub-field", "list"]))
+    if how == "doc":
+        return draw(_non_objects)
+    if how == "sub":
+        doc[sub_key] = draw(_non_objects)
+    elif how == "list":
+        doc[list_key] = draw(_non_lists)
+    else:
+        field = draw(st.sampled_from(sorted(doc[sub_key])))
+        if how == "drop-sub-field":
+            del doc[sub_key][field]
+        else:
+            doc[sub_key][field] = draw(_non_numbers)
+    return doc
+
+
+def _exit_code(tmp, doc, argv):
+    inp = Path(tmp) / "in.json"
+    inp.write_text(json.dumps(doc))
+    return main([*argv, "--in", str(inp)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    doc=_malformed(_SIGNAL_TEMPLATES, "grid", "values"),
+    op=st.sampled_from([["hilbert"], ["dilate", "--a", "2"], ["circular-hilbert"],
+                        ["moebius", "--blaschke-a", "0.3"]]),
+)
+def test_apply_rejects_malformed_signal_documents(doc, op):
+    with tempfile.TemporaryDirectory() as tmp:
+        code = _exit_code(tmp, doc, ["apply", *op, "--out", str(Path(tmp) / "out.json")])
+    assert code in (1, 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    doc=_malformed(_OPERATOR_TEMPLATES, "basis", "entries"),
+    space=st.sampled_from(["line", "circle"]),
+)
+def test_decompose_rejects_malformed_operator_documents(doc, space):
+    with tempfile.TemporaryDirectory() as tmp:
+        code = _exit_code(tmp, doc, ["decompose", "--space", space])
+    assert code in (1, 2)
+
+
+def test_non_object_grid_and_basis_are_malformed():
+    with pytest.raises(ValueError, match="malformed signal document"):
+        signal_from_dict({"type": "line", "grid": [1, 2], "values": [[0, 0]]})
+    with pytest.raises(ValueError, match="malformed operator document"):
+        operator_from_dict({"dim": 1, "basis": ["fourier"], "entries": [[0, 0]]})

@@ -55,6 +55,8 @@ class TestGridAndTypes:
             LineSignal(g, vals)
         with pytest.raises(ValueError):
             CircleSignal([1.0, np.inf, 0.0])
+        with pytest.raises(ValueError):
+            CircleSamples([1.0, complex(0.0, -np.inf)])
 
     def test_values_immutable(self):
         g = Grid1D(0.0, 8, 0.5)
@@ -182,3 +184,15 @@ def test_circle_parseval_property(coeffs):
     n = 2 * c.K + 1 + 5
     samples = circle_samples_from_coeffs(c, n)
     assert abs(norm(samples) - norm(c)) <= 1e-9 * max(norm(c), 1.0)
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 7, 40, 255, 511])
+def test_fourier_series_matches_direct_exponential_sum(K):
+    rng = np.random.default_rng(K)
+    c = CircleSignal(rng.normal(size=2 * K + 1) + 1j * rng.normal(size=2 * K + 1))
+    angles = np.concatenate([rng.uniform(-50.0, 50.0, size=97), [0.0, np.pi, -np.pi]])
+    direct = np.exp(1j * np.outer(angles, c.indices())) @ c.coeffs
+    got = evaluate_fourier_series(c, angles)
+    assert got.shape == angles.shape
+    assert np.abs(got - direct).max() <= 1e-13 * np.abs(c.coeffs).sum()
+

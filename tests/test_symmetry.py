@@ -282,3 +282,19 @@ class TestRotationCommutant:
             rotation_commutant_analysis(
                 T, [RationalScale(1, 1, 0.3), RationalScale(1, 1, 1.1)]
             )
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 127])
+def test_line_synthesis_equals_dense_spectral_conjugation(n):
+    # reference: F^-1 diag(symbol) F built from the full DFT matrix
+    basis = LineBasis(n, -3.0, 6.0 / n)
+    lam, eta = 0.3 - 0.7j, 1.1 + 0.4j
+    ks = np.arange(n)
+    ks[ks > n // 2] -= n
+    sgn = np.sign(ks).astype(complex)
+    if n % 2 == 0:
+        sgn[n // 2] = 0.0
+    F = np.fft.fft(np.eye(n), axis=0)
+    dense = np.fft.ifft((lam - 1j * eta * sgn)[:, None] * F, axis=0)
+    T = synthesize_commuting_operator(lam, eta, basis).entries
+    np.testing.assert_allclose(T, dense, rtol=0, atol=1e-14 * (abs(lam) + abs(eta)) * n)
