@@ -20,6 +20,9 @@ Multiplier conventions (k is the Fourier index):
 Two Cauchy-type operators are exposed because both conventions are used for
 "the" singular Cauchy transform in the literature; their exact linear
 relation is part of the contract.
+
+The operators act along the last axis, so a batch of P signals stored as
+values of shape (P, 2K+1) or (P, n) goes through one call.
 """
 
 from __future__ import annotations
@@ -115,6 +118,8 @@ class SignalFamily:
 
 
 def _sign_multiplier(K: int) -> np.ndarray:
+    """sgn(k) for k = -K..K, zero at k = 0; the one circle sign symbol every
+    multiplier and synthesized operator derives from."""
     return np.sign(np.arange(-K, K + 1)).astype(complex)
 
 
@@ -186,7 +191,8 @@ def plemelj_project(c: CircleSignal, part: str) -> CircleSignal:
 def _required_k_out(c: CircleSignal, r: RationalScale) -> int:
     """Smallest output truncation that keeps every nonzero output coefficient."""
     ks = c.indices()
-    src = (ks % r.p == 0) & (c.coeffs != 0)
+    populated = np.any(c.coeffs.reshape(-1, ks.size) != 0, axis=0)
+    src = (ks % r.p == 0) & populated
     if not np.any(src):
         return 0
     smax = int(np.max(np.abs(ks[src]))) // r.p
@@ -211,12 +217,12 @@ def semigroup_act(c: CircleSignal, r: RationalScale, k_out: Optional[int] = None
             f"output truncation K'={k_out} loses nonzero coefficients; "
             f"required K'={needed}"
         )
-    out = np.zeros(2 * k_out + 1, dtype=complex)
+    out = np.zeros(c.coeffs.shape[:-1] + (2 * k_out + 1,), dtype=complex)
     smax = min(K // r.p, k_out // r.q)
     if smax >= 0:
         s = np.arange(-smax, smax + 1)
-        out[r.q * s + k_out] = (
-            math.sqrt(r.p / r.q) * np.exp(1j * r.p * s * r.beta) * c.coeffs[r.p * s + K]
+        out[..., r.q * s + k_out] = (
+            math.sqrt(r.p / r.q) * np.exp(1j * r.p * s * r.beta) * c.coeffs[..., r.p * s + K]
         )
     return CircleSignal(out)
 
@@ -227,14 +233,14 @@ def semigroup_act_samples(c: CircleSignal, r: RationalScale, n_samples: int) -> 
 
         (p/q)^(1/2) (1/p) sum_{l=0}^{p-1} f(e^{i(q theta/p + beta)} omega_p^l)
 
-    evaluated through the truncated series (exact on trig polynomials).  That
-    this matches the coefficient form is the well-definedness test of the
-    averaging formula."""
+    evaluated through the truncated series (exact on trig polynomials), all p
+    shifted angle sets in one evaluation.  That this matches the coefficient
+    form is the well-definedness test of the averaging formula."""
     theta = 2.0 * np.pi * np.arange(n_samples) / n_samples
     base = r.q * theta / r.p + r.beta
-    total = np.zeros(n_samples, dtype=complex)
-    for ell in range(r.p):
-        total += evaluate_fourier_series(c, base + 2.0 * np.pi * ell / r.p)
+    shifts = 2.0 * np.pi * np.arange(r.p) / r.p
+    vals = evaluate_fourier_series(c, (shifts[:, None] + base[None, :]).ravel())
+    total = vals.reshape(vals.shape[:-1] + (r.p, n_samples)).sum(axis=-2)
     return CircleSamples(math.sqrt(r.p / r.q) / r.p * total)
 
 
@@ -261,9 +267,9 @@ def moebius_act(s: CircleSamples, m: MoebiusElement, weight: str = "plain") -> C
     # Coefficients k = -K..K, K = n//2: for even n the shared Nyquist bin is
     # split half-and-half between k = +-n/2, so no sampled mode is lost.
     K = s.n // 2
-    coeffs = np.fft.fft(s.values)[np.arange(-K, K + 1) % s.n] / s.n
+    coeffs = np.fft.fft(s.values)[..., np.arange(-K, K + 1) % s.n] / s.n
     if s.n % 2 == 0:
-        coeffs[[0, -1]] *= 0.5
+        coeffs[..., [0, -1]] *= 0.5
     vals = evaluate_fourier_series(CircleSignal(coeffs), np.angle(pre))
     if weight == "plain":
         wt = math.sqrt(1.0 - a * a) / (1.0 - a * t)

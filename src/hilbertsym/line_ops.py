@@ -10,6 +10,10 @@ Conventions fixed here (and relied on by the symmetry engine):
   are split half-and-half between the two parts.
 * Dilation resamples the spectrum (bandlimited interpolation); it refuses,
   rather than silently wraps, inputs whose content would alias.
+
+Every operator here acts along the last axis, so a signal carrying a batch
+of P probes as values of shape (P, n) is processed in one call; a guard or
+warning trips for the batch when it trips for any row.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from .signals import (
     LineSpectrum,
     dft,
     idft,
-    norm,
 )
 
 __all__ = [
@@ -139,14 +142,15 @@ def hilbert_pv_quadrature(f: LineSignal, *, edge_tol: float = EDGE_DECAY_TOL) ->
     """
     v = f.values
     n = f.grid.n
-    peak = np.abs(v).max()
+    peak = np.abs(v).max(axis=-1)
+    edge = np.maximum(np.abs(v[..., 0]), np.abs(v[..., -1]))
     flags = f.flags
-    if peak > 0 and max(abs(v[0]), abs(v[-1])) > edge_tol * peak:
+    if np.any((peak > 0) & (edge > edge_tol * peak)):
         flags = flags + ("edge-decay",)
 
     kern_fft = _pv_kernel_fft(n)
-    out = np.fft.ifft(np.fft.fft(v, kern_fft.shape[0]) * kern_fft)[:n]
-    out = out - np.gradient(v, f.grid.dx) * (f.grid.dx / np.pi)
+    out = np.fft.ifft(np.fft.fft(v, kern_fft.shape[0]) * kern_fft)[..., :n]
+    out = out - np.gradient(v, f.grid.dx, axis=-1) * (f.grid.dx / np.pi)
     return LineSignal(f.grid, out, flags)
 
 
@@ -187,10 +191,10 @@ def _chirp_z_plan(n: int, a: float, kmin: int):
 
 
 def _chirp_z(x: np.ndarray, a: float, kmin: int) -> np.ndarray:
-    n = x.shape[0]
+    n = x.shape[-1]
     pre, kern_fft, wk2 = _chirp_z_plan(n, a, kmin)
     y = np.fft.ifft(kern_fft * np.fft.fft(x * pre, kern_fft.shape[0]))
-    return y[n - 1 : 2 * n - 1] * wk2
+    return y[..., n - 1 : 2 * n - 1] * wk2
 
 
 def _semidiscrete_spectrum_scaled(f: LineSignal, a: float) -> np.ndarray:
@@ -203,11 +207,18 @@ def _semidiscrete_spectrum_scaled(f: LineSignal, a: float) -> np.ndarray:
     ks = g.signed_indices()
     kmin = int(ks.min())
     sorted_vals = _chirp_z(f.values, a, kmin)
-    wrapped = np.roll(sorted_vals, kmin)
+    wrapped = np.roll(sorted_vals, kmin, axis=-1)
     xi = g.frequencies()
     s = (g.dx / math.sqrt(2.0 * math.pi)) * np.exp(-1j * a * xi * g.x_min) * wrapped
-    s[np.abs(a * ks) > n // 2] = 0.0
+    s[..., np.abs(a * ks) > n // 2] = 0.0
     return s
+
+
+def _mass_fraction(energy: np.ndarray, mask: np.ndarray) -> float:
+    """Largest row share of ``energy`` on the masked bins; zero rows count 0."""
+    total = np.sum(energy, axis=-1)
+    part = np.sum(energy[..., mask], axis=-1)
+    return float(np.max(np.divide(part, total, out=np.zeros_like(total), where=total > 0.0)))
 
 
 def dilate(f: LineSignal, a: float, *, guard_tol: float = ALIAS_GUARD_TOL) -> LineSignal:
@@ -223,7 +234,7 @@ def dilate(f: LineSignal, a: float, *, guard_tol: float = ALIAS_GUARD_TOL) -> Li
       [x_min/a, x_max/a] would leave the grid.
 
     Either guard trips an :class:`AliasingError` naming the offending energy
-    fraction.
+    fraction (for a batch, the largest row fraction).
     """
     if not (a > 0.0 and math.isfinite(a)):
         raise ValueError("dilation scale must be positive and finite")
@@ -231,26 +242,24 @@ def dilate(f: LineSignal, a: float, *, guard_tol: float = ALIAS_GUARD_TOL) -> Li
         return LineSignal(f.grid, f.values, f.flags)
 
     g = f.grid
-    total = float(np.sum(np.abs(f.values) ** 2))
-    if total > 0.0:
-        if a < 1.0:
-            s = dft(f).values
-            ks = g.signed_indices()
-            frac = float(np.sum(np.abs(s[np.abs(ks) > a * (g.n // 2)]) ** 2) / np.sum(np.abs(s) ** 2))
-            if frac > guard_tol:
-                raise AliasingError(
-                    f"dilation by a={a} would alias a spectral mass fraction of "
-                    f"{frac:.3e} beyond the Nyquist frequency"
-                )
-        else:
-            x = g.positions()
-            lo, hi = g.x_min / a, (g.x_min + g.span) / a
-            frac = float(np.sum(np.abs(f.values[(x < lo) | (x >= hi)]) ** 2) / total)
-            if frac > guard_tol:
-                raise AliasingError(
-                    f"dilation by a={a} would push a mass fraction of {frac:.3e} "
-                    f"outside the grid"
-                )
+    if a < 1.0:
+        energy = np.abs(dft(f).values) ** 2
+        ks = g.signed_indices()
+        frac = _mass_fraction(energy, np.abs(ks) > a * (g.n // 2))
+        if frac > guard_tol:
+            raise AliasingError(
+                f"dilation by a={a} would alias a spectral mass fraction of "
+                f"{frac:.3e} beyond the Nyquist frequency"
+            )
+    else:
+        x = g.positions()
+        lo, hi = g.x_min / a, (g.x_min + g.span) / a
+        frac = _mass_fraction(np.abs(f.values) ** 2, (x < lo) | (x >= hi))
+        if frac > guard_tol:
+            raise AliasingError(
+                f"dilation by a={a} would push a mass fraction of {frac:.3e} "
+                f"outside the grid"
+            )
 
     spec = math.sqrt(a) * _semidiscrete_spectrum_scaled(f, a)
     return idft(LineSpectrum(g, spec))
@@ -268,14 +277,10 @@ def translate(f: LineSignal, b: float, *, edge_tol: float = EDGE_DECAY_TOL) -> L
         raise ValueError("shift must be finite")
     g = f.grid
     flags = f.flags
-    total = float(np.sum(np.abs(f.values) ** 2))
-    if total > 0.0 and b != 0.0:
+    if b != 0.0:
         x = g.positions()
-        if b > 0:
-            wrapped = float(np.sum(np.abs(f.values[x >= g.x_min + g.span - b]) ** 2))
-        else:
-            wrapped = float(np.sum(np.abs(f.values[x < g.x_min - b]) ** 2))
-        if wrapped > edge_tol * total:
+        edge = x >= g.x_min + g.span - b if b > 0 else x < g.x_min - b
+        if _mass_fraction(np.abs(f.values) ** 2, edge) > edge_tol:
             flags = flags + ("edge-mass",)
     s = dft(f)
     out = idft(s.with_values(s.values * np.exp(-1j * g.frequencies() * b)))
@@ -375,23 +380,24 @@ def intertwine_defect(f: LineSignal, g: AffineElement) -> float:
     with s = dft(f).  The phase sign exp(-i b xi) is the one produced by the
     change of variables in the forward transform of a^(-1/2) f((x-b)/a); it
     is frozen by a unit test.  For integer a the right-hand side is a pure
-    bin gather, an independent code path from the dilation operator.
+    bin gather, an independent code path from the dilation operator.  For a
+    batch of probes the largest row mismatch is returned.
     """
     grid = f.grid
     lhs = dft(rep_natural(f, g)).values
-    s = dft(f)
+    s = dft(f).values
     a, b = g.a, g.b
     n = grid.n
     ks = grid.signed_indices()
     if a == 1.0:
-        scaled = s.values.copy()
+        scaled = s
     elif a == int(a):
         ak = int(a) * ks
-        scaled = np.zeros(n, dtype=complex)
+        scaled = np.zeros_like(s)
         ok = np.abs(ak) <= n // 2
-        scaled[ok] = s.values[ak[ok] % n]
+        scaled[..., ok] = s[..., ak[ok] % n]
     else:
         scaled = _semidiscrete_spectrum_scaled(f, a)
     rhs = math.sqrt(a) * np.exp(-1j * b * grid.frequencies()) * scaled
-    diff = math.sqrt(grid.dxi) * float(np.linalg.norm(lhs - rhs))
-    return diff / norm(f)
+    diff = math.sqrt(grid.dxi) * np.linalg.norm(lhs - rhs, axis=-1)
+    return float(np.max(diff / (math.sqrt(grid.dx) * np.linalg.norm(f.values, axis=-1))))

@@ -10,6 +10,11 @@ statements can be asserted directly.
 Circle signals are canonically two-sided Fourier coefficient vectors
 ``c_k, k = -K..K``; a sample-domain representation exists to host quadrature
 oracles and off-grid evaluation.
+
+Every signal type also holds a batch of P signals as values of shape
+``(P, n)``: the last axis is the signal axis, and the transforms and
+conversions here act along it row by row.  :func:`inner_product`,
+:func:`norm` and ``CircleSignal.coeff`` take single (1-d) signals only.
 """
 
 from __future__ import annotations
@@ -41,11 +46,11 @@ __all__ = [
 
 def _frozen_complex_array(values, expected_len=None) -> np.ndarray:
     arr = np.array(values, dtype=complex)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-d value sequence, got shape {arr.shape}")
-    if expected_len is not None and arr.shape[0] != expected_len:
+    if arr.ndim not in (1, 2):
+        raise ValueError(f"expected values of shape (n,) or (P, n), got shape {arr.shape}")
+    if expected_len is not None and arr.shape[-1] != expected_len:
         raise ValueError(
-            f"value length {arr.shape[0]} does not match declared length {expected_len}"
+            f"value length {arr.shape[-1]} does not match declared length {expected_len}"
         )
     if not np.isfinite(arr).all():
         raise ValueError("signal values must be finite (no NaN/Inf)")
@@ -157,13 +162,13 @@ class CircleSignal:
 
     def __post_init__(self):
         arr = _frozen_complex_array(self.coeffs)
-        if arr.shape[0] % 2 != 1:
+        if arr.shape[-1] % 2 != 1:
             raise ValueError("coefficient vector must have odd length 2K+1")
         object.__setattr__(self, "coeffs", arr)
 
     @property
     def K(self) -> int:
-        return (self.coeffs.shape[0] - 1) // 2
+        return (self.coeffs.shape[-1] - 1) // 2
 
     def indices(self) -> np.ndarray:
         return np.arange(-self.K, self.K + 1)
@@ -190,8 +195,8 @@ class CircleSignal:
         """Zero-pad to a larger truncation degree."""
         if K_new < self.K:
             raise ValueError("padded() cannot shrink the truncation")
-        c = np.zeros(2 * K_new + 1, dtype=complex)
-        c[K_new - self.K : K_new + self.K + 1] = self.coeffs
+        c = np.zeros(self.coeffs.shape[:-1] + (2 * K_new + 1,), dtype=complex)
+        c[..., K_new - self.K : K_new + self.K + 1] = self.coeffs
         return CircleSignal(c)
 
 
@@ -203,13 +208,13 @@ class CircleSamples:
 
     def __post_init__(self):
         arr = _frozen_complex_array(self.values)
-        if arr.shape[0] < 1:
+        if arr.shape[-1] < 1:
             raise ValueError("need at least one sample")
         object.__setattr__(self, "values", arr)
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-1]
 
     def angles(self) -> np.ndarray:
         return 2.0 * math.pi * np.arange(self.n) / self.n
@@ -248,26 +253,33 @@ def _require_same_grid(a: Grid1D, b: Grid1D):
         raise ValueError(f"grid mismatch: {a} vs {b}")
 
 
+def _single(values: np.ndarray) -> np.ndarray:
+    if values.ndim != 1:
+        raise ValueError(f"expected a single signal, got a batch of shape {values.shape}")
+    return values
+
+
 def inner_product(f, g) -> complex:
-    """Inner product <f, g>, conjugate-linear in the second argument.
+    """Inner product <f, g>, conjugate-linear in the second argument, of two
+    single (1-d) signals.
 
     Line signals: dx * sum f_j conj(g_j).  Line spectra: dxi-weighted sum.
     Circle samples: (1/n) sum.  Circle coefficients: plain sum.
     """
     if isinstance(f, LineSignal) and isinstance(g, LineSignal):
         _require_same_grid(f.grid, g.grid)
-        return complex(f.grid.dx * np.vdot(g.values, f.values))
+        return complex(f.grid.dx * np.vdot(_single(g.values), _single(f.values)))
     if isinstance(f, LineSpectrum) and isinstance(g, LineSpectrum):
         _require_same_grid(f.grid, g.grid)
-        return complex(f.grid.dxi * np.vdot(g.values, f.values))
+        return complex(f.grid.dxi * np.vdot(_single(g.values), _single(f.values)))
     if isinstance(f, CircleSamples) and isinstance(g, CircleSamples):
         if f.n != g.n:
             raise ValueError(f"sample count mismatch: {f.n} vs {g.n}")
-        return complex(np.vdot(g.values, f.values) / f.n)
+        return complex(np.vdot(_single(g.values), _single(f.values)) / f.n)
     if isinstance(f, CircleSignal) and isinstance(g, CircleSignal):
         if f.K != g.K:
             raise ValueError(f"truncation mismatch: K={f.K} vs K={g.K}")
-        return complex(np.vdot(g.coeffs, f.coeffs))
+        return complex(np.vdot(_single(g.coeffs), _single(f.coeffs)))
     raise ValueError(
         f"mismatched or unsupported operand types: {type(f).__name__}, {type(g).__name__}"
     )
@@ -282,9 +294,8 @@ def circle_samples_from_coeffs(c: CircleSignal, n: int) -> CircleSamples:
     n >= 2K+1)."""
     if n < 2 * c.K + 1:
         raise ValueError(f"need n >= 2K+1 = {2 * c.K + 1} samples, got {n}")
-    arr = np.zeros(n, dtype=complex)
-    ks = c.indices()
-    arr[ks % n] = c.coeffs
+    arr = np.zeros(c.coeffs.shape[:-1] + (n,), dtype=complex)
+    arr[..., c.indices() % n] = c.coeffs
     return CircleSamples(np.fft.ifft(arr) * n)
 
 
@@ -295,26 +306,30 @@ def circle_coeffs_from_samples(s: CircleSamples, K: int) -> CircleSignal:
         raise ValueError(f"need n >= 2K+1 = {2 * K + 1} samples, got {s.n}")
     F = np.fft.fft(s.values) / s.n
     ks = np.arange(-K, K + 1)
-    return CircleSignal(F[ks % s.n])
+    return CircleSignal(F[..., ks % s.n])
 
 
 def evaluate_fourier_series(c: CircleSignal, angles: np.ndarray) -> np.ndarray:
     """Evaluate sum_k c_k exp(i k theta) at arbitrary angles (exact for the
     truncated series; used by off-grid actions and quadrature oracles).
+    A batch of P series gives shape (P, len(angles)).
 
     The index is split as k + K = B*q + r with B ~ sqrt(2K+1), so that
 
         sum_k c_k e^{ik theta} = sum_q e^{i(Bq-K) theta} sum_r c_{Bq+r-K} e^{ir theta},
 
-    which needs n*(B+Q) exponentials and one (n, B) x (B, Q) product instead
-    of an (n, 2K+1) exponential matrix.
+    which needs n*(B+Q) exponentials, built once for every row, and one
+    (n, B) x (B, P*Q) product instead of an (n, 2K+1) exponential matrix.
     """
     theta = np.asarray(angles, dtype=float).ravel()
-    size = c.coeffs.shape[0]
+    lead = c.coeffs.shape[:-1]
+    size = c.coeffs.shape[-1]
     B = math.isqrt(size - 1) + 1
     Q = -(-size // B)
-    blocks = np.zeros(B * Q, dtype=complex)
-    blocks[:size] = c.coeffs
-    inner = np.exp(1j * np.outer(theta, np.arange(B))) @ blocks.reshape(Q, B).T
+    blocks = np.zeros(lead + (B * Q,), dtype=complex)
+    blocks[..., :size] = c.coeffs
+    # (P*Q, B) rows of B consecutive coefficients, transposed for one product
+    inner = np.exp(1j * np.outer(theta, np.arange(B))) @ blocks.reshape(-1, B).T
     outer = np.exp(1j * np.outer(theta, B * np.arange(Q) - c.K))
-    return np.einsum("nq,nq->n", outer, inner)
+    vals = np.einsum("nq,npq->pn", outer, inner.reshape(theta.size, -1, Q))
+    return vals.reshape(lead + (theta.size,))

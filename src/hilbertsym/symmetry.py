@@ -21,8 +21,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from . import circle_ops, line_ops
 from .circle_ops import RationalScale, semigroup_act
-from .line_ops import AffineElement, _sign_multiplier, rep_natural
+from .line_ops import AffineElement, rep_natural
 from .signals import CircleSignal, Grid1D, LineSignal, norm, signed_indices
 
 __all__ = [
@@ -217,13 +218,16 @@ class ScalarDecomposition:
 
 
 def _line_spectral_conjugate(entries: np.ndarray) -> np.ndarray:
-    """Similarity transform of a sample-basis matrix into the spectral basis.
+    """Similarity transform of a sample-basis matrix into the spectral basis,
+    returned as a fresh array the caller owns.
 
     Conjugation by the unitary DFT; the calibration prefactor of the public
     transform is a constant-modulus diagonal and drops out of every quantity
-    used here (diagonal entries and mask-row Frobenius norms).
+    used here (diagonal entries and mask-row Frobenius norms).  The second
+    transform runs in place on the first one's output.
     """
-    return np.fft.fft(np.fft.ifft(entries, axis=1), axis=0)
+    tilde = np.fft.ifft(entries, axis=1)
+    return np.fft.fft(tilde, axis=0, out=tilde)
 
 
 def _line_masks(n: int):
@@ -243,6 +247,13 @@ def _masked_row_residual(defect: np.ndarray, mask: np.ndarray, tnorm: float) -> 
     return float(np.linalg.norm(defect[mask, :]) / tnorm)
 
 
+def _row_sq_norms(m: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each row of a C-contiguous complex matrix,
+    read through its float view without a temporary."""
+    v = m.view(float)
+    return np.einsum("ij,ij->i", v, v)
+
+
 def decompose_line_operator(T: OperatorMatrix) -> ScalarDecomposition:
     """Extract the lam*I + eta*H form of a line-basis operator.
 
@@ -252,22 +263,36 @@ def decompose_line_operator(T: OperatorMatrix) -> ScalarDecomposition:
     """
     if not isinstance(T.basis, LineBasis):
         raise ValueError("line decomposition needs an operator on a line basis")
+    return _decompose_line_spectral(_line_spectral_conjugate(T.entries), T)
+
+
+def _decompose_line_spectral(tilde: np.ndarray, T: OperatorMatrix) -> ScalarDecomposition:
+    """The line decomposition from ``tilde``, the spectral conjugate of T.
+
+    Consumes ``tilde``: the reconstruction is subtracted from its diagonal in
+    place, so its rows become the defect rows, whose squared norms are taken
+    once and summed per block.
+    """
     n = T.dim
     plus, minus, zero = _line_masks(n)
     if plus.sum() == 0 or minus.sum() == 0:
         raise ValueError(f"degenerate basis: no nontrivial frequency blocks at n={n}")
-    tilde = _line_spectral_conjugate(T.entries)
     diag = np.diagonal(tilde)
     k1 = complex(diag[plus].mean())
     k2 = complex(diag[minus].mean())
     lam = (k2 + k1) / 2.0
     eta = (k2 - k1) / 2.0j
-    recon = np.zeros(n, dtype=complex)
+    recon = np.empty(n, dtype=complex)
     recon[plus] = k1
     recon[minus] = k2
     recon[zero] = lam
-    defect = tilde - np.diag(recon)
+    tilde.reshape(-1)[:: n + 1] -= recon  # the diagonal, as a strided view
+    rows = _row_sq_norms(tilde)
     tnorm = float(np.linalg.norm(T.entries))
+
+    def residual(mask):
+        return 0.0 if tnorm == 0.0 else math.sqrt(float(rows[mask].sum())) / tnorm
+
     return ScalarDecomposition(
         space="line",
         k1=k1,
@@ -276,9 +301,9 @@ def decompose_line_operator(T: OperatorMatrix) -> ScalarDecomposition:
         lam=lam,
         eta=eta,
         omega=None,
-        residual_plus=_masked_row_residual(defect, plus, tnorm),
-        residual_minus=_masked_row_residual(defect, minus, tnorm),
-        residual_zero=_masked_row_residual(defect, zero, tnorm),
+        residual_plus=residual(plus),
+        residual_minus=residual(minus),
+        residual_zero=residual(zero),
     )
 
 
@@ -361,7 +386,8 @@ def classify_pm_hilbert(T: OperatorMatrix, tol: float = 1e-8) -> HilbertClassifi
 
     # the kernel block (mean/Nyquist-type modes) is axis-aligned in the
     # frequency basis, so run the Gram test there for line operators
-    work = _line_spectral_conjugate(E) if isinstance(T.basis, LineBasis) else E
+    line = isinstance(T.basis, LineBasis)
+    work = _line_spectral_conjugate(E) if line else E
     gram = work.conj().T @ work
     g_diag = np.abs(np.diagonal(gram))
     keep = g_diag > tol
@@ -374,11 +400,8 @@ def classify_pm_hilbert(T: OperatorMatrix, tol: float = 1e-8) -> HilbertClassifi
             "neither", f"not norm-preserving off the kernel block (defect {d:.2e})"
         )
 
-    dec = (
-        decompose_line_operator(T)
-        if isinstance(T.basis, LineBasis)
-        else decompose_circle_operator(T)
-    )
+    # the line decomposition consumes the spectral conjugate built above
+    dec = _decompose_line_spectral(work, T) if line else decompose_circle_operator(T)
     scalar_res = max(dec.residual_plus, dec.residual_minus)
     if scalar_res > tol:
         return HilbertClassification(
@@ -487,12 +510,11 @@ def synthesize_commuting_operator(lam: complex, eta: complex, basis: Basis) -> O
         # F^-1 diag(symbol) F is the circulant T[j, l] = h[(j - l) mod n] of
         # the single column h = ifft(symbol); with p = (h[1:], h), that is
         # p[n-1-l+j], the transposed reversed sliding windows of p.
-        h = np.fft.ifft(lam + eta * (-1j) * _sign_multiplier(basis.grid()))
+        h = np.fft.ifft(lam + eta * (-1j) * line_ops._sign_multiplier(basis.grid()))
         p = np.concatenate((h[1:], h))
         windows = np.lib.stride_tricks.sliding_window_view(p, basis.n)
         return OperatorMatrix(basis, windows[::-1].T)
     if isinstance(basis, FourierBasis):
-        ks = np.arange(-basis.K, basis.K + 1)
-        diag_vals = lam + eta * (-1j) * np.sign(ks)
-        return OperatorMatrix(basis, np.diag(diag_vals.astype(complex)))
+        diag_vals = lam + eta * (-1j) * circle_ops._sign_multiplier(basis.K)
+        return OperatorMatrix(basis, np.diag(diag_vals))
     raise ValueError(f"unsupported basis {basis!r}")

@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .circle_ops import (
     MoebiusElement,
+    _sign_multiplier,
     RationalScale,
     SignalFamily,
     annihilator_witness,
@@ -44,8 +45,10 @@ from .line_ops import (
 )
 from .probes import make_probes
 from .signals import (
+    CircleSamples,
     CircleSignal,
     Grid1D,
+    LineSignal,
     circle_coeffs_from_samples,
     circle_samples_from_coeffs,
     dft,
@@ -99,6 +102,21 @@ def _default_tolerances() -> dict:
 
 def _default_probe_counts() -> dict:
     return {"line": 20, "circle": 20, "roundtrip": 100, "scalarity": 10, "annihilator": 10}
+
+
+# Degree of the trig-poly probes of the a11 Moebius checks.
+_MOEBIUS_PROBE_DEGREE = 25
+# Coarsest grid spacing on which the guarded packets (modulation up to 5.2,
+# width down to 1.25) keep their spectrum inside half the band, as every
+# dilation by 1/2 of the m06 action set needs.
+_PACKET_MAX_DX = 0.16
+
+
+def _moebius_samples_needed(a: float) -> int:
+    """Sample count that holds the a11 probes after a disc automorphism with
+    Blaschke parameter a: the map stretches frequencies by up to (1+a)/(1-a),
+    and half the samples must cover 1.5 times the stretched probe degree."""
+    return 2 * math.ceil(1.5 * _MOEBIUS_PROBE_DEGREE * (1.0 + a) / (1.0 - a))
 
 
 @dataclass
@@ -163,6 +181,36 @@ class SuiteConfig:
             raise ValueError("circle n_samples must be even (quadrature pairing)")
         if self.line.n < 8:
             raise ValueError("line grid too small")
+        K = self.circle.K
+        if K < 2:
+            raise ValueError(
+                f"circle K={K} is too small: a09-perturbation-flagging perturbs one index "
+                f"in [1, K//2], so K must be at least 2"
+            )
+        for q, p, beta in self.rational_set:
+            if p == 1 and q > K:
+                raise ValueError(
+                    f"circle K={K} is below the scale q={q} of rational element "
+                    f"{(q, p, beta)}: a06-semigroup-commutation keeps a scale by q on the "
+                    f"degree-K truncation, which needs q <= K"
+                )
+        if not all(0.0 <= a < 1.0 for _, a in self.moebius_set):
+            raise ValueError("moebius_set Blaschke parameters must lie in [0, 1)")
+        a_max = max(a for _, a in self.moebius_set)
+        need = _moebius_samples_needed(a_max)
+        if self.circle.n_samples < need:
+            raise ValueError(
+                f"circle n_samples={self.circle.n_samples} is below {need}: "
+                f"a11-moebius-unitarity needs its degree-{_MOEBIUS_PROBE_DEGREE} probes, "
+                f"stretched by (1+a)/(1-a) at a={a_max}, to stay inside the sampled band"
+            )
+        dx = (self.line.x_max - self.line.x_min) / self.operator_n
+        if dx > _PACKET_MAX_DX:
+            raise ValueError(
+                f"operator grid spacing {dx:.4g} (operator_n={self.operator_n}) exceeds "
+                f"{_PACKET_MAX_DX}: m06-engine-commutator-line needs its guarded packets "
+                f"inside half the operator band"
+            )
 
     def line_grid(self) -> Grid1D:
         return Grid1D.from_interval(self.line.x_min, self.line.x_max, self.line.n)
@@ -256,7 +304,17 @@ def _rng_seed(cfg: SuiteConfig, salt: int) -> np.random.SeedSequence:
 
 
 def _rel(diff_values, ref) -> float:
-    return float(np.linalg.norm(diff_values) / max(ref, 1e-300))
+    """Largest row of ||diff|| / ref, for one signal or a batch of rows (ref
+    is a scalar or one value per row)."""
+    return float(np.max(np.linalg.norm(diff_values, axis=-1) / np.maximum(ref, 1e-300)))
+
+
+def _stack(probes):
+    """The probes as one batched signal, one row each."""
+    first = probes[0]
+    if isinstance(first, LineSignal):
+        return LineSignal(first.grid, np.stack([f.values for f in probes]))
+    return CircleSignal(np.stack([c.coeffs for c in probes]))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +323,7 @@ def _rel(diff_values, ref) -> float:
 
 def _check_multiplier_vs_quadrature(cfg: SuiteConfig) -> float:
     grid = cfg.line_grid()
-    probes = make_probes(
+    f = _stack(make_probes(
         "gaussian-packet",
         seed=_rng_seed(cfg, 11),
         count=cfg.probe_counts["line"],
@@ -273,30 +331,21 @@ def _check_multiplier_vs_quadrature(cfg: SuiteConfig) -> float:
         width=(1.0, 1.6),
         center=(-4.0, 4.0),
         modulation=(3.5, 6.0),
-    )
-    n = grid.n
-    central = slice(n // 4, 3 * n // 4)
-    worst = 0.0
-    for f in probes:
-        hm = hilbert_multiplier(f)
-        hq = hilbert_pv_quadrature(f)
-        worst = max(worst, _rel((hq.values - hm.values)[central], np.linalg.norm(f.values)))
-    return worst
+    ))
+    central = slice(grid.n // 4, 3 * grid.n // 4)
+    diff = hilbert_pv_quadrature(f).values - hilbert_multiplier(f).values
+    return _rel(diff[:, central], np.linalg.norm(f.values, axis=-1))
 
 
 def _check_involution_line(cfg: SuiteConfig) -> float:
-    grid = cfg.line_grid()
-    probes = make_probes(
+    f = _stack(make_probes(
         "random-bandlimited",
         seed=_rng_seed(cfg, 12),
         count=cfg.probe_counts["line"],
-        grid=grid,
-    )
-    worst = 0.0
-    for f in probes:
-        hh = hilbert_multiplier(hilbert_multiplier(f))
-        worst = max(worst, _rel(hh.values + f.values, np.linalg.norm(f.values)))
-    return worst
+        grid=cfg.line_grid(),
+    ))
+    hh = hilbert_multiplier(hilbert_multiplier(f))
+    return _rel(hh.values + f.values, np.linalg.norm(f.values, axis=-1))
 
 
 def _guarded_packets(cfg: SuiteConfig, grid: Grid1D, salt: int, count: int):
@@ -315,15 +364,14 @@ def _guarded_packets(cfg: SuiteConfig, grid: Grid1D, salt: int, count: int):
 
 
 def _check_affine_commutation(cfg: SuiteConfig) -> float:
-    grid = cfg.line_grid()
-    probes = _guarded_packets(cfg, grid, 13, cfg.probe_counts["line"])
+    f = _stack(_guarded_packets(cfg, cfg.line_grid(), 13, cfg.probe_counts["line"]))
+    hf = hilbert_multiplier(f)
+    fn = np.linalg.norm(f.values, axis=-1)
     worst = 0.0
     for a, b in cfg.affine_set:
         g = AffineElement(a, b)
-        for f in probes:
-            lhs = hilbert_multiplier(rep_natural(f, g))
-            rhs = rep_natural(hilbert_multiplier(f), g)
-            worst = max(worst, _rel(lhs.values - rhs.values, np.linalg.norm(f.values)))
+        lhs = hilbert_multiplier(rep_natural(f, g))
+        worst = max(worst, _rel(lhs.values - rep_natural(hf, g).values, fn))
     return worst
 
 
@@ -347,32 +395,33 @@ def _check_line_parseval(cfg: SuiteConfig) -> float:
 
 
 def _check_hardy_identities(cfg: SuiteConfig) -> float:
-    grid = cfg.line_grid()
-    probes = make_probes(
-        "random-bandlimited", seed=_rng_seed(cfg, 17), count=cfg.probe_counts["line"], grid=grid
-    )
-    worst = 0.0
-    for f in probes:
-        plus = hardy_project(f, "+")
-        minus = hardy_project(f, "-")
-        h = hilbert_multiplier(f)
-        fn = np.linalg.norm(f.values)
-        worst = max(worst, _rel(plus.values + minus.values - f.values, fn))
-        worst = max(worst, _rel(plus.values - minus.values - 1j * h.values, fn))
+    f = _stack(make_probes(
+        "random-bandlimited",
+        seed=_rng_seed(cfg, 17),
+        count=cfg.probe_counts["line"],
+        grid=cfg.line_grid(),
+    ))
+    plus = hardy_project(f, "+").values
+    minus = hardy_project(f, "-").values
+    h = hilbert_multiplier(f).values
+    fn = np.linalg.norm(f.values, axis=-1)
+    return max(
+        _rel(plus + minus - f.values, fn),
+        _rel(plus - minus - 1j * h, fn),
         # Hardy parts are eigenvectors (probes carry no mean/Nyquist share)
-        worst = max(worst, _rel(hilbert_multiplier(plus).values + 1j * plus.values, fn))
-        worst = max(worst, _rel(hilbert_multiplier(minus).values - 1j * minus.values, fn))
-    return worst
+        _rel(hilbert_multiplier(f.with_values(plus)).values + 1j * plus, fn),
+        _rel(hilbert_multiplier(f.with_values(minus)).values - 1j * minus, fn),
+    )
 
 
 def _check_rep_isometry(cfg: SuiteConfig) -> float:
     grid = cfg.line_grid()
-    probes = _guarded_packets(cfg, grid, 18, max(5, cfg.probe_counts["line"] // 2))
+    f = _stack(_guarded_packets(cfg, grid, 18, max(5, cfg.probe_counts["line"] // 2)))
+    fn = np.linalg.norm(f.values, axis=-1)
     worst = 0.0
     for a, b in cfg.affine_set:
-        g = AffineElement(a, b)
-        for f in probes:
-            worst = max(worst, abs(norm(rep_natural(f, g)) - norm(f)) / norm(f))
+        acted = np.linalg.norm(rep_natural(f, AffineElement(a, b)).values, axis=-1)
+        worst = max(worst, float(np.max(np.abs(acted - fn) / fn)))
     return worst
 
 
@@ -430,23 +479,20 @@ def _check_plemelj_chain(cfg: SuiteConfig) -> float:
 
 def _check_semigroup_averaging(cfg: SuiteConfig) -> float:
     K_probe = min(25, cfg.circle.K)
-    probes = make_probes(
+    c = _stack(make_probes(
         "trig-poly",
         seed=_rng_seed(cfg, 23),
         count=cfg.probe_counts["circle"],
         K=K_probe,
         degree=K_probe,
-    )
+    ))
     worst = 0.0
     for q, p, beta in cfg.rational_set:
         r = RationalScale(q, p, beta)
-        for c in probes:
-            closed = semigroup_act(c, r)
-            k_out = closed.K
-            n_s = max(2 * k_out + 2, 64)
-            sampled = semigroup_act_samples(c, r, n_s)
-            recovered = circle_coeffs_from_samples(sampled, k_out)
-            worst = max(worst, float(np.max(np.abs(closed.coeffs - recovered.coeffs))))
+        closed = semigroup_act(c, r)
+        sampled = semigroup_act_samples(c, r, max(2 * closed.K + 2, 64))
+        recovered = circle_coeffs_from_samples(sampled, closed.K)
+        worst = max(worst, float(np.max(np.abs(closed.coeffs - recovered.coeffs))))
     return worst
 
 
@@ -456,21 +502,20 @@ def _check_semigroup_commutation(cfg: SuiteConfig) -> float:
     for q, p, beta in cfg.rational_set:
         r = RationalScale(q, p, beta)
         deg = max(1, K // (p * q))
-        probes = make_probes(
+        c = _stack(make_probes(
             "trig-poly", seed=_rng_seed(cfg, 24 + 7 * q + 13 * p), count=5, K=K, degree=deg
+        ))
+        lhs = semigroup_act(circular_hilbert(c), r, k_out=K)
+        rhs = circular_hilbert(semigroup_act(c, r, k_out=K))
+        worst = max(worst, float(np.max(np.abs(lhs.coeffs - rhs.coeffs))))
+        # composition law: pi(q/p, beta) = pi(q, 0) after pi(1/p, beta)
+        step = semigroup_act(semigroup_act(c, RationalScale(1, p, beta)), RationalScale(q, 1, 0.0))
+        direct = semigroup_act(c, r)
+        pad = max(step.K, direct.K)
+        worst = max(
+            worst,
+            float(np.max(np.abs(step.padded(pad).coeffs - direct.padded(pad).coeffs))),
         )
-        for c in probes:
-            lhs = semigroup_act(circular_hilbert(c), r, k_out=K)
-            rhs = circular_hilbert(semigroup_act(c, r, k_out=K))
-            worst = max(worst, float(np.max(np.abs(lhs.coeffs - rhs.coeffs))))
-            # composition law: pi(q/p, beta) = pi(q, 0) after pi(1/p, beta)
-            step = semigroup_act(semigroup_act(c, RationalScale(1, p, beta)), RationalScale(q, 1, 0.0))
-            direct = semigroup_act(c, r)
-            pad = max(step.K, direct.K)
-            worst = max(
-                worst,
-                float(np.max(np.abs(step.padded(pad).coeffs - direct.padded(pad).coeffs))),
-            )
     return worst
 
 
@@ -546,38 +591,39 @@ def _annihilator_outcomes(cfg: SuiteConfig) -> tuple:
     return float(zero_failures), float(witness_failures)
 
 
-def _circle_probe_samples(cfg: SuiteConfig, salt: int, count: int):
-    n_s = cfg.circle.n_samples
-    probes = make_probes("trig-poly", seed=_rng_seed(cfg, salt), count=count, K=25)
-    return [circle_samples_from_coeffs(c, n_s) for c in probes]
+def _circle_probe_samples(cfg: SuiteConfig, salt: int, count: int) -> CircleSamples:
+    probes = make_probes(
+        "trig-poly", seed=_rng_seed(cfg, salt), count=count, K=_MOEBIUS_PROBE_DEGREE
+    )
+    return circle_samples_from_coeffs(_stack(probes), cfg.circle.n_samples)
 
 
 def _check_moebius_unitarity(cfg: SuiteConfig) -> float:
-    samples = _circle_probe_samples(cfg, 28, cfg.probe_counts["circle"])
+    s = _circle_probe_samples(cfg, 28, cfg.probe_counts["circle"])
+    sn = np.linalg.norm(s.values, axis=-1)
     worst = 0.0
     for theta, a in cfg.moebius_set:
-        m = MoebiusElement(theta, a)
-        for s in samples:
-            worst = max(worst, abs(norm(moebius_act(s, m, "jacobian")) / norm(s) - 1.0))
+        acted = moebius_act(s, MoebiusElement(theta, a), "jacobian").values
+        worst = max(worst, float(np.max(np.abs(np.linalg.norm(acted, axis=-1) / sn - 1.0))))
     return worst
 
 
 def _moebius_cauchy_defect(cfg: SuiteConfig, weight: str) -> float:
-    samples = _circle_probe_samples(cfg, 29, max(5, cfg.probe_counts["circle"] // 2))
+    s = _circle_probe_samples(cfg, 29, max(5, cfg.probe_counts["circle"] // 2))
+    K_full = (s.n - 1) // 2
+
+    def cauchy(samples):
+        return circle_samples_from_coeffs(
+            cauchy_pv(circle_coeffs_from_samples(samples, K_full)), s.n
+        )
+
+    cf = cauchy(s)
+    sn = np.linalg.norm(s.values, axis=-1)
     worst = 0.0
     for theta, a in cfg.moebius_set:
         m = MoebiusElement(theta, a)
-        for s in samples:
-            K_full = (s.n - 1) // 2
-            acted = moebius_act(s, m, weight)
-            lhs = circle_samples_from_coeffs(
-                cauchy_pv(circle_coeffs_from_samples(acted, K_full)), s.n
-            )
-            cf = circle_samples_from_coeffs(
-                cauchy_pv(circle_coeffs_from_samples(s, K_full)), s.n
-            )
-            rhs = moebius_act(cf, m, weight)
-            worst = max(worst, _rel(lhs.values - rhs.values, math.sqrt(s.n) * norm(s)))
+        lhs = cauchy(moebius_act(s, m, weight))
+        worst = max(worst, _rel(lhs.values - moebius_act(cf, m, weight).values, sn))
     return worst
 
 
@@ -657,8 +703,7 @@ def _scalarity_scales():
 def _check_commutant_scalarity(cfg: SuiteConfig) -> float:
     K = cfg.circle.K
     basis = FourierBasis(K)
-    ks = np.arange(-K, K + 1)
-    h_diag = (-1j * np.sign(ks)).astype(complex)
+    h_diag = -1j * _sign_multiplier(K)
     rng = np.random.default_rng(_rng_seed(cfg, 32))
     worst = 0.0
     for _ in range(cfg.probe_counts["scalarity"]):

@@ -7,7 +7,14 @@ from hilbertsym import CircleSignal, Grid1D, LineBasis, LineSignal, OperatorMatr
 from hilbertsym.cli import main
 from hilbertsym.sigio import load_signal, save_operator, save_signal
 from hilbertsym.symmetry import synthesize_commuting_operator
-from hilbertsym.verify import CircleConfig, LineGridConfig, SuiteConfig, run_verify
+from hilbertsym.verify import (
+    _REGISTRY,
+    CircleConfig,
+    LineGridConfig,
+    SuiteConfig,
+    _moebius_samples_needed,
+    run_verify,
+)
 
 
 def small_circle_config(**over):
@@ -64,6 +71,33 @@ class TestRunVerify:
             SuiteConfig(circle=CircleConfig(n_samples=511))
         with pytest.raises(ValueError):
             SuiteConfig(tolerances={"parseval": 0.0})
+
+    def test_default_config_is_accepted(self):
+        cfg = SuiteConfig()
+        cfg.validate()
+        assert cfg.circle.n_samples >= _moebius_samples_needed(0.7)
+
+    @pytest.mark.parametrize(
+        "field, value, check_id",
+        [
+            ("circle", CircleConfig(K=2), "a06-semigroup-commutation"),
+            ("circle", CircleConfig(K=1), "a09-perturbation-flagging"),
+            ("operator_n", 255, "m06-engine-commutator-line"),
+            ("circle", CircleConfig(K=16, n_samples=64), "a11-moebius-unitarity"),
+        ],
+    )
+    def test_out_of_regime_config_is_rejected(self, field, value, check_id):
+        with pytest.raises(ValueError, match=check_id):
+            SuiteConfig(**{field: value})
+        # the rejected setting does break the named check when forced past validate()
+        cfg = SuiteConfig(probe_counts={"line": 4, "circle": 4, "scalarity": 2})
+        setattr(cfg, field, value)
+        spec = next(s for s in _REGISTRY if s.check_id == check_id)
+        try:
+            measured = spec.fn(cfg)
+        except Exception:  # noqa: BLE001 - an erroring check is what the rule prevents
+            return
+        assert measured > cfg.tolerances[spec.tol_key]
 
 
 class TestCliVerify:
