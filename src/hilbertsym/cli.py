@@ -19,34 +19,13 @@ by the operators), 2 file I/O, 3 decomposition residual above tolerance,
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
-from .circle_ops import (
-    MoebiusElement,
-    RationalScale,
-    cauchy_pv,
-    cauchy_symbol,
-    circular_convolve,
-    circular_hilbert,
-    moebius_act,
-    semigroup_act,
-)
-from .signals import CircleSamples, CircleSignal, LineSignal
-from .line_ops import (
-    AffineElement,
-    dilate,
-    hardy_project,
-    hilbert_multiplier,
-    hilbert_pv_quadrature,
-    rep_natural,
-    translate,
-)
-from .sigio import load_operator, load_signal, save_signal
-from .symmetry import FourierBasis, LineBasis, decompose_circle_operator, decompose_line_operator
-from .verify import SuiteConfig, run_verify
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -54,25 +33,58 @@ EXIT_IO = 2
 EXIT_RESIDUAL = 3
 EXIT_CHECK_FAILURE = 4
 
-APPLY_OPS = (
-    "hilbert",
-    "hilbert-pv",
-    "hardy+",
-    "hardy-",
-    "dilate",
-    "translate",
-    "rep",
-    "circular-hilbert",
-    "cauchy-pv",
-    "cauchy-symbol",
-    "semigroup",
-    "moebius",
-    "convolve",
-)
-
 
 class UsageError(ValueError):
     pass
+
+
+class ApplyOp(NamedTuple):
+    """One ``apply`` op: the signal class it accepts, the module that
+    implements it (imported only when the op runs), an adapter
+    ``call(module, signal, args)`` returning the output signal, the flags it
+    requires and the flags echoed as its params, in echo order."""
+
+    input: str
+    module: str
+    call: Callable
+    needs: tuple = ()
+    params: tuple = ()  # empty: the required flags
+
+
+APPLY = {
+    "hilbert": ApplyOp("LineSignal", "line_ops", lambda m, f, a: m.hilbert_multiplier(f)),
+    "hilbert-pv": ApplyOp("LineSignal", "line_ops", lambda m, f, a: m.hilbert_pv_quadrature(f)),
+    "hardy+": ApplyOp("LineSignal", "line_ops", lambda m, f, a: m.hardy_project(f, "+")),
+    "hardy-": ApplyOp("LineSignal", "line_ops", lambda m, f, a: m.hardy_project(f, "-")),
+    "dilate": ApplyOp("LineSignal", "line_ops", lambda m, f, a: m.dilate(f, a.a), ("a",)),
+    "translate": ApplyOp("LineSignal", "line_ops", lambda m, f, a: m.translate(f, a.b), ("b",)),
+    "rep": ApplyOp(
+        "LineSignal", "line_ops",
+        lambda m, f, a: m.rep_natural(f, m.AffineElement(a.a, a.b)), ("a", "b"),
+    ),
+    "circular-hilbert": ApplyOp(
+        "CircleSignal", "circle_ops", lambda m, f, a: m.circular_hilbert(f)
+    ),
+    "cauchy-pv": ApplyOp("CircleSignal", "circle_ops", lambda m, f, a: m.cauchy_pv(f)),
+    "cauchy-symbol": ApplyOp("CircleSignal", "circle_ops", lambda m, f, a: m.cauchy_symbol(f)),
+    "semigroup": ApplyOp(
+        "CircleSignal", "circle_ops",
+        lambda m, f, a: m.semigroup_act(f, m.RationalScale(a.q, a.p, a.beta), a.k_out),
+        ("q", "p"), ("q", "p", "beta", "k_out"),
+    ),
+    "moebius": ApplyOp(
+        "CircleSamples", "circle_ops",
+        lambda m, f, a: m.moebius_act(f, m.MoebiusElement(a.theta, a.blaschke_a), a.weight),
+        ("blaschke_a",), ("theta", "blaschke_a", "weight"),
+    ),
+    "convolve": ApplyOp(
+        "CircleSignal", "circle_ops",
+        lambda m, f, a: m.circular_convolve(
+            f, _load(getattr(a, "with"), "CircleSignal", "convolve")
+        ),
+        ("with",),
+    ),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,7 +105,7 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--gnuplot-dat", help="also write plain two-column data")
 
     p_apply = sub.add_parser("apply", help="apply an operator/action to a signal file")
-    p_apply.add_argument("op", choices=APPLY_OPS)
+    p_apply.add_argument("op", choices=APPLY)
     p_apply.add_argument("--in", dest="infile", required=True)
     p_apply.add_argument("--out", dest="outfile", required=True)
     p_apply.add_argument("--a", type=float, help="dilation scale / affine a")
@@ -105,7 +117,7 @@ def _build_parser() -> _Parser:
     p_apply.add_argument("--theta", type=float, default=0.0, help="disc rotation angle")
     p_apply.add_argument("--blaschke-a", type=float, help="disc automorphism parameter in [0,1)")
     p_apply.add_argument("--weight", choices=("plain", "jacobian"), default="plain")
-    p_apply.add_argument("--with", dest="second", help="second input file (convolve)")
+    p_apply.add_argument("--with", help="second input file (convolve)")
 
     p_dec = sub.add_parser("decompose", help="scalar-decompose an operator file")
     p_dec.add_argument("--in", dest="infile", required=True)
@@ -120,75 +132,41 @@ def _need(args, names):
             raise UsageError(f"op {args.op!r} requires --{name.replace('_', '-')}")
 
 
-def _expect_type(sig, types, op):
-    if not isinstance(sig, types):
-        names = "/".join(t.__name__ for t in (types if isinstance(types, tuple) else (types,)))
-        raise UsageError(f"op {op!r} expects a {names} input file")
+def _load(path, kind: str, op: str):
+    """Load a signal file, which op ``op`` needs to hold a ``kind`` signal."""
+    from . import signals
+    from .sigio import load_signal
+
+    sig = load_signal(path)
+    if not isinstance(sig, getattr(signals, kind)):
+        raise UsageError(f"op {op!r} expects a {kind} input file")
+    return sig
 
 
 def _run_apply(args) -> int:
-    sig = load_signal(args.infile)
-    params: dict = {}
-    warnings: list = []
-    op = args.op
-    if op in ("hilbert", "hilbert-pv", "hardy+", "hardy-", "dilate", "translate", "rep"):
-        _expect_type(sig, LineSignal, op)
-    if op == "hilbert":
-        out = hilbert_multiplier(sig)
-    elif op == "hilbert-pv":
-        out = hilbert_pv_quadrature(sig)
-    elif op in ("hardy+", "hardy-"):
-        out = hardy_project(sig, op[-1])
-    elif op == "dilate":
-        _need(args, ["a"])
-        params["a"] = args.a
-        out = dilate(sig, args.a)
-    elif op == "translate":
-        _need(args, ["b"])
-        params["b"] = args.b
-        out = translate(sig, args.b)
-    elif op == "rep":
-        _need(args, ["a", "b"])
-        params.update(a=args.a, b=args.b)
-        out = rep_natural(sig, AffineElement(args.a, args.b))
-    elif op == "circular-hilbert":
-        _expect_type(sig, CircleSignal, op)
-        out = circular_hilbert(sig)
-    elif op == "cauchy-pv":
-        _expect_type(sig, CircleSignal, op)
-        out = cauchy_pv(sig)
-    elif op == "cauchy-symbol":
-        _expect_type(sig, CircleSignal, op)
-        out = cauchy_symbol(sig)
-    elif op == "semigroup":
-        _expect_type(sig, CircleSignal, op)
-        _need(args, ["q", "p"])
-        params.update(q=args.q, p=args.p, beta=args.beta, k_out=args.k_out)
-        out = semigroup_act(sig, RationalScale(args.q, args.p, args.beta), args.k_out)
-    elif op == "moebius":
-        _expect_type(sig, CircleSamples, op)
-        _need(args, ["blaschke_a"])
-        params.update(theta=args.theta, blaschke_a=args.blaschke_a, weight=args.weight)
-        out = moebius_act(sig, MoebiusElement(args.theta, args.blaschke_a), args.weight)
-    elif op == "convolve":
-        _expect_type(sig, CircleSignal, op)
-        if args.second is None:
-            raise UsageError("op 'convolve' requires --with FILE")
-        other = load_signal(args.second)
-        _expect_type(other, CircleSignal, op)
-        params["with"] = args.second
-        out = circular_convolve(sig, other)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown op {op!r}")
+    from .sigio import save_signal
+    from .signals import LineSignal
 
-    if isinstance(out, LineSignal):
-        warnings.extend(out.flags)
+    row = APPLY[args.op]
+    sig = _load(args.infile, row.input, args.op)
+    _need(args, row.needs)
+    params = {name: getattr(args, name) for name in (row.params or row.needs)}
+    out = row.call(importlib.import_module(f"{__package__}.{row.module}"), sig, args)
+    warnings = list(out.flags) if isinstance(out, LineSignal) else []
     save_signal(out, args.outfile)
-    print(json.dumps({"op": op, "params": params, "warnings": warnings, "out": args.outfile}))
+    print(json.dumps({"op": args.op, "params": params, "warnings": warnings, "out": args.outfile}))
     return EXIT_OK
 
 
 def _run_decompose(args) -> int:
+    from .sigio import load_operator
+    from .symmetry import (
+        FourierBasis,
+        LineBasis,
+        decompose_circle_operator,
+        decompose_line_operator,
+    )
+
     op = load_operator(args.infile)
     if args.space == "line":
         if not isinstance(op.basis, LineBasis):
@@ -210,6 +188,8 @@ def _run_decompose(args) -> int:
 
 
 def _run_verify(args) -> int:
+    from .verify import SuiteConfig, run_verify
+
     if args.config is not None:
         doc = json.loads(Path(args.config).read_text())
         try:

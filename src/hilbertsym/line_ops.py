@@ -270,18 +270,20 @@ def translate(f: LineSignal, b: float, *, edge_tol: float = EDGE_DECAY_TOL) -> L
     exp(-i xi b).
 
     For b an integer multiple of dx this is exactly the circular index shift;
-    signals with non-negligible energy in the band that wraps around the grid
-    edge get an "edge-mass" warning flag.
+    b = 0 returns the samples unchanged.  Signals with non-negligible energy
+    in the band that wraps around the grid edge get an "edge-mass" warning
+    flag.
     """
     if not math.isfinite(b):
         raise ValueError("shift must be finite")
     g = f.grid
+    if b == 0.0:
+        return LineSignal(g, f.values, f.flags)
     flags = f.flags
-    if b != 0.0:
-        x = g.positions()
-        edge = x >= g.x_min + g.span - b if b > 0 else x < g.x_min - b
-        if _mass_fraction(np.abs(f.values) ** 2, edge) > edge_tol:
-            flags = flags + ("edge-mass",)
+    x = g.positions()
+    edge = x >= g.x_min + g.span - b if b > 0 else x < g.x_min - b
+    if _mass_fraction(np.abs(f.values) ** 2, edge) > edge_tol:
+        flags = flags + ("edge-mass",)
     s = dft(f)
     out = idft(s.with_values(s.values * np.exp(-1j * g.frequencies() * b)))
     return LineSignal(g, out.values, flags)

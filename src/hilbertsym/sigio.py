@@ -22,11 +22,14 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .signals import CircleSamples, CircleSignal, Grid1D, LineSignal
-from .symmetry import FourierBasis, LineBasis, OperatorMatrix
+
+if TYPE_CHECKING:  # the engine is imported only by the operator functions
+    from .symmetry import OperatorMatrix
 
 __all__ = [
     "save_signal",
@@ -41,7 +44,9 @@ __all__ = [
 
 
 def _pairs(values: np.ndarray) -> list:
-    return [[float(v.real), float(v.imag)] for v in values]
+    if values.ndim != 1:
+        raise ValueError("a file holds one signal, not a batch")
+    return np.ascontiguousarray(values, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
 def _unpairs(pairs) -> np.ndarray:
@@ -106,6 +111,8 @@ def load_signal(path):
 
 
 def operator_to_dict(op: OperatorMatrix) -> dict:
+    from .symmetry import FourierBasis
+
     if isinstance(op.basis, FourierBasis):
         basis = {"kind": "fourier", "K": op.basis.K}
     else:
@@ -114,6 +121,8 @@ def operator_to_dict(op: OperatorMatrix) -> dict:
 
 
 def operator_from_dict(doc: dict) -> OperatorMatrix:
+    from .symmetry import FourierBasis, LineBasis, OperatorMatrix
+
     try:
         dim = int(doc["dim"])
         basis_doc = _object(doc, "basis")

@@ -37,6 +37,7 @@ __all__ = [
     "idft",
     "inner_product",
     "norm",
+    "stack_signals",
     "circle_samples_from_coeffs",
     "circle_coeffs_from_samples",
     "evaluate_fourier_series",
@@ -287,6 +288,20 @@ def inner_product(f, g) -> complex:
 
 def norm(f) -> float:
     return math.sqrt(max(inner_product(f, f).real, 0.0))
+
+
+def stack_signals(sigs):
+    """One batched signal with a row per input, from single line signals on
+    one grid or single circle coefficient signals of one truncation."""
+    first = sigs[0]
+    if isinstance(first, LineSignal) and all(isinstance(f, LineSignal) for f in sigs):
+        for f in sigs:
+            _require_same_grid(first.grid, f.grid)
+        return LineSignal(first.grid, np.stack([_single(f.values) for f in sigs]))
+    if all(isinstance(c, CircleSignal) for c in sigs):
+        # np.stack refuses coefficient rows of different truncations
+        return CircleSignal(np.stack([_single(c.coeffs) for c in sigs]))
+    raise ValueError("expected line signals or circle coefficient signals, not a mix")
 
 
 def circle_samples_from_coeffs(c: CircleSignal, n: int) -> CircleSamples:

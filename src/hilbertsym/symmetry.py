@@ -24,7 +24,7 @@ import numpy as np
 from . import circle_ops, line_ops
 from .circle_ops import RationalScale, semigroup_act
 from .line_ops import AffineElement, rep_natural
-from .signals import CircleSignal, Grid1D, LineSignal, norm, signed_indices
+from .signals import CircleSignal, Grid1D, LineSignal, signed_indices, stack_signals
 
 __all__ = [
     "LineBasis",
@@ -102,15 +102,16 @@ class OperatorMatrix:
 
 
 def apply_operator(T: OperatorMatrix, sig):
-    """Apply the matrix to a signal living on the matching basis."""
+    """Apply the matrix to a signal living on the matching basis, along the
+    last axis (each row of a (P, n) batch separately)."""
     if isinstance(sig, LineSignal):
         if not isinstance(T.basis, LineBasis) or T.basis.grid() != sig.grid:
             raise ValueError("operator basis does not match the signal grid")
-        return LineSignal(sig.grid, T.entries @ sig.values)
+        return LineSignal(sig.grid, sig.values @ T.entries.T)
     if isinstance(sig, CircleSignal):
         if not isinstance(T.basis, FourierBasis) or T.basis.K != sig.K:
             raise ValueError("operator basis does not match the signal truncation")
-        return CircleSignal(T.entries @ sig.coeffs)
+        return CircleSignal(sig.coeffs @ T.entries.T)
     raise ValueError(f"unsupported signal type {type(sig).__name__}")
 
 
@@ -144,21 +145,33 @@ def commutator_defect(
 ) -> CommutatorReport:
     """Measure ||T(g f) - g(T f)|| / ||f|| for every action and probe.
 
+    The probes (line signals on one grid, or circle signals of one
+    truncation) are stacked into one (P, n) batch, and each action is called
+    twice, on the batch and on T applied to it: an action must act along the
+    last axis, as :func:`line_affine_action` and :func:`circle_semigroup_action`
+    do.
+
     Results are deterministic and order-independent: each record is keyed by
     the action label and probe index, and the evaluation is a pure function
     of (T, action, probe).
     """
+    if not probes:
+        return CommutatorReport(())
+    batch = stack_signals(probes)
+    probe_norms = np.linalg.norm(_values(batch), axis=-1)
+    if not np.all(probe_norms > 0.0):
+        raise ValueError("probes must be nonzero")
+    t_batch = apply_operator(T, batch)
     records = []
     for label, act in actions:
-        for pid, f in enumerate(probes):
-            lhs = apply_operator(T, act(f))
-            rhs = act(apply_operator(T, f))
-            if isinstance(f, LineSignal):
-                diff = LineSignal(f.grid, lhs.values - rhs.values)
-            else:
-                diff = CircleSignal(lhs.coeffs - rhs.coeffs)
-            records.append((label, pid, norm(diff) / norm(f)))
+        diff = _values(apply_operator(T, act(batch))) - _values(act(t_batch))
+        defects = np.linalg.norm(diff, axis=-1) / probe_norms
+        records.extend((label, pid, float(d)) for pid, d in enumerate(defects))
     return CommutatorReport(tuple(records))
+
+
+def _values(sig) -> np.ndarray:
+    return sig.values if isinstance(sig, LineSignal) else sig.coeffs
 
 
 @dataclass(frozen=True)

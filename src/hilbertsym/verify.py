@@ -48,12 +48,12 @@ from .signals import (
     CircleSamples,
     CircleSignal,
     Grid1D,
-    LineSignal,
     circle_coeffs_from_samples,
     circle_samples_from_coeffs,
     dft,
     idft,
     norm,
+    stack_signals,
 )
 from .symmetry import (
     FourierBasis,
@@ -309,21 +309,13 @@ def _rel(diff_values, ref) -> float:
     return float(np.max(np.linalg.norm(diff_values, axis=-1) / np.maximum(ref, 1e-300)))
 
 
-def _stack(probes):
-    """The probes as one batched signal, one row each."""
-    first = probes[0]
-    if isinstance(first, LineSignal):
-        return LineSignal(first.grid, np.stack([f.values for f in probes]))
-    return CircleSignal(np.stack([c.coeffs for c in probes]))
-
-
 # ---------------------------------------------------------------------------
 # line checks
 
 
 def _check_multiplier_vs_quadrature(cfg: SuiteConfig) -> float:
     grid = cfg.line_grid()
-    f = _stack(make_probes(
+    f = stack_signals(make_probes(
         "gaussian-packet",
         seed=_rng_seed(cfg, 11),
         count=cfg.probe_counts["line"],
@@ -338,7 +330,7 @@ def _check_multiplier_vs_quadrature(cfg: SuiteConfig) -> float:
 
 
 def _check_involution_line(cfg: SuiteConfig) -> float:
-    f = _stack(make_probes(
+    f = stack_signals(make_probes(
         "random-bandlimited",
         seed=_rng_seed(cfg, 12),
         count=cfg.probe_counts["line"],
@@ -364,7 +356,7 @@ def _guarded_packets(cfg: SuiteConfig, grid: Grid1D, salt: int, count: int):
 
 
 def _check_affine_commutation(cfg: SuiteConfig) -> float:
-    f = _stack(_guarded_packets(cfg, cfg.line_grid(), 13, cfg.probe_counts["line"]))
+    f = stack_signals(_guarded_packets(cfg, cfg.line_grid(), 13, cfg.probe_counts["line"]))
     hf = hilbert_multiplier(f)
     fn = np.linalg.norm(f.values, axis=-1)
     worst = 0.0
@@ -395,7 +387,7 @@ def _check_line_parseval(cfg: SuiteConfig) -> float:
 
 
 def _check_hardy_identities(cfg: SuiteConfig) -> float:
-    f = _stack(make_probes(
+    f = stack_signals(make_probes(
         "random-bandlimited",
         seed=_rng_seed(cfg, 17),
         count=cfg.probe_counts["line"],
@@ -416,7 +408,7 @@ def _check_hardy_identities(cfg: SuiteConfig) -> float:
 
 def _check_rep_isometry(cfg: SuiteConfig) -> float:
     grid = cfg.line_grid()
-    f = _stack(_guarded_packets(cfg, grid, 18, max(5, cfg.probe_counts["line"] // 2)))
+    f = stack_signals(_guarded_packets(cfg, grid, 18, max(5, cfg.probe_counts["line"] // 2)))
     fn = np.linalg.norm(f.values, axis=-1)
     worst = 0.0
     for a, b in cfg.affine_set:
@@ -479,7 +471,7 @@ def _check_plemelj_chain(cfg: SuiteConfig) -> float:
 
 def _check_semigroup_averaging(cfg: SuiteConfig) -> float:
     K_probe = min(25, cfg.circle.K)
-    c = _stack(make_probes(
+    c = stack_signals(make_probes(
         "trig-poly",
         seed=_rng_seed(cfg, 23),
         count=cfg.probe_counts["circle"],
@@ -502,7 +494,7 @@ def _check_semigroup_commutation(cfg: SuiteConfig) -> float:
     for q, p, beta in cfg.rational_set:
         r = RationalScale(q, p, beta)
         deg = max(1, K // (p * q))
-        c = _stack(make_probes(
+        c = stack_signals(make_probes(
             "trig-poly", seed=_rng_seed(cfg, 24 + 7 * q + 13 * p), count=5, K=K, degree=deg
         ))
         lhs = semigroup_act(circular_hilbert(c), r, k_out=K)
@@ -595,7 +587,7 @@ def _circle_probe_samples(cfg: SuiteConfig, salt: int, count: int) -> CircleSamp
     probes = make_probes(
         "trig-poly", seed=_rng_seed(cfg, salt), count=count, K=_MOEBIUS_PROBE_DEGREE
     )
-    return circle_samples_from_coeffs(_stack(probes), cfg.circle.n_samples)
+    return circle_samples_from_coeffs(stack_signals(probes), cfg.circle.n_samples)
 
 
 def _check_moebius_unitarity(cfg: SuiteConfig) -> float:

@@ -27,6 +27,7 @@ from hilbertsym import (
     idft,
     inner_product,
     intertwine_defect,
+    make_probes,
     moebius_act,
     norm,
     plemelj_project,
@@ -41,9 +42,14 @@ from hilbertsym.signals import (
     evaluate_fourier_series,
 )
 from hilbertsym.symmetry import (
+    FourierBasis,
     LineBasis,
     OperatorMatrix,
+    apply_operator,
+    circle_semigroup_action,
+    commutator_defect,
     decompose_line_operator,
+    line_affine_action,
     synthesize_commuting_operator,
 )
 
@@ -194,6 +200,111 @@ def test_values_rank_is_checked(grid):
         LineSignal(grid, np.zeros((3, grid.n - 1)))
     with pytest.raises(ValueError):
         CircleSignal(np.zeros((3, 4)))
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_zero_shift_and_identity_action_are_exact(batched, packets):
+    f = _stack(packets) if batched else packets[0]
+    f = LineSignal(f.grid, f.values, ("edge-decay",))
+    for out in (translate(f, 0.0), translate(f, -0.0), rep_natural(f, AffineElement(1.0, 0.0))):
+        assert out.values.tobytes() == f.values.tobytes()
+        assert out.flags == f.flags
+
+
+# ---------------------------------------------------------------------------
+# the engine on a probe batch
+
+
+def _random_matrix(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+@pytest.mark.parametrize("P", [3, 8, 9, 12])  # P equal to the line and the circle dimension
+def test_apply_operator_acts_on_each_row(P):
+    rng = np.random.default_rng(P)
+    line = LineBasis(8, -2.0, 0.5)
+    circle = FourierBasis(4)
+    cases = (
+        (OperatorMatrix(line, _random_matrix(8, 1)),
+         LineSignal(line.grid(), rng.normal(size=(P, 8)) + 1j * rng.normal(size=(P, 8)))),
+        (OperatorMatrix(circle, _random_matrix(9, 2)),
+         CircleSignal(rng.normal(size=(P, 9)) + 1j * rng.normal(size=(P, 9)))),
+    )
+    for T, batch in cases:
+        got = _values(apply_operator(T, batch))
+        rows = [_values(apply_operator(T, row)) for row in _rows(batch)]
+        direct = np.stack([T.entries @ row for row in _values(batch)])
+        assert got.shape == (P, T.dim)
+        assert np.linalg.norm(got - np.stack(rows)) <= 1e-14 * np.linalg.norm(direct)
+        assert np.linalg.norm(got - direct) <= 1e-14 * np.linalg.norm(direct)
+
+
+def _rows(batch):
+    if isinstance(batch, LineSignal):
+        return [LineSignal(batch.grid, v) for v in batch.values]
+    return [CircleSignal(c) for c in batch.coeffs]
+
+
+def _counting(action, calls):
+    label, act = action
+
+    def counted(f):
+        calls.append(_values(f).shape)
+        return act(f)
+
+    return label, counted
+
+
+def test_commutator_defect_calls_each_action_twice_on_the_batch():
+    basis = LineBasis(256, -40.0, 80.0 / 256)
+    probes = [
+        LineSignal(basis.grid(), v)
+        for v in np.random.default_rng(5).normal(size=(4, 256)) * np.exp(
+            -basis.grid().positions() ** 2 / 8.0)
+    ]
+    T = OperatorMatrix(basis, np.diag(basis.grid().positions().astype(complex)))
+    actions = [line_affine_action(AffineElement(a, b)) for a, b in ((2.0, 0.0), (1.0, 0.7))]
+    calls: list = []
+    report = commutator_defect(T, [_counting(a, calls) for a in actions], probes)
+    assert calls == [(4, 256)] * 4
+    assert [(label, pid) for label, pid, _ in report.defects] == [
+        (label, pid) for label, _ in actions for pid in range(4)
+    ]
+    for (label, pid, d), (label1, _, d1) in zip(report.defects, [
+        rec for label, act in actions for f in probes
+        for rec in commutator_defect(T, [(label, act)], [f]).defects
+    ]):
+        assert label == label1
+        assert d == pytest.approx(d1, rel=1e-12)
+
+
+def test_commutator_defect_on_circle_batch_matches_single_probes():
+    K = 32
+    probes = make_probes("trig-poly", seed=8, count=5, K=K, degree=8)
+    T = OperatorMatrix(FourierBasis(K), np.diag(_random_matrix(2 * K + 1, 4)[0]))
+    actions = [circle_semigroup_action(RationalScale(1, 2, 0.3), K),
+               circle_semigroup_action(RationalScale(3, 1, 0.0), K)]
+    batched = commutator_defect(T, actions, probes).defects
+    single = [rec for a in actions for f in probes
+              for rec in commutator_defect(T, [a], [f]).defects]
+    assert [d for *_, d in batched] == pytest.approx([d for *_, d in single], rel=1e-12)
+
+
+def test_commutator_defect_refuses_mixed_or_zero_probes(packets):
+    basis = LineBasis(packets[0].grid.n, packets[0].grid.x_min, packets[0].grid.dx)
+    T = synthesize_commuting_operator(0.0, 1.0, basis)
+    action = [line_affine_action(AffineElement(2.0, 0.0))]
+    other = LineSignal(
+        type(packets[0].grid)(x_min=0.0, n=packets[0].grid.n, dx=packets[0].grid.dx),
+        packets[1].values,
+    )
+    with pytest.raises(ValueError, match="grid mismatch"):
+        commutator_defect(T, action, [packets[0], other])
+    zero = LineSignal(packets[0].grid, np.zeros(packets[0].grid.n))
+    with pytest.raises(ValueError, match="nonzero"):
+        commutator_defect(T, action, [packets[0], zero])
+    assert commutator_defect(T, action, []).defects == ()
 
 
 # ---------------------------------------------------------------------------

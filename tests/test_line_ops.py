@@ -408,7 +408,12 @@ def test_import_loads_no_scipy():
     import hilbertsym
 
     src = str(Path(hilbertsym.__file__).resolve().parent.parent)
-    code = "import sys, hilbertsym; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    # the package namespace is lazy, so load every module before looking
+    code = (
+        "import sys, hilbertsym, hilbertsym.cli, hilbertsym.sigio; "
+        "[getattr(hilbertsym, n) for n in hilbertsym.__all__]; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
     )

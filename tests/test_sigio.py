@@ -98,6 +98,22 @@ def test_json_is_plain_and_row_major(tmp_path):
     assert doc["entries"][3] == [3.0, 0.0]
 
 
+def test_pairs_match_the_per_element_listing():
+    from hilbertsym.sigio import _pairs
+
+    rng = np.random.default_rng(7)
+    z = rng.normal(size=64) * 10.0 ** rng.integers(-300, 300, size=64) + 1j * rng.normal(size=64)
+    z[:4] = [0.0, -0.0, complex(-0.0, -0.0), 5e-324j]
+    g = Grid1D(x_min=-1.0, n=64, dx=0.03125)
+    op = OperatorMatrix(FourierBasis(3), z[:49].reshape(7, 7))
+    for values in (LineSignal(g, z).values, CircleSignal(z[:63]).coeffs,
+                   op.entries.reshape(-1), op.entries.T.reshape(-1)):
+        old = [[float(v.real), float(v.imag)] for v in values]
+        assert json.dumps(_pairs(values)) == json.dumps(old)
+    with pytest.raises(ValueError, match="not a batch"):
+        _pairs(np.zeros((2, 3), dtype=complex))
+
+
 # --- malformed documents through the CLI: a usage (1) or i/o (2) exit, never
 # the internal-error exit 4
 
