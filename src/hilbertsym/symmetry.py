@@ -301,7 +301,9 @@ def _decompose_line_spectral(tilde: np.ndarray, T: OperatorMatrix) -> ScalarDeco
     recon[zero] = lam
     tilde.reshape(-1)[:: n + 1] -= recon  # the diagonal, as a strided view
     rows = _row_sq_norms(tilde)
-    tnorm = float(np.linalg.norm(T.entries))
+    # not np.linalg.norm: on a complex matrix it calls BLAS, whose spinning
+    # worker threads would take the CPUs of the verify suite's thread map
+    tnorm = math.sqrt(float(_row_sq_norms(np.ascontiguousarray(T.entries)).sum()))
 
     def residual(mask):
         return 0.0 if tnorm == 0.0 else math.sqrt(float(rows[mask].sum())) / tnorm
@@ -393,7 +395,10 @@ def classify_pm_hilbert(T: OperatorMatrix, tol: float = 1e-8) -> HilbertClassifi
     if d > tol:
         return HilbertClassification("neither", f"not a real operator (defect {d:.2e})")
 
-    d = float(np.linalg.norm(E + E.conj().T) / tnorm)
+    herm = E.conj().T
+    herm += E
+    d = float(np.linalg.norm(herm) / tnorm)
+    del herm  # freed before the Gram test allocates its own n x n arrays
     if d > tol:
         return HilbertClassification("neither", f"not anti-symmetric (defect {d:.2e})")
 
@@ -406,8 +411,9 @@ def classify_pm_hilbert(T: OperatorMatrix, tol: float = 1e-8) -> HilbertClassifi
     keep = g_diag > tol
     if not np.any(keep):
         return HilbertClassification("neither", "kernel exhausts the space")
-    sub = gram[np.ix_(keep, keep)]
-    d = float(np.linalg.norm(sub - np.eye(sub.shape[0])) / math.sqrt(sub.shape[0]))
+    sub = gram if keep.all() else gram[np.ix_(keep, keep)]
+    sub.reshape(-1)[:: sub.shape[0] + 1] -= 1.0  # minus the identity, in place
+    d = float(np.linalg.norm(sub) / math.sqrt(sub.shape[0]))
     if d > tol:
         return HilbertClassification(
             "neither", f"not norm-preserving off the kernel block (defect {d:.2e})"

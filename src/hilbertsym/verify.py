@@ -14,6 +14,8 @@ circle_ops).
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
@@ -303,6 +305,62 @@ def _rng_seed(cfg: SuiteConfig, salt: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([cfg.rng_seed, salt])
 
 
+_POOL = None  # (pid, workers, executor) of the threads behind _map
+_POOL_LOCK = threading.Lock()
+
+
+def _cpu_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _pool(workers: int):
+    """The executor of at least ``workers`` threads, created on first use
+    (and again in a forked child, which inherits no threads)."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None or _POOL[0] != os.getpid() or _POOL[1] < workers:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _POOL = (os.getpid(), workers, ThreadPoolExecutor(workers, "hilbertsym-verify"))
+        return _POOL[2]
+
+
+def _map(fn: Callable, items) -> list:
+    """``[fn(x) for x in items]``, for a sequence of items, with the items
+    split over the CPUs in this process's affinity mask.
+
+    Share s of the N shares takes items s, s + N, s + 2N, ...; the calling
+    thread runs share 0 and pool threads the others.  Results come back in
+    item order, and when items raise, the failure of the lowest-index one is
+    raised, as the serial loop would.  With one CPU (or one item) this is
+    the serial loop.  The gain rests on numpy's FFTs and array loops
+    releasing the GIL, so ``fn`` must not call BLAS: its spinning worker
+    threads would take the CPUs the shares run on.
+    """
+    shares = min(_cpu_count(), len(items))
+    if shares <= 1:
+        return [fn(x) for x in items]
+    results = [None] * len(items)
+
+    def run(share):
+        for i in range(share, len(items), shares):
+            try:
+                results[i] = fn(items[i])
+            except Exception as exc:  # noqa: BLE001 - re-raised below, by index
+                return i, exc
+        return None
+
+    futures = [_pool(shares - 1).submit(run, s) for s in range(1, shares)]
+    failures = [run(0)] + [f.result() for f in futures]
+    failures = [f for f in failures if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return results
+
+
 def _rel(diff_values, ref) -> float:
     """Largest row of ||diff|| / ref, for one signal or a batch of rows (ref
     is a scalar or one value per row)."""
@@ -359,12 +417,14 @@ def _check_affine_commutation(cfg: SuiteConfig) -> float:
     f = stack_signals(_guarded_packets(cfg, cfg.line_grid(), 13, cfg.probe_counts["line"]))
     hf = hilbert_multiplier(f)
     fn = np.linalg.norm(f.values, axis=-1)
-    worst = 0.0
-    for a, b in cfg.affine_set:
+
+    def defect(element):
+        a, b = element
         g = AffineElement(a, b)
         lhs = hilbert_multiplier(rep_natural(f, g))
-        worst = max(worst, _rel(lhs.values - rep_natural(hf, g).values, fn))
-    return worst
+        return _rel(lhs.values - rep_natural(hf, g).values, fn)
+
+    return max(0.0, *_map(defect, cfg.affine_set))
 
 
 def _check_line_parseval(cfg: SuiteConfig) -> float:
@@ -410,11 +470,13 @@ def _check_rep_isometry(cfg: SuiteConfig) -> float:
     grid = cfg.line_grid()
     f = stack_signals(_guarded_packets(cfg, grid, 18, max(5, cfg.probe_counts["line"] // 2)))
     fn = np.linalg.norm(f.values, axis=-1)
-    worst = 0.0
-    for a, b in cfg.affine_set:
+
+    def drift(element):
+        a, b = element
         acted = np.linalg.norm(rep_natural(f, AffineElement(a, b)).values, axis=-1)
-        worst = max(worst, float(np.max(np.abs(acted - fn) / fn)))
-    return worst
+        return float(np.max(np.abs(acted - fn) / fn))
+
+    return max(0.0, *_map(drift, cfg.affine_set))
 
 
 # ---------------------------------------------------------------------------
@@ -626,37 +688,43 @@ def _moebius_cauchy_defect(cfg: SuiteConfig, weight: str) -> float:
 def _check_decomposition_roundtrip(cfg: SuiteConfig) -> float:
     basis = LineBasis(cfg.operator_n, cfg.line.x_min, cfg.operator_grid().dx)
     rng = np.random.default_rng(_rng_seed(cfg, 31))
-    worst = 0.0
-    for _ in range(cfg.probe_counts["roundtrip"]):
-        lam = complex(rng.normal(), rng.normal())
-        eta = complex(rng.normal(), rng.normal())
-        T = synthesize_commuting_operator(lam, eta, basis)
-        dec = decompose_line_operator(T)
-        worst = max(worst, abs(dec.lam - lam), abs(dec.eta - eta), dec.max_residual)
-    return worst
+    draws = [
+        (complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
+        for _ in range(cfg.probe_counts["roundtrip"])
+    ]
+
+    def roundtrip(draw):
+        lam, eta = draw
+        dec = decompose_line_operator(synthesize_commuting_operator(lam, eta, basis))
+        return max(abs(dec.lam - lam), abs(dec.eta - eta), dec.max_residual)
+
+    return max(0.0, *_map(roundtrip, draws))
 
 
 def _check_classifier(cfg: SuiteConfig) -> float:
     basis = LineBasis(cfg.operator_n, cfg.line.x_min, cfg.operator_grid().dx)
-    h_mat = synthesize_commuting_operator(0.0, 1.0, basis)
-    ident = synthesize_commuting_operator(1.0, 0.0, basis)
-    p_plus = OperatorMatrix(basis, 0.5 * ident.entries + 0.5j * h_mat.entries)
-    x_mat = OperatorMatrix(basis, np.diag(basis.grid().positions().astype(complex)))
-    failures = 0
-    if classify_pm_hilbert(h_mat).verdict != "plus-H":
-        failures += 1
-    if classify_pm_hilbert(OperatorMatrix(basis, -h_mat.entries)).verdict != "minus-H":
-        failures += 1
-    for t in (ident, p_plus, x_mat):
-        if classify_pm_hilbert(t).verdict != "neither":
-            failures += 1
     fbasis = FourierBasis(cfg.circle.K)
-    h_circ = synthesize_commuting_operator(0.0, 1.0, fbasis)
-    if classify_pm_hilbert(h_circ).verdict != "plus-H":
-        failures += 1
-    if classify_pm_hilbert(OperatorMatrix(fbasis, -h_circ.entries)).verdict != "minus-H":
-        failures += 1
-    return float(failures)
+    x = basis.grid().positions().astype(complex)
+
+    def h(b):
+        return synthesize_commuting_operator(0.0, 1.0, b)
+
+    def ident():
+        return synthesize_commuting_operator(1.0, 0.0, basis)
+
+    # (operator factory, expected verdict): each operator is built when its
+    # turn comes, so at most one of them is alive at a time
+    cases = (
+        (lambda: h(basis), "plus-H"),
+        (lambda: OperatorMatrix(basis, -h(basis).entries), "minus-H"),
+        (ident, "neither"),
+        (lambda: OperatorMatrix(basis, 0.5 * ident().entries + 0.5j * h(basis).entries),
+         "neither"),
+        (lambda: OperatorMatrix(basis, np.diag(x)), "neither"),
+        (lambda: h(fbasis), "plus-H"),
+        (lambda: OperatorMatrix(fbasis, -h(fbasis).entries), "minus-H"),
+    )
+    return float(sum(classify_pm_hilbert(make()).verdict != want for make, want in cases))
 
 
 def _check_three_scalar_blocks(cfg: SuiteConfig) -> float:

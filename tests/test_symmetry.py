@@ -238,6 +238,50 @@ class TestClassifier:
         assert out.verdict == "neither"
         assert "anti-symmetric" in out.reason
 
+    @pytest.mark.parametrize("case, want", [
+        ("zero", ("neither", "operator is zero")),
+        ("i*H", ("neither", "not a real operator (defect 1.00e+00)")),
+        ("i*I circle", ("neither", "not a real operator (defect 2.00e+00)")),
+        ("I", ("neither", "not anti-symmetric (defect 2.00e+00)")),
+        ("1e-5*H", ("neither", "kernel exhausts the space")),
+        ("2*H", ("neither", "not norm-preserving off the kernel block (defect 3.00e+00)")),
+        ("2*J", ("neither", "not norm-preserving off the kernel block (defect 3.00e+00)")),
+        ("J", ("neither", "not scalar on the frequency blocks (residual 4.60e-01)")),
+        ("1.5*H circle", ("neither", "block scalars (0-1.5j, 0+1.5j) are not -/+ i")),
+        ("H", ("plus-H", None)),
+        ("-H", ("minus-H", None)),
+        ("H circle", ("plus-H", None)),
+        ("-H circle", ("minus-H", None)),
+    ])
+    def test_verdicts_and_reasons_at_each_stage(self, case, want):
+        # one operator failing at each stage (real, anti-symmetric, isometric
+        # off the kernel, scalar, block scalars -/+ i), pinned to the last
+        # character; J is a real rotation on sample pairs, so its Gram test
+        # keeps every row
+        lb, fb = LineBasis(16, -40.0, 5.0), FourierBasis(4)
+        j = np.kron(np.eye(8), [[0.0, 1.0], [-1.0, 0.0]])
+
+        def h(basis, c=1.0):
+            return synthesize_commuting_operator(0.0, c, basis).entries
+
+        basis, entries, tol = {
+            "zero": (lb, np.zeros((16, 16)), 1e-8),
+            "i*H": (lb, 1j * h(lb), 1e-8),
+            "i*I circle": (fb, 1j * np.eye(9), 1e-8),
+            "I": (lb, np.eye(16), 1e-8),
+            "1e-5*H": (lb, 1e-5 * h(lb), 1e-8),
+            "2*H": (lb, 2 * h(lb), 1e-8),
+            "2*J": (lb, 2 * j, 1e-8),
+            "J": (lb, j, 1e-8),
+            "1.5*H circle": (fb, h(fb, 1.5), 2.0),
+            "H": (lb, h(lb), 1e-8),
+            "-H": (lb, -h(lb), 1e-8),
+            "H circle": (fb, h(fb), 1e-8),
+            "-H circle": (fb, -h(fb), 1e-8),
+        }[case]
+        out = classify_pm_hilbert(OperatorMatrix(basis, entries), tol)
+        assert (out.verdict, out.reason) == want
+
 
 class TestRotationCommutant:
     def scales(self):

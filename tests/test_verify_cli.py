@@ -1,4 +1,6 @@
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hilbertsym.verify import (
     CircleConfig,
     LineGridConfig,
     SuiteConfig,
+    _map,
     _moebius_samples_needed,
     run_verify,
 )
@@ -98,6 +101,61 @@ class TestRunVerify:
         except Exception:  # noqa: BLE001 - an erroring check is what the rule prevents
             return
         assert measured > cfg.tolerances[spec.tol_key]
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+class TestThreadedMap:
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5, 8])
+    def test_results_in_item_order(self, monkeypatch, cpus):
+        _cpus(monkeypatch, cpus)
+        assert _map(lambda x: x * x, range(11)) == [x * x for x in range(11)]
+        assert _map(str, []) == []
+        # more threads than cores, switching as often as the interpreter can
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert _map(lambda x: [x] * 3, range(2000)) == [[x] * 3 for x in range(2000)]
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_lowest_index_failure_is_raised(self, monkeypatch, cpus):
+        _cpus(monkeypatch, cpus)
+
+        def fn(x):
+            if x in (4, 5, 9):
+                raise ValueError(f"item {x}")
+            return x
+
+        with pytest.raises(ValueError, match="item 4"):
+            _map(fn, range(12))
+
+    @pytest.mark.parametrize("rng_seed", [0, 7])
+    def test_one_cpu_report_is_byte_identical(self, monkeypatch, rng_seed):
+        # every check; an odd roundtrip count leaves the two shares unequal
+        counts = {"line": 6, "circle": 6, "roundtrip": 21, "scalarity": 4, "annihilator": 4}
+        _cpus(monkeypatch, 2)
+        threaded = run_verify("all", SuiteConfig(rng_seed=rng_seed, probe_counts=counts))
+        _cpus(monkeypatch, 1)
+        serial = run_verify("all", SuiteConfig(rng_seed=rng_seed, probe_counts=counts))
+        assert json.dumps(threaded.to_json_dict()) == json.dumps(serial.to_json_dict())
+        assert threaded.to_csv_text() == serial.to_csv_text()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_check_error_names_the_lowest_failing_element(self, monkeypatch, cpus):
+        # a=0.05 (item 1) and a=0.02 (item 2) both alias; with two CPUs they
+        # fall in different shares, the later one on the calling thread
+        _cpus(monkeypatch, cpus)
+        affine = [(2.0, 0.0), (0.05, 0.0), (0.02, 0.0), (4.0, 0.0)]
+        cfg = SuiteConfig(rng_seed=3, probe_counts={"line": 4}, affine_set=affine)
+        records = {r.check_id: r for r in run_verify("line", cfg).records}
+        a03 = records["a03-affine-commutation"]
+        assert a03.measured is None and not a03.passed
+        assert a03.note.startswith("error: dilation by a=0.05 would alias")
+        assert run_verify("line", SuiteConfig(probe_counts={"line": 4})).passed
 
 
 class TestCliVerify:
