@@ -7,15 +7,18 @@ sample domain hosts the cotangent-kernel quadrature and the root-of-unity
 averaging form of the semigroup, which serve as oracles for the coefficient
 formulas.
 
-Multiplier conventions (k is the Fourier index):
+Multiplier conventions (k is the Fourier index), all derived from the one
+sign rule s = :func:`~.signals.sign_symbol` of k = -K..K, which on the
+circle is sgn(k) with sgn(0) = 0:
 
-* circular Hilbert: -i*sgn(k), with sgn(0) = 0.  The k = 0 value is forced
-  by the squared identity H~^2 = -I + H0 and by the odd-kernel principal
-  value of a constant, and is adopted here.
-* cauchy_pv: +1/2 for k >= 0, -1/2 for k < 0 (the principal-value boundary
-  integral; equals (i/2) H~ + (1/2) H0).
-* cauchy_symbol: +1 for k >= 0, -1 for k < 0 (the operator S with
-  P+- = (1/2)(I +- S); equals 2*cauchy_pv and i*H~ + H0).
+* circular Hilbert: -i*s.  The k = 0 value is forced by the squared identity
+  H~^2 = -I + H0 and by the odd-kernel principal value of a constant, and is
+  adopted here.
+* cauchy_symbol: s + delta_0, i.e. +1 for k >= 0 and -1 for k < 0 (the
+  operator S with P+- = (1/2)(I +- S); equals i*H~ + H0).
+* cauchy_pv: (1/2)(s + delta_0), the principal-value boundary integral;
+  equals (i/2) H~ + (1/2) H0.
+* plemelj_project: the masks s >= 0, s == 0, s < 0 and s > 0.
 
 Two Cauchy-type operators are exposed because both conventions are used for
 "the" singular Cauchy transform in the literature; their exact linear
@@ -37,6 +40,7 @@ from .signals import (
     CircleSamples,
     CircleSignal,
     evaluate_fourier_series,
+    sign_symbol,
 )
 
 __all__ = [
@@ -117,15 +121,9 @@ class SignalFamily:
         return self.members[0].K
 
 
-def _sign_multiplier(K: int) -> np.ndarray:
-    """sgn(k) for k = -K..K, zero at k = 0; the one circle sign symbol every
-    multiplier and synthesized operator derives from."""
-    return np.sign(np.arange(-K, K + 1)).astype(complex)
-
-
 def circular_hilbert(c: CircleSignal) -> CircleSignal:
     """c_k -> -i*sgn(k)*c_k with sgn(0) = 0."""
-    return c.with_coeffs(-1j * _sign_multiplier(c.K) * c.coeffs)
+    return c.with_coeffs(-1j * sign_symbol(c.indices()) * c.coeffs)
 
 
 def circular_hilbert_quadrature(s: CircleSamples) -> CircleSamples:
@@ -158,15 +156,14 @@ def mean_functional(c: CircleSignal) -> complex:
 def cauchy_pv(c: CircleSignal) -> CircleSignal:
     """Principal-value singular Cauchy transform: multiplier +-1/2 (with +1/2
     at k = 0); identically (i/2)*circular_hilbert(c) + (1/2)*c_0."""
-    mult = np.where(np.arange(-c.K, c.K + 1) >= 0, 0.5, -0.5).astype(complex)
-    return c.with_coeffs(mult * c.coeffs)
+    return c.with_coeffs(0.5 * cauchy_symbol(c).coeffs)
 
 
 def cauchy_symbol(c: CircleSignal) -> CircleSignal:
     """The +-1-symbol companion S = 2*cauchy_pv = i*H~ + H0; the operator for
     which (1/2)(I +- S) are the analytic/anti-analytic projections."""
-    mult = np.where(np.arange(-c.K, c.K + 1) >= 0, 1.0, -1.0).astype(complex)
-    return c.with_coeffs(mult * c.coeffs)
+    s = sign_symbol(c.indices())
+    return c.with_coeffs((s + (s == 0)) * c.coeffs)
 
 
 _PLEMELJ_PARTS = ("plus", "zero", "minus", "plus-tilde")
@@ -178,13 +175,8 @@ def plemelj_project(c: CircleSignal, part: str) -> CircleSignal:
     parts zero/plus-tilde/minus sum to the identity."""
     if part not in _PLEMELJ_PARTS:
         raise ValueError(f"part must be one of {_PLEMELJ_PARTS}, got {part!r}")
-    ks = np.arange(-c.K, c.K + 1)
-    mask = {
-        "plus": ks >= 0,
-        "zero": ks == 0,
-        "minus": ks < 0,
-        "plus-tilde": ks >= 1,
-    }[part]
+    s = sign_symbol(c.indices())
+    mask = {"plus": s >= 0, "zero": s == 0, "minus": s < 0, "plus-tilde": s > 0}[part]
     return c.with_coeffs(np.where(mask, c.coeffs, 0.0))
 
 

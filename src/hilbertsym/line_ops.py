@@ -3,11 +3,12 @@
 
 Conventions fixed here (and relied on by the symmetry engine):
 
-* The multiplier form uses -i*sgn(xi) with sgn(0) = 0 and a zero multiplier
-  on the shared even-n extreme bin ("Nyquist"), which keeps the operator
-  real-preserving and makes H^2 = -I hold exactly off those bins.
-* Hardy projections are (1/2)(I +- iH) exactly, so the mean and Nyquist bins
-  are split half-and-half between the two parts.
+* The multiplier form uses -i*s with s = :func:`~.signals.sign_symbol` of
+  the grid's signed indices: sgn(xi), zero on the mean bin and on the shared
+  even-n extreme bin ("Nyquist").  That keeps the operator real-preserving
+  and makes H^2 = -I hold exactly off those bins.
+* Hardy projections are (1/2)(I +- iH) = (1/2)(1 +- s) exactly, so the mean
+  and Nyquist bins are split half-and-half between the two parts.
 * Dilation resamples the spectrum (bandlimited interpolation); it refuses,
   rather than silently wraps, inputs whose content would alias.
 
@@ -25,11 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signals import (
-    Grid1D,
     LineSignal,
     LineSpectrum,
     dft,
     idft,
+    sign_symbol,
 )
 
 __all__ = [
@@ -81,17 +82,6 @@ def group_inverse(g: AffineElement) -> AffineElement:
     return AffineElement(1.0 / g.a, -g.b / g.a)
 
 
-def _sign_multiplier(grid: Grid1D) -> np.ndarray:
-    """sgn(xi) binwise in storage order, zero on the mean bin and on the
-    even-n extreme bin; the one line sign symbol every multiplier derives
-    from."""
-    ks = grid.signed_indices()
-    m = np.sign(ks).astype(complex)
-    if grid.n % 2 == 0:
-        m[grid.n // 2] = 0.0
-    return m
-
-
 def _next_fast_len(target: int) -> int:
     """Smallest 11-smooth integer >= target: the complex FFT sizes that
     pocketfft (numpy's and scipy's FFT backend) transforms fastest."""
@@ -123,7 +113,7 @@ def _pv_kernel_fft(n: int) -> np.ndarray:
 def hilbert_multiplier(f: LineSignal) -> LineSignal:
     """Apply -i*sgn(xi) binwise on the spectrum (sgn(0) = 0, Nyquist bin 0)."""
     s = dft(f)
-    return idft(s.with_values(-1j * _sign_multiplier(f.grid) * s.values))
+    return idft(s.with_values(-1j * sign_symbol(f.grid.signed_indices()) * s.values))
 
 
 def hilbert_pv_quadrature(f: LineSignal, *, edge_tol: float = EDGE_DECAY_TOL) -> LineSignal:
@@ -165,7 +155,7 @@ def hardy_project(f: LineSignal, sign: str) -> LineSignal:
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     s = dft(f)
-    mult = _sign_multiplier(f.grid)
+    mult = sign_symbol(f.grid.signed_indices())
     mask = 0.5 * (1.0 + mult) if sign == "+" else 0.5 * (1.0 - mult)
     return idft(s.with_values(mask * s.values))
 
@@ -332,25 +322,29 @@ class HalfLineSignal:
 
 def _resample_halfline(g: HalfLineSignal, a: float) -> np.ndarray:
     """Values of g at a * (its own sample positions), zero outside the
-    sampled range.  Exact index gather for integer a; cubic spline otherwise."""
-    x = g.positions()
-    target = a * x
-    if a == int(a):
-        ai = int(a)
-        j = np.arange(g.n)
-        if g.sign == "+":
-            idx = ai * (j + 1) - 1
-        else:
-            idx = g.n + ai * (j - g.n)
-        vals = np.zeros(g.n, dtype=complex)
-        ok = (idx >= 0) & (idx < g.n)
-        vals[ok] = g.values[idx[ok]]
-        return vals
-    from scipy.interpolate import CubicSpline  # deferred: the only scipy use
+    sampled range, by 4-point Lagrange interpolation on the sample lattice
+    (stencil nodes beyond the range read as zero, as the signal is taken).
 
-    spline = CubicSpline(x, g.values, extrapolate=False)
-    vals = spline(target)
-    return np.where(np.isnan(vals), 0.0, vals)
+    The targets are computed in index units, a(j+1)-1 on the "+" half and
+    n+a(j-n) on the "-" half, so an integer a lands exactly on the nodes and
+    the result is the plain index gather."""
+    n = g.n
+    j = np.arange(n)
+    u = a * (j + 1) - 1 if g.sign == "+" else n + a * (j - n)
+    inside = (u >= 0) & (u <= n - 1)
+    u_in = np.clip(u, 0, n - 1)
+    i = np.floor(u_in).astype(int)
+    t = u_in - i
+    w = np.stack((
+        -t * (t - 1) * (t - 2) / 6,
+        (t + 1) * (t - 1) * (t - 2) / 2,
+        -(t + 1) * t * (t - 2) / 2,
+        (t + 1) * t * (t - 1) / 6,
+    ), axis=-1)
+    padded = np.concatenate((np.zeros(2), g.values, np.zeros(2)))
+    # nodes i-1 .. i+2 sit at i+1 .. i+4 of the zero-padded samples
+    vals = np.sum(w * padded[i[:, None] + np.arange(1, 5)], axis=-1)
+    return np.where(inside, vals, 0.0)
 
 
 def rep_fourier_side(
@@ -362,6 +356,11 @@ def rep_fourier_side(
     uses exp(2 pi i b x).  The two differ by a rescaling of b and satisfy the
     same composition law; both are exposed because both normalisations are in
     circulation.  The half-line support is preserved by construction (a > 0).
+
+    Sign convention: on each half-line of the spectrum (the "+" half read as
+    the bins xi > 0 of :func:`dft`, with dx = dxi), F pi(a, b) f =
+    pi_check(a, -b) F f for the natural action pi of :func:`rep_natural`.
+    The two phase signs are related by the automorphism b -> -b.
     """
     if not (a > 0.0 and math.isfinite(a)):
         raise ValueError("scale a must be positive and finite")

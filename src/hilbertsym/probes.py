@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .signals import CircleSignal, Grid1D, LineSignal, dft, idft, norm
+from .signals import CircleSignal, Grid1D, LineSignal, LineSpectrum, dft, idft, norm, sign_symbol
 
 __all__ = ["make_probes"]
 
@@ -95,10 +95,8 @@ def _random_bandlimited(grid, rng, count, band_fraction):
         spec = rng.normal(size=n) + 1j * rng.normal(size=n)
         spec *= np.exp(-((ks / sigma) ** 2) / 2.0)
         spec[np.abs(ks) > cutoff] = 0.0
-        spec[0] = 0.0
-        if n % 2 == 0:
-            spec[n // 2] = 0.0
-        sig = idft(dft(LineSignal(grid, np.zeros(n))).with_values(spec))
+        spec[sign_symbol(ks) == 0] = 0.0  # the mean and Nyquist bins
+        sig = idft(LineSpectrum(grid, spec))
         target = rng.uniform(0.7, 1.5)
         sig = sig.with_values(sig.values * (target / norm(sig)))
         out.append(sig)

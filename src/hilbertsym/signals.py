@@ -42,6 +42,7 @@ __all__ = [
     "circle_coeffs_from_samples",
     "evaluate_fourier_series",
     "signed_indices",
+    "sign_symbol",
 ]
 
 
@@ -69,6 +70,18 @@ def signed_indices(n: int) -> np.ndarray:
     k = np.arange(n)
     k[k > n // 2] -= n
     return k
+
+
+def sign_symbol(ks: np.ndarray) -> np.ndarray:
+    """sgn(k) * [2|k| < N] over the signed indices ``ks`` of an N-element basis.
+
+    The one sign rule every multiplier, mask and block of the package derives
+    from.  It is zero on the mean bin and, on an even line grid, on the shared
+    extreme bin k = N/2 (the "Nyquist" bin, which no sign can be given
+    consistently); on the circle's k = -K..K, N = 2K+1, only k = 0 is zero.
+    The blocks s > 0, s < 0 and s == 0 are those on which sgn is constant.
+    """
+    return np.sign(ks) * (2 * np.abs(ks) < ks.size)
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import circle_ops, line_ops
 from .circle_ops import RationalScale, semigroup_act
 from .line_ops import AffineElement, rep_natural
-from .signals import CircleSignal, Grid1D, LineSignal, signed_indices, stack_signals
+from .signals import CircleSignal, Grid1D, LineSignal, sign_symbol, stack_signals
 
 __all__ = [
     "LineBasis",
@@ -57,6 +56,10 @@ class LineBasis:
     def grid(self) -> Grid1D:
         return Grid1D(x_min=self.x_min, n=self.n, dx=self.dx)
 
+    def signed_indices(self) -> np.ndarray:
+        """Signed frequency index of each spectral-basis row (wrap order)."""
+        return self.grid().signed_indices()
+
     @property
     def dim(self) -> int:
         return self.n
@@ -67,6 +70,10 @@ class FourierBasis:
     """Circle coefficient basis e^{ik theta}, k = -K..K (dim = 2K+1)."""
 
     K: int
+
+    def signed_indices(self) -> np.ndarray:
+        """Fourier index k of each basis row, -K..K."""
+        return np.arange(-self.K, self.K + 1)
 
     @property
     def dim(self) -> int:
@@ -230,34 +237,20 @@ class ScalarDecomposition:
         }
 
 
-def _line_spectral_conjugate(entries: np.ndarray) -> np.ndarray:
-    """Similarity transform of a sample-basis matrix into the spectral basis,
-    returned as a fresh array the caller owns.
+def _spectral_matrix(T: OperatorMatrix) -> np.ndarray:
+    """T in the basis where the sign symbol is diagonal, as a fresh
+    C-contiguous array the caller owns.
 
-    Conjugation by the unitary DFT; the calibration prefactor of the public
-    transform is a constant-modulus diagonal and drops out of every quantity
-    used here (diagonal entries and mask-row Frobenius norms).  The second
-    transform runs in place on the first one's output.
+    On the line that is the conjugation by the unitary DFT; the calibration
+    prefactor of the public transform is a constant-modulus diagonal and
+    drops out of every quantity used here (diagonal entries and block-row
+    Frobenius norms).  The second transform runs in place on the first one's
+    output.  On the circle the coefficient basis already is that basis.
     """
-    tilde = np.fft.ifft(entries, axis=1)
+    if isinstance(T.basis, FourierBasis):
+        return np.array(T.entries, order="C")
+    tilde = np.fft.ifft(T.entries, axis=1)
     return np.fft.fft(tilde, axis=0, out=tilde)
-
-
-def _line_masks(n: int):
-    ks = signed_indices(n)
-    if n % 2 == 0:
-        zero = (ks == 0) | (ks == n // 2)
-    else:
-        zero = ks == 0
-    plus = (ks >= 1) & ~zero
-    minus = ks <= -1
-    return plus, minus, zero
-
-
-def _masked_row_residual(defect: np.ndarray, mask: np.ndarray, tnorm: float) -> float:
-    if tnorm == 0.0:
-        return 0.0
-    return float(np.linalg.norm(defect[mask, :]) / tnorm)
 
 
 def _row_sq_norms(m: np.ndarray) -> np.ndarray:
@@ -276,30 +269,43 @@ def decompose_line_operator(T: OperatorMatrix) -> ScalarDecomposition:
     """
     if not isinstance(T.basis, LineBasis):
         raise ValueError("line decomposition needs an operator on a line basis")
-    return _decompose_line_spectral(_line_spectral_conjugate(T.entries), T)
+    return _decompose_blocks(_spectral_matrix(T), T)
 
 
-def _decompose_line_spectral(tilde: np.ndarray, T: OperatorMatrix) -> ScalarDecomposition:
-    """The line decomposition from ``tilde``, the spectral conjugate of T.
+def decompose_circle_operator(T: OperatorMatrix) -> ScalarDecomposition:
+    """Extract the three block scalars (on k >= 1, k = 0, k <= -1) of a
+    circle-basis operator, reported as (lam, eta, omega) in that order."""
+    if not isinstance(T.basis, FourierBasis):
+        raise ValueError("circle decomposition needs an operator on a fourier basis")
+    return _decompose_blocks(_spectral_matrix(T), T)
+
+
+def _decompose_blocks(tilde: np.ndarray, T: OperatorMatrix) -> ScalarDecomposition:
+    """Block scalars of T from ``tilde``, its :func:`_spectral_matrix`.
+
+    The blocks are s > 0, s < 0 and s == 0 for the sign symbol s of the
+    basis.  The two spaces differ only in the zero block's value: on the
+    line (mean and Nyquist rows, where H vanishes) the scalar form forces
+    lam; on the circle (k = 0) it is the free third scalar.
 
     Consumes ``tilde``: the reconstruction is subtracted from its diagonal in
     place, so its rows become the defect rows, whose squared norms are taken
     once and summed per block.
     """
-    n = T.dim
-    plus, minus, zero = _line_masks(n)
-    if plus.sum() == 0 or minus.sum() == 0:
-        raise ValueError(f"degenerate basis: no nontrivial frequency blocks at n={n}")
+    s = sign_symbol(T.basis.signed_indices())
+    plus, minus, zero = s > 0, s < 0, s == 0
+    if not (plus.any() and minus.any()):
+        raise ValueError(f"degenerate basis: no nontrivial frequency blocks at dim={T.dim}")
     diag = np.diagonal(tilde)
     k1 = complex(diag[plus].mean())
     k2 = complex(diag[minus].mean())
-    lam = (k2 + k1) / 2.0
-    eta = (k2 - k1) / 2.0j
-    recon = np.empty(n, dtype=complex)
+    line = isinstance(T.basis, LineBasis)
+    k0 = (k2 + k1) / 2.0 if line else complex(diag[zero].mean())
+    recon = np.empty(T.dim, dtype=complex)
     recon[plus] = k1
     recon[minus] = k2
-    recon[zero] = lam
-    tilde.reshape(-1)[:: n + 1] -= recon  # the diagonal, as a strided view
+    recon[zero] = k0
+    tilde.reshape(-1)[:: T.dim + 1] -= recon  # the diagonal, as a strided view
     rows = _row_sq_norms(tilde)
     # not np.linalg.norm: on a complex matrix it calls BLAS, whose spinning
     # worker threads would take the CPUs of the verify suite's thread map
@@ -308,54 +314,16 @@ def _decompose_line_spectral(tilde: np.ndarray, T: OperatorMatrix) -> ScalarDeco
     def residual(mask):
         return 0.0 if tnorm == 0.0 else math.sqrt(float(rows[mask].sum())) / tnorm
 
-    return ScalarDecomposition(
-        space="line",
-        k1=k1,
-        k2=k2,
-        k0=None,
-        lam=lam,
-        eta=eta,
-        omega=None,
+    residuals = dict(
         residual_plus=residual(plus),
         residual_minus=residual(minus),
         residual_zero=residual(zero),
     )
-
-
-def decompose_circle_operator(T: OperatorMatrix) -> ScalarDecomposition:
-    """Extract the three block scalars (on k >= 1, k = 0, k <= -1) of a
-    circle-basis operator, reported as (lam, eta, omega) in that order."""
-    if not isinstance(T.basis, FourierBasis):
-        raise ValueError("circle decomposition needs an operator on a fourier basis")
-    K = T.basis.K
-    if K < 1:
-        raise ValueError("need K >= 1 so the plus/minus blocks are non-empty")
-    ks = np.arange(-K, K + 1)
-    plus = ks >= 1
-    zero = ks == 0
-    minus = ks <= -1
-    diag = np.diagonal(T.entries)
-    k1 = complex(diag[plus].mean())
-    k0 = complex(diag[zero][0])
-    k2 = complex(diag[minus].mean())
-    recon = np.zeros(T.dim, dtype=complex)
-    recon[plus] = k1
-    recon[zero] = k0
-    recon[minus] = k2
-    defect = T.entries - np.diag(recon)
-    tnorm = float(np.linalg.norm(T.entries))
-    return ScalarDecomposition(
-        space="circle",
-        k1=k1,
-        k2=k2,
-        k0=k0,
-        lam=k1,
-        eta=k0,
-        omega=k2,
-        residual_plus=_masked_row_residual(defect, plus, tnorm),
-        residual_minus=_masked_row_residual(defect, minus, tnorm),
-        residual_zero=_masked_row_residual(defect, zero, tnorm),
-    )
+    if line:
+        return ScalarDecomposition(
+            "line", k1, k2, None, lam=k0, eta=(k2 - k1) / 2.0j, omega=None, **residuals
+        )
+    return ScalarDecomposition("circle", k1, k2, k0, lam=k1, eta=k0, omega=k2, **residuals)
 
 
 @dataclass(frozen=True)
@@ -403,9 +371,8 @@ def classify_pm_hilbert(T: OperatorMatrix, tol: float = 1e-8) -> HilbertClassifi
         return HilbertClassification("neither", f"not anti-symmetric (defect {d:.2e})")
 
     # the kernel block (mean/Nyquist-type modes) is axis-aligned in the
-    # frequency basis, so run the Gram test there for line operators
-    line = isinstance(T.basis, LineBasis)
-    work = _line_spectral_conjugate(E) if line else E
+    # frequency basis, so run the Gram test there
+    work = _spectral_matrix(T)
     gram = work.conj().T @ work
     g_diag = np.abs(np.diagonal(gram))
     keep = g_diag > tol
@@ -419,8 +386,8 @@ def classify_pm_hilbert(T: OperatorMatrix, tol: float = 1e-8) -> HilbertClassifi
             "neither", f"not norm-preserving off the kernel block (defect {d:.2e})"
         )
 
-    # the line decomposition consumes the spectral conjugate built above
-    dec = _decompose_line_spectral(work, T) if line else decompose_circle_operator(T)
+    # the decomposition consumes the spectral matrix built above
+    dec = _decompose_blocks(work, T)
     scalar_res = max(dec.residual_plus, dec.residual_minus)
     if scalar_res > tol:
         return HilbertClassification(
@@ -525,15 +492,15 @@ def synthesize_commuting_operator(lam: complex, eta: complex, basis: Basis) -> O
     """Construct lam*I + eta*H on the given basis (H being the multiplier
     Hilbert transform of that basis); the line decomposition recovers
     (lam, eta) exactly up to roundoff."""
-    if isinstance(basis, LineBasis):
-        # F^-1 diag(symbol) F is the circulant T[j, l] = h[(j - l) mod n] of
-        # the single column h = ifft(symbol); with p = (h[1:], h), that is
-        # p[n-1-l+j], the transposed reversed sliding windows of p.
-        h = np.fft.ifft(lam + eta * (-1j) * line_ops._sign_multiplier(basis.grid()))
-        p = np.concatenate((h[1:], h))
-        windows = np.lib.stride_tricks.sliding_window_view(p, basis.n)
-        return OperatorMatrix(basis, windows[::-1].T)
+    if not isinstance(basis, (LineBasis, FourierBasis)):
+        raise ValueError(f"unsupported basis {basis!r}")
+    symbol = lam + eta * (-1j) * sign_symbol(basis.signed_indices())
     if isinstance(basis, FourierBasis):
-        diag_vals = lam + eta * (-1j) * circle_ops._sign_multiplier(basis.K)
-        return OperatorMatrix(basis, np.diag(diag_vals))
-    raise ValueError(f"unsupported basis {basis!r}")
+        return OperatorMatrix(basis, np.diag(symbol))
+    # F^-1 diag(symbol) F is the circulant T[j, l] = h[(j - l) mod n] of the
+    # single column h = ifft(symbol); with p = (h[1:], h), that is
+    # p[n-1-l+j], the transposed reversed sliding windows of p.
+    h = np.fft.ifft(symbol)
+    p = np.concatenate((h[1:], h))
+    windows = np.lib.stride_tricks.sliding_window_view(p, basis.n)
+    return OperatorMatrix(basis, windows[::-1].T)

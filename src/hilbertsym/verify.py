@@ -24,7 +24,6 @@ import numpy as np
 from . import __version__
 from .circle_ops import (
     MoebiusElement,
-    _sign_multiplier,
     RationalScale,
     SignalFamily,
     annihilator_witness,
@@ -32,7 +31,6 @@ from .circle_ops import (
     cauchy_symbol,
     circular_hilbert,
     circular_hilbert_quadrature,
-    mean_functional,
     moebius_act,
     plemelj_project,
     semigroup_act,
@@ -54,7 +52,7 @@ from .signals import (
     circle_samples_from_coeffs,
     dft,
     idft,
-    norm,
+    sign_symbol,
     stack_signals,
 )
 from .symmetry import (
@@ -428,22 +426,21 @@ def _check_affine_commutation(cfg: SuiteConfig) -> float:
 
 
 def _check_line_parseval(cfg: SuiteConfig) -> float:
+    def defect(f):
+        s = dft(f)
+        fn = np.linalg.norm(f.values, axis=-1)
+        sn = np.linalg.norm(s.values, axis=-1) * math.sqrt(f.grid.dxi / f.grid.dx)
+        return max(float(np.max(np.abs(sn - fn) / fn)), _rel(idft(s).values - f.values, fn))
+
     grid = cfg.line_grid()
     probes = make_probes(
         "gaussian-packet", seed=_rng_seed(cfg, 14), count=5, grid=grid
     ) + make_probes("random-bandlimited", seed=_rng_seed(cfg, 15), count=5, grid=grid)
-    worst = 0.0
-    for f in probes:
-        s = dft(f)
-        worst = max(worst, abs(norm(s) - norm(f)) / norm(f))
-        worst = max(worst, _rel(idft(s).values - f.values, np.linalg.norm(f.values)))
     # transform contract must not depend on n being a power of two
     g360 = Grid1D.from_interval(-40.0, 40.0, 360)
-    f = make_probes("gaussian-packet", seed=_rng_seed(cfg, 16), count=1, grid=g360,
-                    width=(2.0, 3.0), center=(-1.0, 1.0), modulation=(1.0, 2.0))[0]
-    worst = max(worst, _rel(idft(dft(f)).values - f.values, np.linalg.norm(f.values)))
-    worst = max(worst, abs(norm(dft(f)) - norm(f)) / norm(f))
-    return worst
+    f360 = make_probes("gaussian-packet", seed=_rng_seed(cfg, 16), count=1, grid=g360,
+                       width=(2.0, 3.0), center=(-1.0, 1.0), modulation=(1.0, 2.0))[0]
+    return max(defect(stack_signals(probes)), defect(f360))
 
 
 def _check_hardy_identities(cfg: SuiteConfig) -> float:
@@ -484,51 +481,39 @@ def _check_rep_isometry(cfg: SuiteConfig) -> float:
 
 
 def _check_involution_circle(cfg: SuiteConfig) -> float:
-    K = cfg.circle.K
-    probes = make_probes(
-        "trig-poly", seed=_rng_seed(cfg, 21), count=cfg.probe_counts["circle"], K=K
-    )
-    worst = 0.0
-    for c in probes:
-        hh = circular_hilbert(circular_hilbert(c))
-        mean_only = plemelj_project(c, "zero")
-        worst = max(worst, float(np.linalg.norm(hh.coeffs + c.coeffs - mean_only.coeffs)))
-    return worst
+    c = stack_signals(make_probes(
+        "trig-poly", seed=_rng_seed(cfg, 21), count=cfg.probe_counts["circle"], K=cfg.circle.K
+    ))
+    hh = circular_hilbert(circular_hilbert(c))
+    return _rel(hh.coeffs + c.coeffs - plemelj_project(c, "zero").coeffs, 1.0)
 
 
 def _check_plemelj_chain(cfg: SuiteConfig) -> float:
     K = cfg.circle.K
-    probes = make_probes(
+    c = stack_signals(make_probes(
         "trig-poly", seed=_rng_seed(cfg, 22), count=cfg.probe_counts["circle"], K=K
+    ))
+    f = c.coeffs
+    s = cauchy_symbol(c).coeffs
+    pv = cauchy_pv(c).coeffs
+    h = circular_hilbert(c).coeffs
+    mean_only, plus, minus, tilde = (
+        plemelj_project(c, part).coeffs for part in ("zero", "plus", "minus", "plus-tilde")
     )
-    worst = 0.0
-    for c in probes:
-        s = cauchy_symbol(c)
-        pv = cauchy_pv(c)
-        h = circular_hilbert(c)
-        mean_only = plemelj_project(c, "zero")
-        worst = max(worst, float(np.linalg.norm(s.coeffs - 2.0 * pv.coeffs)))
-        worst = max(worst, float(np.linalg.norm(s.coeffs - (1j * h.coeffs + mean_only.coeffs))))
-        worst = max(
-            worst,
-            float(np.linalg.norm(pv.coeffs - (0.5j * h.coeffs + 0.5 * mean_only.coeffs))),
-        )
-        plus = plemelj_project(c, "plus")
-        minus = plemelj_project(c, "minus")
-        tilde = plemelj_project(c, "plus-tilde")
-        worst = max(worst, float(np.linalg.norm(plus.coeffs + minus.coeffs - c.coeffs)))
-        worst = max(worst, float(np.linalg.norm(plus.coeffs - mean_only.coeffs - tilde.coeffs)))
+    # mean invariance of the semigroup action with its normalising constant
+    r = RationalScale(2, 3, 0.4)
+    acted = semigroup_act(c, r, k_out=K).coeffs
+    mean_drift = np.abs(acted[..., K] - math.sqrt(r.p / r.q) * f[..., K])
+    defects = (
+        s - 2.0 * pv,
+        s - (1j * h + mean_only),
+        pv - (0.5j * h + 0.5 * mean_only),
+        plus + minus - f,
+        plus - mean_only - tilde,
         # projections expressed through the symbol operator
-        p_plus = 0.5 * (c.coeffs + s.coeffs)
-        worst = max(worst, float(np.linalg.norm(p_plus - plus.coeffs)))
-        # mean invariance of the semigroup action with its normalising constant
-        r = RationalScale(2, 3, 0.4)
-        acted = semigroup_act(c, r, k_out=K)
-        worst = max(
-            worst,
-            abs(mean_functional(acted) - math.sqrt(r.p / r.q) * mean_functional(c)),
-        )
-    return worst
+        0.5 * (f + s) - plus,
+    )
+    return max(float(np.max(mean_drift)), *(_rel(d, 1.0) for d in defects))
 
 
 def _check_semigroup_averaging(cfg: SuiteConfig) -> float:
@@ -574,34 +559,27 @@ def _check_semigroup_commutation(cfg: SuiteConfig) -> float:
 
 
 def _check_circle_parseval(cfg: SuiteConfig) -> float:
-    K = cfg.circle.K
     n_s = cfg.circle.n_samples
-    probes = make_probes(
-        "trig-poly",
-        seed=_rng_seed(cfg, 25),
-        count=10,
-        K=min(K, (n_s - 1) // 2),
-    )
-    worst = 0.0
-    for c in probes:
-        samples = circle_samples_from_coeffs(c, n_s)
-        worst = max(worst, abs(norm(samples) - norm(c)) / norm(c))
-        back = circle_coeffs_from_samples(samples, c.K)
-        worst = max(worst, _rel(back.coeffs - c.coeffs, float(np.linalg.norm(c.coeffs))))
-    return worst
+    c = stack_signals(make_probes(
+        "trig-poly", seed=_rng_seed(cfg, 25), count=10, K=min(cfg.circle.K, (n_s - 1) // 2)
+    ))
+    samples = circle_samples_from_coeffs(c, n_s)
+    cn = np.linalg.norm(c.coeffs, axis=-1)
+    sn = np.linalg.norm(samples.values, axis=-1) / math.sqrt(n_s)
+    back = circle_coeffs_from_samples(samples, c.K)
+    return max(float(np.max(np.abs(sn - cn) / cn)), _rel(back.coeffs - c.coeffs, cn))
 
 
 def _check_circle_quadrature(cfg: SuiteConfig) -> float:
     n_s = cfg.circle.n_samples
     deg = n_s // 8
-    probes = make_probes("trig-poly", seed=_rng_seed(cfg, 26), count=10, K=deg, degree=deg)
-    worst = 0.0
-    for c in probes:
-        samples = circle_samples_from_coeffs(c, n_s)
-        quad = circular_hilbert_quadrature(samples)
-        mult = circle_samples_from_coeffs(circular_hilbert(c), n_s)
-        worst = max(worst, _rel(quad.values - mult.values, float(np.linalg.norm(samples.values))))
-    return worst
+    c = stack_signals(
+        make_probes("trig-poly", seed=_rng_seed(cfg, 26), count=10, K=deg, degree=deg)
+    )
+    samples = circle_samples_from_coeffs(c, n_s)
+    quad = circular_hilbert_quadrature(samples)
+    mult = circle_samples_from_coeffs(circular_hilbert(c), n_s)
+    return _rel(quad.values - mult.values, np.linalg.norm(samples.values, axis=-1))
 
 
 def _annihilator_outcomes(cfg: SuiteConfig) -> tuple:
@@ -730,9 +708,9 @@ def _check_classifier(cfg: SuiteConfig) -> float:
 def _check_three_scalar_blocks(cfg: SuiteConfig) -> float:
     K = cfg.circle.K
     basis = FourierBasis(K)
-    ks = np.arange(-K, K + 1)
     h_mat = synthesize_commuting_operator(0.0, 1.0, basis)
-    s_mat = OperatorMatrix(basis, np.diag(np.where(ks >= 0, 1.0, -1.0).astype(complex)))
+    # the matrix of cauchy_symbol, applied to the rows of the identity
+    s_mat = OperatorMatrix(basis, cauchy_symbol(CircleSignal(np.eye(basis.dim))).coeffs)
     ident = synthesize_commuting_operator(1.0, 0.0, basis)
     worst = 0.0
     for T, expect in (
@@ -763,7 +741,7 @@ def _scalarity_scales():
 def _check_commutant_scalarity(cfg: SuiteConfig) -> float:
     K = cfg.circle.K
     basis = FourierBasis(K)
-    h_diag = -1j * _sign_multiplier(K)
+    h_diag = -1j * sign_symbol(basis.signed_indices())
     rng = np.random.default_rng(_rng_seed(cfg, 32))
     worst = 0.0
     for _ in range(cfg.probe_counts["scalarity"]):

@@ -325,6 +325,36 @@ class TestFourierSideRepresentation:
         err = np.linalg.norm((out.values - exact)[inside]) / np.linalg.norm(exact[inside])
         assert err <= 1e-5
 
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    @pytest.mark.parametrize("a", [1, 2, 3, 7])
+    def test_integer_scale_is_exact_gather(self, sign, a):
+        g = decaying_halfline(n=301, sign=sign)
+        j = np.arange(g.n)
+        idx = a * (j + 1) - 1 if sign == "+" else g.n + a * (j - g.n)
+        ok = (idx >= 0) & (idx < g.n)
+        gathered = np.where(ok, g.values[np.where(ok, idx, 0)], 0.0)
+        out = rep_fourier_side(g, float(a), 0.0)
+        assert np.array_equal(out.values, np.sqrt(a) * gathered)
+
+    @pytest.mark.parametrize("sign, nu", [("+", 5.0), ("-", -5.0)])
+    def test_sign_convention_against_natural_action(self, sign, nu):
+        # F pi(a, b) f = pi_check(a, -b) F f on the half-line carrying the
+        # packet's spectrum; the opposite phase sign must fail
+        grid = Grid1D.from_interval(-40.0, 40.0, 4096)
+        x = grid.positions()
+        f = LineSignal(grid, np.exp(-(x**2) / (2 * 1.3**2)) * np.exp(1j * nu * x))
+        half = slice(1, grid.n // 2) if sign == "+" else slice(grid.n // 2 + 1, None)
+        spec = HalfLineSignal(sign, grid.dxi, dft(f).values[half])
+        a, b = 2.0, 0.7
+        lhs = dft(rep_natural(f, AffineElement(a, b))).values[half]
+
+        def mismatch(shift):
+            out = rep_fourier_side(spec, a, shift).values
+            return np.linalg.norm(lhs - out) / np.linalg.norm(lhs)
+
+        assert mismatch(-b) <= 1e-10
+        assert mismatch(b) > 1.0
+
 
 class TestIntertwining:
     def test_identity_element(self, packets):
@@ -408,10 +438,13 @@ def test_import_loads_no_scipy():
     import hilbertsym
 
     src = str(Path(hilbertsym.__file__).resolve().parent.parent)
-    # the package namespace is lazy, so load every module before looking
+    # the package namespace is lazy, so load every module before looking,
+    # and run the non-integer half-line resampling on both half-lines
     code = (
         "import sys, hilbertsym, hilbertsym.cli, hilbertsym.sigio; "
         "[getattr(hilbertsym, n) for n in hilbertsym.__all__]; "
+        "[hilbertsym.rep_fourier_side(hilbertsym.HalfLineSignal(s, 0.1, [1, 2, 3, 4]), 1.5, 0.3)"
+        " for s in '+-']; "
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     )
     out = subprocess.run(

@@ -17,6 +17,7 @@ from hilbertsym.signals import (
     circle_coeffs_from_samples,
     circle_samples_from_coeffs,
     evaluate_fourier_series,
+    sign_symbol,
     signed_indices,
 )
 
@@ -41,6 +42,11 @@ class TestGridAndTypes:
     def test_signed_index_map(self):
         assert list(signed_indices(8)) == [0, 1, 2, 3, 4, -3, -2, -1]
         assert list(signed_indices(5)) == [0, 1, 2, -2, -1]
+
+    def test_sign_symbol(self):
+        assert list(sign_symbol(signed_indices(8))) == [0, 1, 1, 1, 0, -1, -1, -1]
+        assert list(sign_symbol(signed_indices(5))) == [0, 1, 1, -1, -1]
+        assert list(sign_symbol(np.arange(-2, 3))) == [-1, -1, 0, 1, 1]
 
     def test_length_mismatch(self):
         g = Grid1D(0.0, 8, 0.5)

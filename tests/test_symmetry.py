@@ -37,6 +37,21 @@ def h_circle(K=32):
     return synthesize_commuting_operator(0.0, 1.0, FourierBasis(K))
 
 
+def random_operator(basis, seed=12):
+    rng = np.random.default_rng(seed)
+    n = basis.dim
+    return OperatorMatrix(basis, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+
+
+def assert_residuals_sound(T, dec, recon):
+    # ||T - reconstruction||_F = ||T||_F * sqrt(sum of squared residuals)
+    lhs = np.linalg.norm(T.entries - recon.entries)
+    rhs = np.linalg.norm(T.entries) * np.sqrt(
+        dec.residual_plus**2 + dec.residual_minus**2 + dec.residual_zero**2
+    )
+    assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(T.entries)
+
+
 def cauchy_symbol_matrix(K=32):
     ks = np.arange(-K, K + 1)
     return OperatorMatrix(FourierBasis(K), np.diag(np.where(ks >= 0, 1.0, -1.0).astype(complex)))
@@ -164,17 +179,9 @@ class TestLineDecomposition:
             assert dec.max_residual <= 1e-12
 
     def test_soundness_of_residuals(self):
-        rng = np.random.default_rng(12)
-        n = 128
-        basis = LineBasis(n, -40.0, 80.0 / n)
-        T = OperatorMatrix(basis, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        T = random_operator(LineBasis(128, -40.0, 80.0 / 128))
         dec = decompose_line_operator(T)
-        recon = synthesize_commuting_operator(dec.lam, dec.eta, basis)
-        lhs = np.linalg.norm(T.entries - recon.entries)
-        rhs = np.linalg.norm(T.entries) * np.sqrt(
-            dec.residual_plus**2 + dec.residual_minus**2 + dec.residual_zero**2
-        )
-        assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(T.entries)
+        assert_residuals_sound(T, dec, synthesize_commuting_operator(dec.lam, dec.eta, T.basis))
 
     def test_wrong_basis_rejected(self):
         with pytest.raises(ValueError):
@@ -203,6 +210,13 @@ class TestCircleDecomposition:
         assert abs(dec.lam - 1.0) <= 1e-14
         assert abs(dec.eta - 1.0) <= 1e-14
         assert abs(dec.omega - (-1.0)) <= 1e-14
+
+    def test_soundness_of_residuals(self):
+        T = random_operator(FourierBasis(63))
+        dec = decompose_circle_operator(T)
+        ks = np.arange(-63, 64)
+        recon = np.diag(np.where(ks > 0, dec.lam, np.where(ks < 0, dec.omega, dec.eta)))
+        assert_residuals_sound(T, dec, OperatorMatrix(T.basis, recon))
 
     def test_degenerate_truncation_rejected(self):
         with pytest.raises(ValueError):
