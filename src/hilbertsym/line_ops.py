@@ -324,6 +324,8 @@ def _resample_halfline(g: HalfLineSignal, a: float) -> np.ndarray:
     """Values of g at a * (its own sample positions), zero outside the
     sampled range, by 4-point Lagrange interpolation on the sample lattice
     (stencil nodes beyond the range read as zero, as the signal is taken).
+    Targets between the origin and the nearest sample (a < 1 only) read the
+    cubic through the four samples nearest the origin.
 
     The targets are computed in index units, a(j+1)-1 on the "+" half and
     n+a(j-n) on the "-" half, so an integer a lands exactly on the nodes and
@@ -331,10 +333,12 @@ def _resample_halfline(g: HalfLineSignal, a: float) -> np.ndarray:
     n = g.n
     j = np.arange(n)
     u = a * (j + 1) - 1 if g.sign == "+" else n + a * (j - n)
-    inside = (u >= 0) & (u <= n - 1)
+    # the origin sits at index -1 on the "+" half and at index n on the "-" half
+    edge = (u > -1) & (u < 0) if g.sign == "+" else (u > n - 1) & (u < n)
+    inside = (u >= 0) & (u <= n - 1) | edge
     u_in = np.clip(u, 0, n - 1)
-    i = np.floor(u_in).astype(int)
-    t = u_in - i
+    i = np.where(edge, 1 if g.sign == "+" else n - 3, np.floor(u_in).astype(int))
+    t = np.where(edge, u, u_in) - i
     w = np.stack((
         -t * (t - 1) * (t - 2) / 6,
         (t + 1) * (t - 1) * (t - 2) / 2,

@@ -94,11 +94,11 @@ class Grid1D:
 
     def __post_init__(self):
         if self.n < 2:
-            raise ValueError("grid needs at least two samples")
+            raise ValueError(f"grid needs at least two samples, got n={self.n}")
         if not (self.dx > 0.0) or not math.isfinite(self.dx):
-            raise ValueError("grid spacing must be positive and finite")
+            raise ValueError(f"grid spacing dx must be positive and finite, got {self.dx}")
         if not math.isfinite(self.x_min):
-            raise ValueError("grid origin must be finite")
+            raise ValueError(f"grid origin x_min must be finite, got {self.x_min}")
 
     @property
     def span(self) -> float:

@@ -53,6 +53,9 @@ class LineBasis:
     x_min: float
     dx: float
 
+    def __post_init__(self):
+        self.grid()  # the grid's own checks of n, x_min and dx
+
     def grid(self) -> Grid1D:
         return Grid1D(x_min=self.x_min, n=self.n, dx=self.dx)
 
@@ -70,6 +73,10 @@ class FourierBasis:
     """Circle coefficient basis e^{ik theta}, k = -K..K (dim = 2K+1)."""
 
     K: int
+
+    def __post_init__(self):
+        if not isinstance(self.K, (int, np.integer)) or self.K < 0:
+            raise ValueError(f"Fourier basis degree K must be an integer >= 0, got {self.K!r}")
 
     def signed_indices(self) -> np.ndarray:
         """Fourier index k of each basis row, -K..K."""

@@ -1,8 +1,9 @@
 """Verification suite: every check the package promises, run from one config.
 
 Each check is a pure function of the configuration (probe randomness is
-seeded per check), produces exactly one record {check id, anchor, measured,
-tolerance, pass}, and never raises: failures of preconditions inside a check
+seeded per check), declared once with ``@_check``, and produces one record
+{check id, anchor, measured, tolerance, pass} per value it returns.  The
+runner never raises for a check: failures of preconditions inside a check
 surface as failed records.  Reports are deterministic for a fixed config and
 seed, and contain no timestamps.
 
@@ -17,7 +18,8 @@ import math
 import os
 import threading
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional
+from itertools import chain, repeat
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -365,54 +367,67 @@ def _rel(diff_values, ref) -> float:
     return float(np.max(np.linalg.norm(diff_values, axis=-1) / np.maximum(ref, 1e-300)))
 
 
+class _Check(NamedTuple):
+    target: str
+    fn: Callable[[SuiteConfig], object]
+    records: tuple  # (check_id, tol_key, anchor) per measured value
+
+
+_REGISTRY = []  # every check, in declaration order (the order "all" runs them in)
+
+
+def _check(target: str, *records):
+    """Register the decorated function as a check of ``target`` with one
+    (check_id, tol_key, anchor) record per value it returns: a bare value for
+    one record, a tuple for several.  A tol_key names an entry of the config's
+    tolerances; None marks a record that is reported, not asserted."""
+
+    def register(fn):
+        _REGISTRY.append(_Check(target, fn, records))
+        return fn
+
+    return register
+
+
+def _probes(cfg: SuiteConfig, kind: str, salt: int, count: int, **params):
+    """``count`` probes of ``kind``, seeded by the config seed and ``salt``, as
+    one batched signal."""
+    return stack_signals(make_probes(kind, seed=_rng_seed(cfg, salt), count=count, **params))
+
+
 # ---------------------------------------------------------------------------
 # line checks
 
+# Packets safe for every element of the affine set: narrow enough for the
+# largest dilation, modulated away from the mean bin (and the band edge) so
+# neither symbol discontinuity carries energy.
+_GUARDED = {"width": (1.25, 1.4), "center": (-1.0, 1.0), "modulation": (4.5, 5.2)}
 
+
+@_check("line", ("a01-multiplier-vs-quadrature", "multiplier_vs_quadrature",
+                 "singular kernel quadrature agrees with the multiplier form on the line"))
 def _check_multiplier_vs_quadrature(cfg: SuiteConfig) -> float:
     grid = cfg.line_grid()
-    f = stack_signals(make_probes(
-        "gaussian-packet",
-        seed=_rng_seed(cfg, 11),
-        count=cfg.probe_counts["line"],
-        grid=grid,
-        width=(1.0, 1.6),
-        center=(-4.0, 4.0),
-        modulation=(3.5, 6.0),
-    ))
+    f = _probes(cfg, "gaussian-packet", 11, cfg.probe_counts["line"], grid=grid,
+                width=(1.0, 1.6), center=(-4.0, 4.0), modulation=(3.5, 6.0))
     central = slice(grid.n // 4, 3 * grid.n // 4)
     diff = hilbert_pv_quadrature(f).values - hilbert_multiplier(f).values
     return _rel(diff[:, central], np.linalg.norm(f.values, axis=-1))
 
 
+@_check("line", ("a02-involution-line", "involution_line",
+                 "applying the line transform twice negates mean-free signals"))
 def _check_involution_line(cfg: SuiteConfig) -> float:
-    f = stack_signals(make_probes(
-        "random-bandlimited",
-        seed=_rng_seed(cfg, 12),
-        count=cfg.probe_counts["line"],
-        grid=cfg.line_grid(),
-    ))
+    f = _probes(cfg, "random-bandlimited", 12, cfg.probe_counts["line"], grid=cfg.line_grid())
     hh = hilbert_multiplier(hilbert_multiplier(f))
     return _rel(hh.values + f.values, np.linalg.norm(f.values, axis=-1))
 
 
-def _guarded_packets(cfg: SuiteConfig, grid: Grid1D, salt: int, count: int):
-    """Packets safe for every element of the affine set: narrow enough for
-    the largest dilation, modulated away from the mean bin (and the band
-    edge) so neither symbol discontinuity carries energy."""
-    return make_probes(
-        "gaussian-packet",
-        seed=_rng_seed(cfg, salt),
-        count=count,
-        grid=grid,
-        width=(1.25, 1.4),
-        center=(-1.0, 1.0),
-        modulation=(4.5, 5.2),
-    )
-
-
+@_check("line", ("a03-affine-commutation", "affine_commutation",
+                 "scale and shift actions commute with the line transform"))
 def _check_affine_commutation(cfg: SuiteConfig) -> float:
-    f = stack_signals(_guarded_packets(cfg, cfg.line_grid(), 13, cfg.probe_counts["line"]))
+    f = _probes(cfg, "gaussian-packet", 13, cfg.probe_counts["line"], grid=cfg.line_grid(),
+                **_GUARDED)
     hf = hilbert_multiplier(f)
     fn = np.linalg.norm(f.values, axis=-1)
 
@@ -425,6 +440,8 @@ def _check_affine_commutation(cfg: SuiteConfig) -> float:
     return max(0.0, *_map(defect, cfg.affine_set))
 
 
+@_check("line", ("m01-line-parseval", "parseval",
+                 "transform pair is unitary (round trip and norm preservation)"))
 def _check_line_parseval(cfg: SuiteConfig) -> float:
     def defect(f):
         s = dft(f)
@@ -443,13 +460,10 @@ def _check_line_parseval(cfg: SuiteConfig) -> float:
     return max(defect(stack_signals(probes)), defect(f360))
 
 
+@_check("line", ("m02-hardy-identities", "hardy_identities",
+                 "Hardy projections partition the identity and diagonalise the transform"))
 def _check_hardy_identities(cfg: SuiteConfig) -> float:
-    f = stack_signals(make_probes(
-        "random-bandlimited",
-        seed=_rng_seed(cfg, 17),
-        count=cfg.probe_counts["line"],
-        grid=cfg.line_grid(),
-    ))
+    f = _probes(cfg, "random-bandlimited", 17, cfg.probe_counts["line"], grid=cfg.line_grid())
     plus = hardy_project(f, "+").values
     minus = hardy_project(f, "-").values
     h = hilbert_multiplier(f).values
@@ -463,9 +477,11 @@ def _check_hardy_identities(cfg: SuiteConfig) -> float:
     )
 
 
+@_check("line", ("m03-rep-isometry", "rep_isometry",
+                 "the natural scale/shift action preserves the norm"))
 def _check_rep_isometry(cfg: SuiteConfig) -> float:
-    grid = cfg.line_grid()
-    f = stack_signals(_guarded_packets(cfg, grid, 18, max(5, cfg.probe_counts["line"] // 2)))
+    f = _probes(cfg, "gaussian-packet", 18, max(5, cfg.probe_counts["line"] // 2),
+                grid=cfg.line_grid(), **_GUARDED)
     fn = np.linalg.norm(f.values, axis=-1)
 
     def drift(element):
@@ -480,19 +496,20 @@ def _check_rep_isometry(cfg: SuiteConfig) -> float:
 # circle checks
 
 
+@_check("circle", ("a02-involution-circle", "involution_circle",
+                   "squared circular transform is minus identity plus the mean part"))
 def _check_involution_circle(cfg: SuiteConfig) -> float:
-    c = stack_signals(make_probes(
-        "trig-poly", seed=_rng_seed(cfg, 21), count=cfg.probe_counts["circle"], K=cfg.circle.K
-    ))
+    c = _probes(cfg, "trig-poly", 21, cfg.probe_counts["circle"], K=cfg.circle.K)
     hh = circular_hilbert(circular_hilbert(c))
     return _rel(hh.coeffs + c.coeffs - plemelj_project(c, "zero").coeffs, 1.0)
 
 
+@_check("circle", ("a04-plemelj-chain", "plemelj_chain",
+                   "symbol, principal-value, and mean operators satisfy the boundary-value "
+                   "chain"))
 def _check_plemelj_chain(cfg: SuiteConfig) -> float:
     K = cfg.circle.K
-    c = stack_signals(make_probes(
-        "trig-poly", seed=_rng_seed(cfg, 22), count=cfg.probe_counts["circle"], K=K
-    ))
+    c = _probes(cfg, "trig-poly", 22, cfg.probe_counts["circle"], K=K)
     f = c.coeffs
     s = cauchy_symbol(c).coeffs
     pv = cauchy_pv(c).coeffs
@@ -516,72 +533,54 @@ def _check_plemelj_chain(cfg: SuiteConfig) -> float:
     return max(float(np.max(mean_drift)), *(_rel(d, 1.0) for d in defects))
 
 
+@_check("circle", ("a05-semigroup-averaging", "semigroup_averaging",
+                   "coefficient closed form of the rational-dilation action equals "
+                   "root-of-unity averaging"))
 def _check_semigroup_averaging(cfg: SuiteConfig) -> float:
     K_probe = min(25, cfg.circle.K)
-    c = stack_signals(make_probes(
-        "trig-poly",
-        seed=_rng_seed(cfg, 23),
-        count=cfg.probe_counts["circle"],
-        K=K_probe,
-        degree=K_probe,
-    ))
-    worst = 0.0
-    for q, p, beta in cfg.rational_set:
-        r = RationalScale(q, p, beta)
+    c = _probes(cfg, "trig-poly", 23, cfg.probe_counts["circle"], K=K_probe, degree=K_probe)
+
+    def defect(element):
+        r = RationalScale(*element)
         closed = semigroup_act(c, r)
         sampled = semigroup_act_samples(c, r, max(2 * closed.K + 2, 64))
         recovered = circle_coeffs_from_samples(sampled, closed.K)
-        worst = max(worst, float(np.max(np.abs(closed.coeffs - recovered.coeffs))))
-    return worst
+        return float(np.max(np.abs(closed.coeffs - recovered.coeffs)))
+
+    return max(0.0, *map(defect, cfg.rational_set))
 
 
+@_check("circle", ("a06-semigroup-commutation", "semigroup_commutation",
+                   "rational-dilation action commutes with the circular transform in exact "
+                   "coefficient arithmetic"))
 def _check_semigroup_commutation(cfg: SuiteConfig) -> float:
     K = cfg.circle.K
-    worst = 0.0
-    for q, p, beta in cfg.rational_set:
+
+    def defects(element):
+        q, p, beta = element
         r = RationalScale(q, p, beta)
-        deg = max(1, K // (p * q))
-        c = stack_signals(make_probes(
-            "trig-poly", seed=_rng_seed(cfg, 24 + 7 * q + 13 * p), count=5, K=K, degree=deg
-        ))
+        c = _probes(cfg, "trig-poly", 24 + 7 * q + 13 * p, 5, K=K, degree=max(1, K // (p * q)))
         lhs = semigroup_act(circular_hilbert(c), r, k_out=K)
         rhs = circular_hilbert(semigroup_act(c, r, k_out=K))
-        worst = max(worst, float(np.max(np.abs(lhs.coeffs - rhs.coeffs))))
         # composition law: pi(q/p, beta) = pi(q, 0) after pi(1/p, beta)
         step = semigroup_act(semigroup_act(c, RationalScale(1, p, beta)), RationalScale(q, 1, 0.0))
         direct = semigroup_act(c, r)
         pad = max(step.K, direct.K)
-        worst = max(
-            worst,
+        return (
+            float(np.max(np.abs(lhs.coeffs - rhs.coeffs))),
             float(np.max(np.abs(step.padded(pad).coeffs - direct.padded(pad).coeffs))),
         )
-    return worst
+
+    return max(0.0, *chain.from_iterable(map(defects, cfg.rational_set)))
 
 
-def _check_circle_parseval(cfg: SuiteConfig) -> float:
-    n_s = cfg.circle.n_samples
-    c = stack_signals(make_probes(
-        "trig-poly", seed=_rng_seed(cfg, 25), count=10, K=min(cfg.circle.K, (n_s - 1) // 2)
-    ))
-    samples = circle_samples_from_coeffs(c, n_s)
-    cn = np.linalg.norm(c.coeffs, axis=-1)
-    sn = np.linalg.norm(samples.values, axis=-1) / math.sqrt(n_s)
-    back = circle_coeffs_from_samples(samples, c.K)
-    return max(float(np.max(np.abs(sn - cn) / cn)), _rel(back.coeffs - c.coeffs, cn))
-
-
-def _check_circle_quadrature(cfg: SuiteConfig) -> float:
-    n_s = cfg.circle.n_samples
-    deg = n_s // 8
-    c = stack_signals(
-        make_probes("trig-poly", seed=_rng_seed(cfg, 26), count=10, K=deg, degree=deg)
-    )
-    samples = circle_samples_from_coeffs(c, n_s)
-    quad = circular_hilbert_quadrature(samples)
-    mult = circle_samples_from_coeffs(circular_hilbert(c), n_s)
-    return _rel(quad.values - mult.values, np.linalg.norm(samples.values, axis=-1))
-
-
+@_check(
+    "circle",
+    ("a10-annihilator-zero", "annihilator_outcomes",
+     "empty zero set plus vanishing convolutions forces the zero signal"),
+    ("a10-annihilator-witness", "annihilator_outcomes",
+     "a surviving convolution coefficient is returned as a counterexample witness"),
+)
 def _annihilator_outcomes(cfg: SuiteConfig) -> tuple:
     K = min(cfg.circle.K, 64)
     rng = np.random.default_rng(_rng_seed(cfg, 27))
@@ -609,38 +608,42 @@ def _annihilator_outcomes(cfg: SuiteConfig) -> tuple:
         killer_coeffs = np.array(killer.coeffs)
         killer_coeffs[killed] = 0.0
         fam = SignalFamily((CircleSignal(killer_coeffs), covering_member()))
-        phi = CircleSignal(phi_coeffs)
-        k = annihilator_witness(fam, phi)
-        if k is None:
-            witness_failures += 1
-            continue
-        idx = k + K
-        if phi_coeffs[idx] == 0.0:
-            witness_failures += 1
-            continue
-        if all(abs(m.coeffs[idx]) == 0.0 for m in fam.members):
+        k = annihilator_witness(fam, CircleSignal(phi_coeffs))
+        # a witness must be an index where phi and some member are both nonzero
+        if (k is None or phi_coeffs[k + K] == 0.0
+                or all(abs(m.coeffs[k + K]) == 0.0 for m in fam.members)):
             witness_failures += 1
     return float(zero_failures), float(witness_failures)
 
 
 def _circle_probe_samples(cfg: SuiteConfig, salt: int, count: int) -> CircleSamples:
-    probes = make_probes(
-        "trig-poly", seed=_rng_seed(cfg, salt), count=count, K=_MOEBIUS_PROBE_DEGREE
-    )
-    return circle_samples_from_coeffs(stack_signals(probes), cfg.circle.n_samples)
+    c = _probes(cfg, "trig-poly", salt, count, K=_MOEBIUS_PROBE_DEGREE)
+    return circle_samples_from_coeffs(c, cfg.circle.n_samples)
 
 
+@_check("circle", ("a11-moebius-unitarity", "moebius_unitarity",
+                   "disc-automorphism action with the jacobian weight preserves the norm"))
 def _check_moebius_unitarity(cfg: SuiteConfig) -> float:
     s = _circle_probe_samples(cfg, 28, cfg.probe_counts["circle"])
     sn = np.linalg.norm(s.values, axis=-1)
-    worst = 0.0
-    for theta, a in cfg.moebius_set:
-        acted = moebius_act(s, MoebiusElement(theta, a), "jacobian").values
-        worst = max(worst, float(np.max(np.abs(np.linalg.norm(acted, axis=-1) / sn - 1.0))))
-    return worst
+
+    def drift(element):
+        acted = moebius_act(s, MoebiusElement(*element), "jacobian").values
+        return float(np.max(np.abs(np.linalg.norm(acted, axis=-1) / sn - 1.0)))
+
+    return max(0.0, *map(drift, cfg.moebius_set))
 
 
-def _moebius_cauchy_defect(cfg: SuiteConfig, weight: str) -> float:
+@_check(
+    "circle",
+    ("a11-moebius-defect-jacobian", None,
+     "commutator of the jacobian-weight disc action with the principal-value Cauchy operator "
+     "(reported)"),
+    ("a11-moebius-defect-plain", None,
+     "commutator of the plain-weight disc action with the principal-value Cauchy operator "
+     "(reported)"),
+)
+def _check_moebius_cauchy_defects(cfg: SuiteConfig) -> tuple:
     s = _circle_probe_samples(cfg, 29, max(5, cfg.probe_counts["circle"] // 2))
     K_full = (s.n - 1) // 2
 
@@ -651,18 +654,47 @@ def _moebius_cauchy_defect(cfg: SuiteConfig, weight: str) -> float:
 
     cf = cauchy(s)
     sn = np.linalg.norm(s.values, axis=-1)
-    worst = 0.0
-    for theta, a in cfg.moebius_set:
-        m = MoebiusElement(theta, a)
+
+    def defect(weight, element):
+        m = MoebiusElement(*element)
         lhs = cauchy(moebius_act(s, m, weight))
-        worst = max(worst, _rel(lhs.values - moebius_act(cf, m, weight).values, sn))
-    return worst
+        return _rel(lhs.values - moebius_act(cf, m, weight).values, sn)
+
+    return tuple(
+        max(0.0, *map(defect, repeat(weight), cfg.moebius_set)) for weight in ("jacobian", "plain")
+    )
+
+
+@_check("circle", ("m04-circle-parseval", "parseval",
+                   "coefficient/sample conversions are lossless isometries"))
+def _check_circle_parseval(cfg: SuiteConfig) -> float:
+    n_s = cfg.circle.n_samples
+    c = _probes(cfg, "trig-poly", 25, 10, K=min(cfg.circle.K, (n_s - 1) // 2))
+    samples = circle_samples_from_coeffs(c, n_s)
+    cn = np.linalg.norm(c.coeffs, axis=-1)
+    sn = np.linalg.norm(samples.values, axis=-1) / math.sqrt(n_s)
+    back = circle_coeffs_from_samples(samples, c.K)
+    return max(float(np.max(np.abs(sn - cn) / cn)), _rel(back.coeffs - c.coeffs, cn))
+
+
+@_check("circle", ("m05-circle-quadrature", "quadrature_circle",
+                   "cotangent-kernel quadrature matches the coefficient multiplier"))
+def _check_circle_quadrature(cfg: SuiteConfig) -> float:
+    n_s = cfg.circle.n_samples
+    deg = n_s // 8
+    c = _probes(cfg, "trig-poly", 26, 10, K=deg, degree=deg)
+    samples = circle_samples_from_coeffs(c, n_s)
+    quad = circular_hilbert_quadrature(samples)
+    mult = circle_samples_from_coeffs(circular_hilbert(c), n_s)
+    return _rel(quad.values - mult.values, np.linalg.norm(samples.values, axis=-1))
 
 
 # ---------------------------------------------------------------------------
 # symmetry checks
 
 
+@_check("symmetry", ("a07-decomposition-roundtrip", "decomposition_roundtrip",
+                     "operators built as lam*I + eta*H decompose back to (lam, eta)"))
 def _check_decomposition_roundtrip(cfg: SuiteConfig) -> float:
     basis = LineBasis(cfg.operator_n, cfg.line.x_min, cfg.operator_grid().dx)
     rng = np.random.default_rng(_rng_seed(cfg, 31))
@@ -679,6 +711,9 @@ def _check_decomposition_roundtrip(cfg: SuiteConfig) -> float:
     return max(0.0, *_map(roundtrip, draws))
 
 
+@_check("symmetry", ("a07-hilbert-classifier", "classifier_verdicts",
+                     "the anti-symmetric real isometry test singles out +-H (count of wrong "
+                     "verdicts)"))
 def _check_classifier(cfg: SuiteConfig) -> float:
     basis = LineBasis(cfg.operator_n, cfg.line.x_min, cfg.operator_grid().dx)
     fbasis = FourierBasis(cfg.circle.K)
@@ -705,28 +740,24 @@ def _check_classifier(cfg: SuiteConfig) -> float:
     return float(sum(classify_pm_hilbert(make()).verdict != want for make, want in cases))
 
 
+@_check("symmetry", ("a08-three-scalar-blocks", "three_scalar_blocks",
+                     "three-block scalar extraction recovers the circle operators' symbols"))
 def _check_three_scalar_blocks(cfg: SuiteConfig) -> float:
-    K = cfg.circle.K
-    basis = FourierBasis(K)
-    h_mat = synthesize_commuting_operator(0.0, 1.0, basis)
+    basis = FourierBasis(cfg.circle.K)
     # the matrix of cauchy_symbol, applied to the rows of the identity
     s_mat = OperatorMatrix(basis, cauchy_symbol(CircleSignal(np.eye(basis.dim))).coeffs)
-    ident = synthesize_commuting_operator(1.0, 0.0, basis)
-    worst = 0.0
-    for T, expect in (
-        (h_mat, (-1j, 0.0, 1j)),
+    cases = (
+        (synthesize_commuting_operator(0.0, 1.0, basis), (-1j, 0.0, 1j)),
         (s_mat, (1.0, 1.0, -1.0)),
-        (ident, (1.0, 1.0, 1.0)),
-    ):
+        (synthesize_commuting_operator(1.0, 0.0, basis), (1.0, 1.0, 1.0)),
+    )
+
+    def defects(case):
+        T, (lam, eta, omega) = case
         dec = decompose_circle_operator(T)
-        worst = max(
-            worst,
-            abs(dec.lam - expect[0]),
-            abs(dec.eta - expect[1]),
-            abs(dec.omega - expect[2]),
-            dec.max_residual,
-        )
-    return worst
+        return abs(dec.lam - lam), abs(dec.eta - eta), abs(dec.omega - omega), dec.max_residual
+
+    return max(0.0, *chain.from_iterable(map(defects, cases)))
 
 
 def _scalarity_scales():
@@ -738,22 +769,26 @@ def _scalarity_scales():
     ]
 
 
+@_check("symmetry", ("a09-commutant-scalarity", "commutant_scalarity",
+                     "rotation/orbit analysis certifies scalar commutants at truncation"))
 def _check_commutant_scalarity(cfg: SuiteConfig) -> float:
-    K = cfg.circle.K
-    basis = FourierBasis(K)
+    basis = FourierBasis(cfg.circle.K)
     h_diag = -1j * sign_symbol(basis.signed_indices())
     rng = np.random.default_rng(_rng_seed(cfg, 32))
-    worst = 0.0
-    for _ in range(cfg.probe_counts["scalarity"]):
+
+    def defects(_):
         coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
         diag = sum(coeffs[j] * h_diag**j for j in range(4))
         report = rotation_commutant_analysis(
             OperatorMatrix(basis, np.diag(diag)), _scalarity_scales()
         )
-        worst = max(worst, report.diagonal_defect, report.orbit_spread, report.rotation_defect)
-    return worst
+        return report.diagonal_defect, report.orbit_spread, report.rotation_defect
+
+    return max(0.0, *chain.from_iterable(map(defects, range(cfg.probe_counts["scalarity"]))))
 
 
+@_check("symmetry", ("a09-perturbation-flagging", "perturbation_flag",
+                     "orbit-breaking diagonal perturbations are flagged (count not flagged)"))
 def _check_perturbation_flags(cfg: SuiteConfig) -> float:
     K = cfg.circle.K
     basis = FourierBasis(K)
@@ -772,11 +807,14 @@ def _check_perturbation_flags(cfg: SuiteConfig) -> float:
     return float(missed)
 
 
+@_check("symmetry", ("m06-engine-commutator-line", "engine_commutator_line",
+                     "matrix engine reproduces the line commutation bound"))
 def _check_engine_commutator_line(cfg: SuiteConfig) -> float:
     grid = cfg.operator_grid()
     basis = LineBasis(grid.n, grid.x_min, grid.dx)
     h_mat = synthesize_commuting_operator(0.0, 1.0, basis)
-    probes = _guarded_packets(cfg, grid, 34, max(5, cfg.probe_counts["line"] // 2))
+    probes = make_probes("gaussian-packet", seed=_rng_seed(cfg, 34),
+                         count=max(5, cfg.probe_counts["line"] // 2), grid=grid, **_GUARDED)
     actions = [
         line_affine_action(AffineElement(a, b))
         for a in (0.5, 2.0, 4.0)
@@ -785,25 +823,26 @@ def _check_engine_commutator_line(cfg: SuiteConfig) -> float:
     return commutator_defect(h_mat, actions, probes).max_defect
 
 
+@_check("symmetry", ("m07-engine-commutator-circle", "engine_commutator_circle",
+                     "matrix engine reproduces the exact circle commutation"))
 def _check_engine_commutator_circle(cfg: SuiteConfig) -> float:
     K = cfg.circle.K
-    basis = FourierBasis(K)
-    h_mat = synthesize_commuting_operator(0.0, 1.0, basis)
-    actions = []
-    for q, p, beta in cfg.rational_set[:12]:
-        actions.append(circle_semigroup_action(RationalScale(q, p, beta), K))
+    h_mat = synthesize_commuting_operator(0.0, 1.0, FourierBasis(K))
+    actions = [circle_semigroup_action(RationalScale(*r), K) for r in cfg.rational_set[:12]]
     probes = make_probes(
         "trig-poly", seed=_rng_seed(cfg, 35), count=5, K=K, degree=max(1, K // 25)
     )
     return commutator_defect(h_mat, actions, probes).max_defect
 
 
+@_check("symmetry", ("m08-decomposition-soundness", "soundness",
+                     "reported residuals compose exactly into the reconstruction error"))
 def _check_soundness(cfg: SuiteConfig) -> float:
     n = min(cfg.operator_n, 256)
     basis = LineBasis(n, cfg.line.x_min, (cfg.line.x_max - cfg.line.x_min) / n)
     rng = np.random.default_rng(_rng_seed(cfg, 36))
-    worst = 0.0
-    for _ in range(5):
+
+    def defect(_):
         entries = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         T = OperatorMatrix(basis, entries)
         dec = decompose_line_operator(T)
@@ -813,200 +852,13 @@ def _check_soundness(cfg: SuiteConfig) -> float:
         rhs = tnorm * math.sqrt(
             dec.residual_plus**2 + dec.residual_minus**2 + dec.residual_zero**2
         )
-        worst = max(worst, abs(lhs - rhs) / tnorm)
-    return worst
+        return abs(lhs - rhs) / tnorm
+
+    return max(0.0, *map(defect, range(5)))
 
 
 # ---------------------------------------------------------------------------
-# registry and runner
-
-
-@dataclass(frozen=True)
-class _CheckSpec:
-    check_id: str
-    target: str
-    anchor: str
-    tol_key: Optional[str]  # None = informational
-    fn: Callable[[SuiteConfig], float]
-
-
-_REGISTRY = [
-    _CheckSpec(
-        "a01-multiplier-vs-quadrature",
-        "line",
-        "singular kernel quadrature agrees with the multiplier form on the line",
-        "multiplier_vs_quadrature",
-        _check_multiplier_vs_quadrature,
-    ),
-    _CheckSpec(
-        "a02-involution-line",
-        "line",
-        "applying the line transform twice negates mean-free signals",
-        "involution_line",
-        _check_involution_line,
-    ),
-    _CheckSpec(
-        "a03-affine-commutation",
-        "line",
-        "scale and shift actions commute with the line transform",
-        "affine_commutation",
-        _check_affine_commutation,
-    ),
-    _CheckSpec(
-        "m01-line-parseval",
-        "line",
-        "transform pair is unitary (round trip and norm preservation)",
-        "parseval",
-        _check_line_parseval,
-    ),
-    _CheckSpec(
-        "m02-hardy-identities",
-        "line",
-        "Hardy projections partition the identity and diagonalise the transform",
-        "hardy_identities",
-        _check_hardy_identities,
-    ),
-    _CheckSpec(
-        "m03-rep-isometry",
-        "line",
-        "the natural scale/shift action preserves the norm",
-        "rep_isometry",
-        _check_rep_isometry,
-    ),
-    _CheckSpec(
-        "a02-involution-circle",
-        "circle",
-        "squared circular transform is minus identity plus the mean part",
-        "involution_circle",
-        _check_involution_circle,
-    ),
-    _CheckSpec(
-        "a04-plemelj-chain",
-        "circle",
-        "symbol, principal-value, and mean operators satisfy the boundary-value chain",
-        "plemelj_chain",
-        _check_plemelj_chain,
-    ),
-    _CheckSpec(
-        "a05-semigroup-averaging",
-        "circle",
-        "coefficient closed form of the rational-dilation action equals root-of-unity averaging",
-        "semigroup_averaging",
-        _check_semigroup_averaging,
-    ),
-    _CheckSpec(
-        "a06-semigroup-commutation",
-        "circle",
-        "rational-dilation action commutes with the circular transform in exact coefficient arithmetic",
-        "semigroup_commutation",
-        _check_semigroup_commutation,
-    ),
-    _CheckSpec(
-        "a10-annihilator-zero",
-        "circle",
-        "empty zero set plus vanishing convolutions forces the zero signal",
-        "annihilator_outcomes",
-        lambda cfg: _annihilator_outcomes(cfg)[0],
-    ),
-    _CheckSpec(
-        "a10-annihilator-witness",
-        "circle",
-        "a surviving convolution coefficient is returned as a counterexample witness",
-        "annihilator_outcomes",
-        lambda cfg: _annihilator_outcomes(cfg)[1],
-    ),
-    _CheckSpec(
-        "a11-moebius-unitarity",
-        "circle",
-        "disc-automorphism action with the jacobian weight preserves the norm",
-        "moebius_unitarity",
-        _check_moebius_unitarity,
-    ),
-    _CheckSpec(
-        "a11-moebius-defect-jacobian",
-        "circle",
-        "commutator of the jacobian-weight disc action with the principal-value Cauchy operator (reported)",
-        None,
-        lambda cfg: _moebius_cauchy_defect(cfg, "jacobian"),
-    ),
-    _CheckSpec(
-        "a11-moebius-defect-plain",
-        "circle",
-        "commutator of the plain-weight disc action with the principal-value Cauchy operator (reported)",
-        None,
-        lambda cfg: _moebius_cauchy_defect(cfg, "plain"),
-    ),
-    _CheckSpec(
-        "m04-circle-parseval",
-        "circle",
-        "coefficient/sample conversions are lossless isometries",
-        "parseval",
-        _check_circle_parseval,
-    ),
-    _CheckSpec(
-        "m05-circle-quadrature",
-        "circle",
-        "cotangent-kernel quadrature matches the coefficient multiplier",
-        "quadrature_circle",
-        _check_circle_quadrature,
-    ),
-    _CheckSpec(
-        "a07-decomposition-roundtrip",
-        "symmetry",
-        "operators built as lam*I + eta*H decompose back to (lam, eta)",
-        "decomposition_roundtrip",
-        _check_decomposition_roundtrip,
-    ),
-    _CheckSpec(
-        "a07-hilbert-classifier",
-        "symmetry",
-        "the anti-symmetric real isometry test singles out +-H (count of wrong verdicts)",
-        "classifier_verdicts",
-        _check_classifier,
-    ),
-    _CheckSpec(
-        "a08-three-scalar-blocks",
-        "symmetry",
-        "three-block scalar extraction recovers the circle operators' symbols",
-        "three_scalar_blocks",
-        _check_three_scalar_blocks,
-    ),
-    _CheckSpec(
-        "a09-commutant-scalarity",
-        "symmetry",
-        "rotation/orbit analysis certifies scalar commutants at truncation",
-        "commutant_scalarity",
-        _check_commutant_scalarity,
-    ),
-    _CheckSpec(
-        "a09-perturbation-flagging",
-        "symmetry",
-        "orbit-breaking diagonal perturbations are flagged (count not flagged)",
-        "perturbation_flag",
-        _check_perturbation_flags,
-    ),
-    _CheckSpec(
-        "m06-engine-commutator-line",
-        "symmetry",
-        "matrix engine reproduces the line commutation bound",
-        "engine_commutator_line",
-        _check_engine_commutator_line,
-    ),
-    _CheckSpec(
-        "m07-engine-commutator-circle",
-        "symmetry",
-        "matrix engine reproduces the exact circle commutation",
-        "engine_commutator_circle",
-        _check_engine_commutator_circle,
-    ),
-    _CheckSpec(
-        "m08-decomposition-soundness",
-        "symmetry",
-        "reported residuals compose exactly into the reconstruction error",
-        "soundness",
-        _check_soundness,
-    ),
-]
+# runner
 
 
 def run_verify(target: str, config: Optional[SuiteConfig] = None) -> SuiteReport:
@@ -1015,31 +867,32 @@ def run_verify(target: str, config: Optional[SuiteConfig] = None) -> SuiteReport
     Deterministic for a fixed config: probe seeds derive from the config
     seed, records are ordered by check id, and the report carries no
     timestamp.  Check failures (including tripped guards inside a check)
-    become failed records rather than exceptions.
+    become failed records rather than exceptions; a check that raises fails
+    every record it declares, with the same note.
     """
     if target not in TARGETS:
         raise ValueError(f"unknown verify target {target!r}; expected one of {TARGETS}")
     cfg = config if config is not None else SuiteConfig()
     records = []
-    for spec in _REGISTRY:
-        if target != "all" and spec.target != target:
+    for check in _REGISTRY:
+        if target not in ("all", check.target):
             continue
-        tol = cfg.tolerances[spec.tol_key] if spec.tol_key is not None else None
         try:
-            measured = float(spec.fn(cfg))
+            values = check.fn(cfg)
+            measured = [float(v) for v in (values if len(check.records) > 1 else (values,))]
+            note = ""
         except Exception as exc:  # noqa: BLE001 - failed checks become records
-            records.append(
-                CheckRecord(spec.check_id, spec.anchor, None, tol, False, f"error: {exc}")
-            )
-            continue
-        if tol is None:
-            records.append(
-                CheckRecord(
-                    spec.check_id, spec.anchor, measured, None, True, "reported, not asserted"
+            measured, note = [None] * len(check.records), f"error: {exc}"
+        for (check_id, tol_key, anchor), m in zip(check.records, measured, strict=True):
+            tol = cfg.tolerances[tol_key] if tol_key is not None else None
+            if m is None:
+                records.append(CheckRecord(check_id, anchor, None, tol, False, note))
+            elif tol is None:
+                records.append(
+                    CheckRecord(check_id, anchor, m, None, True, "reported, not asserted")
                 )
-            )
-        else:
-            records.append(CheckRecord(spec.check_id, spec.anchor, measured, tol, measured <= tol))
+            else:
+                records.append(CheckRecord(check_id, anchor, m, tol, m <= tol))
     records.sort(key=lambda r: r.check_id)
     return SuiteReport(
         target=target, version=__version__, config=asdict(cfg), records=tuple(records)

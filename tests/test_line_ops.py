@@ -326,6 +326,16 @@ class TestFourierSideRepresentation:
         assert err <= 1e-5
 
     @pytest.mark.parametrize("sign", ["+", "-"])
+    @pytest.mark.parametrize("a", [0.3, 0.7])
+    def test_contraction_keeps_the_stretch_next_to_the_origin(self, sign, a):
+        # at a < 1 the first targets fall between the origin and the nearest sample
+        g = decaying_halfline(sign=sign)
+        out = rep_fourier_side(g, a, 0.0)
+        ax = a * np.abs(g.positions())
+        exact = np.sqrt(a) * ax * np.exp(-ax) * np.exp(0.3j * a * g.positions())
+        assert np.linalg.norm(out.values - exact) / np.linalg.norm(exact) <= 1e-6
+
+    @pytest.mark.parametrize("sign", ["+", "-"])
     @pytest.mark.parametrize("a", [1, 2, 3, 7])
     def test_integer_scale_is_exact_gather(self, sign, a):
         g = decaying_halfline(n=301, sign=sign)

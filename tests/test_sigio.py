@@ -188,6 +188,20 @@ def test_decompose_rejects_malformed_operator_documents(doc, space):
     assert code in (1, 2)
 
 
+@pytest.mark.parametrize(
+    "space, basis, field",
+    [
+        ("circle", {"kind": "fourier", "K": -1}, "K"),
+        ("line", {"kind": "line", "n": 2, "x_min": 0.0, "dx": 0.0}, "dx"),
+    ],
+)
+def test_decompose_rejects_an_invalid_basis(tmp_path, capsys, space, basis, field):
+    dim = 1 if space == "circle" else 2
+    doc = {"dim": dim, "basis": basis, "entries": [[1.0, 0.0]] * dim * dim}
+    assert _exit_code(tmp_path, doc, ["decompose", "--space", space]) == 1
+    assert f" {field} " in capsys.readouterr().err
+
+
 def test_non_object_grid_and_basis_are_malformed():
     with pytest.raises(ValueError, match="malformed signal document"):
         signal_from_dict({"type": "line", "grid": [1, 2], "values": [[0, 0]]})

@@ -68,6 +68,27 @@ class TestOperatorMatrix:
         with pytest.raises(ValueError):
             OperatorMatrix(FBASIS, bad)
 
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: FourierBasis(-1), "K"),
+            (lambda: FourierBasis(2.0), "K"),
+            (lambda: LineBasis(4, 0.0, 0.0), "dx"),
+            (lambda: LineBasis(4, 0.0, -0.5), "dx"),
+            (lambda: LineBasis(1, 0.0, 0.5), "n"),
+            (lambda: LineBasis(4, float("nan"), 0.5), "x_min"),
+        ],
+    )
+    def test_bases_are_validated_at_construction(self, make, field):
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            make()
+
+    def test_degree_zero_fourier_basis_is_degenerate(self):
+        T = synthesize_commuting_operator(1.0, 0.0, FourierBasis(0))
+        assert T.dim == 1
+        with pytest.raises(ValueError, match="degenerate basis"):
+            decompose_circle_operator(T)
+
     def test_apply_mismatch(self):
         T = h_circle()
         f = LineSignal(Grid1D(0.0, 8, 0.5), np.zeros(8))
