@@ -339,16 +339,56 @@ class HilbertClassification:
     reason: Optional[str] = None
 
 
-def _conjugation_defect(T: OperatorMatrix) -> float:
+def _conjugation_defect(T: OperatorMatrix, tnorm: float) -> float:
     """Deviation from commuting with the real structure (conjugation of
-    samples on the line; c_{-k} -> conj(c_k) pairing on coefficients)."""
+    samples on the line; c_{-k} -> conj(c_k) pairing on coefficients),
+    relative to tnorm = ||T||_F > 0."""
     E = T.entries
-    tnorm = np.linalg.norm(E)
-    if tnorm == 0.0:
-        return 0.0
     if isinstance(T.basis, LineBasis):
         return float(np.linalg.norm(E.imag) / tnorm)
     return float(np.linalg.norm(np.conj(E[::-1, ::-1]) - E) / tnorm)
+
+
+def _certified_decomposition(work: np.ndarray, T: OperatorMatrix, tnorm: float, tol: float):
+    """The decomposition of T, when it proves that the Gram test of
+    :func:`classify_pm_hilbert` passes; otherwise None, with ``work`` (W,
+    the :func:`_spectral_matrix` of T) left bitwise as it was.
+
+    The bound of that docstring holds because W_K = D_K + R_K, with D the
+    diagonal of block scalars :func:`_decompose_blocks` fits (d_j = k1, k2
+    or the zero-block value on row j) and R = W - D, whose norm the
+    residuals give.  The exact test computes W_K^H W_K with an error of at
+    most about n eps ||W||_F^2 (entrywise bounds of a product summed in any
+    order), so 4 n eps ||W||_F^2 / sqrt(m) is added to the bound before it
+    is held to tol/2.  With no squared column norm in [tol/2, 2 tol], the
+    keep-sets of the two tests agree despite roundoff.
+    """
+    n = T.dim
+    s = sign_symbol(T.basis.signed_indices())
+    blocks = (s > 0, s < 0, s == 0)
+    if not (blocks[0].any() and blocks[1].any()):
+        return None  # degenerate basis: the exact path refutes it or raises, as before
+    v = work.view(float).reshape(n, n, 2)
+    col = np.einsum("ijk,ijk->j", v, v)
+    keep = col > tol
+    m = np.count_nonzero(keep)
+    if m == 0 or np.any((col >= tol / 2) & (col <= 2 * tol)):
+        return None
+    saved = np.diagonal(work).copy()
+    dec = _decompose_blocks(work, T)  # leaves R in work
+    zero_value = dec.lam if dec.space == "line" else dec.k0
+    scalars = [
+        (abs(k), np.count_nonzero(keep & mask))
+        for k, mask in zip((dec.k1, dec.k2, zero_value), blocks)
+    ]
+    r = tnorm * math.hypot(dec.residual_plus, dec.residual_minus, dec.residual_zero)
+    diag_part = math.sqrt(sum(c * (a * a - 1.0) ** 2 for a, c in scalars))
+    d_max = max(a for a, c in scalars if c)
+    roundoff = 4.0 * n * np.finfo(float).eps * tnorm**2
+    if (diag_part + 2.0 * d_max * r + r * r + roundoff) / math.sqrt(m) <= tol / 2:
+        return dec
+    work.reshape(-1)[:: n + 1] = saved  # W again, bitwise
+    return None
 
 
 def classify_pm_hilbert(T: OperatorMatrix, tol: float = 1e-8) -> HilbertClassification:
@@ -360,13 +400,27 @@ def classify_pm_hilbert(T: OperatorMatrix, tol: float = 1e-8) -> HilbertClassifi
     follows the sign of Im(k1) (k1 = -i means plus-H) provided the scalar
     residuals are small.  The first failed property is returned as the
     reason.
+
+    Test (iii) asks that the Gram defect ||W_K^H W_K - I||_F / sqrt(m) be at
+    most ``tol``, for W the operator in the frequency basis and K the m
+    columns with squared norm above ``tol``.  It is first certified from the
+    block decomposition W = D + R (D the diagonal of block scalars d_j):
+
+        defect <= [sqrt(sum_K (|d_j|^2 - 1)^2) + 2 max_K |d_j| ||R||_F
+                   + ||R||_F^2] / sqrt(m),
+
+    which costs O(n^2) after the O(n^2 log n) change of basis.  When that
+    bound (with a roundoff allowance for the exact product) is at most
+    tol/2 and no squared column norm lies in [tol/2, 2 tol], the test
+    passes and the Gram matrix is never formed.  Otherwise the exact O(n^3)
+    test runs on W^H W.  Either way, verdicts and reasons are the same.
     """
     E = T.entries
     tnorm = np.linalg.norm(E)
     if tnorm == 0.0:
         return HilbertClassification("neither", "operator is zero")
 
-    d = _conjugation_defect(T)
+    d = _conjugation_defect(T, tnorm)
     if d > tol:
         return HilbertClassification("neither", f"not a real operator (defect {d:.2e})")
 
@@ -380,21 +434,23 @@ def classify_pm_hilbert(T: OperatorMatrix, tol: float = 1e-8) -> HilbertClassifi
     # the kernel block (mean/Nyquist-type modes) is axis-aligned in the
     # frequency basis, so run the Gram test there
     work = _spectral_matrix(T)
-    gram = work.conj().T @ work
-    g_diag = np.abs(np.diagonal(gram))
-    keep = g_diag > tol
-    if not np.any(keep):
-        return HilbertClassification("neither", "kernel exhausts the space")
-    sub = gram if keep.all() else gram[np.ix_(keep, keep)]
-    sub.reshape(-1)[:: sub.shape[0] + 1] -= 1.0  # minus the identity, in place
-    d = float(np.linalg.norm(sub) / math.sqrt(sub.shape[0]))
-    if d > tol:
-        return HilbertClassification(
-            "neither", f"not norm-preserving off the kernel block (defect {d:.2e})"
-        )
+    dec = _certified_decomposition(work, T, tnorm, tol)
+    if dec is None:
+        gram = work.conj().T @ work
+        g_diag = np.abs(np.diagonal(gram))
+        keep = g_diag > tol
+        if not np.any(keep):
+            return HilbertClassification("neither", "kernel exhausts the space")
+        sub = gram if keep.all() else gram[np.ix_(keep, keep)]
+        sub.reshape(-1)[:: sub.shape[0] + 1] -= 1.0  # minus the identity, in place
+        d = float(np.linalg.norm(sub) / math.sqrt(sub.shape[0]))
+        if d > tol:
+            return HilbertClassification(
+                "neither", f"not norm-preserving off the kernel block (defect {d:.2e})"
+            )
+        # the decomposition consumes the spectral matrix built above
+        dec = _decompose_blocks(work, T)
 
-    # the decomposition consumes the spectral matrix built above
-    dec = _decompose_blocks(work, T)
     scalar_res = max(dec.residual_plus, dec.residual_minus)
     if scalar_res > tol:
         return HilbertClassification(
@@ -419,11 +475,15 @@ class RotationCommutantReport:
     along the index orbits generated by k -> n*k and k -> k/p inside [1, K]
     (constancy there is what the dilation pair forces).  rotation_defect:
     the measured commutator defect against the supplied rotation set.
+    orbit_components: the number of those orbits (classes of [1, K]).  Each
+    orbit may carry its own constant with all three defects zero, so the
+    three certify scalarity on the k >= 1 block only when this is 1.
     """
 
     diagonal_defect: float
     orbit_spread: float
     rotation_defect: float
+    orbit_components: int
 
 
 class _UnionFind:
@@ -443,7 +503,9 @@ class _UnionFind:
 def rotation_commutant_analysis(
     T: OperatorMatrix, scales: Sequence[RationalScale]
 ) -> RotationCommutantReport:
-    """Certify (or refute) approximate scalarity on the k >= 1 block.
+    """Measure approximate scalarity on the k >= 1 block: small defects
+    certify it only when the dilations connect [1, K] into one orbit
+    (``orbit_components == 1``).
 
     Needs the scale set to contain rotations (q = p = 1 with at least two
     distinct angles) and one dilation pair (n, 1, 0), (1, p, 0) with
@@ -463,17 +525,6 @@ def rotation_commutant_analysis(
             "missing dilation generators: need one (n, 1, 0) and one (1, p, 0) with n, p >= 2"
         )
 
-    E = T.entries
-    tnorm = np.linalg.norm(E)
-    if tnorm == 0.0:
-        return RotationCommutantReport(0.0, 0.0, 0.0)
-    ks = np.arange(-K, K + 1)
-    rot_defect = 0.0
-    for beta in rot_betas:
-        d = np.exp(1j * ks * beta)
-        rot_defect = max(rot_defect, float(np.linalg.norm(E * d[None, :] - d[:, None] * E) / tnorm))
-    diagonal_defect = float(np.linalg.norm(E - np.diag(np.diagonal(E))) / tnorm)
-
     uf = _UnionFind(range(1, K + 1))
     for k in range(1, K + 1):
         for nn in ups:
@@ -485,6 +536,18 @@ def rotation_commutant_analysis(
     groups = {}
     for k in range(1, K + 1):
         groups.setdefault(uf.find(k), []).append(k)
+
+    E = T.entries
+    tnorm = np.linalg.norm(E)
+    if tnorm == 0.0:
+        return RotationCommutantReport(0.0, 0.0, 0.0, len(groups))
+    ks = np.arange(-K, K + 1)
+    rot_defect = 0.0
+    for beta in rot_betas:
+        d = np.exp(1j * ks * beta)
+        rot_defect = max(rot_defect, float(np.linalg.norm(E * d[None, :] - d[:, None] * E) / tnorm))
+    diagonal_defect = float(np.linalg.norm(E - np.diag(np.diagonal(E))) / tnorm)
+
     diag = np.diagonal(E)
     spread = 0.0
     for members in groups.values():
@@ -492,7 +555,7 @@ def rotation_commutant_analysis(
             continue
         vals = np.array([diag[k + K] for k in members])
         spread = max(spread, float(np.max(np.abs(vals[:, None] - vals[None, :]))))
-    return RotationCommutantReport(diagonal_defect, spread, rot_defect)
+    return RotationCommutantReport(diagonal_defect, spread, rot_defect, len(groups))
 
 
 def synthesize_commuting_operator(lam: complex, eta: complex, basis: Basis) -> OperatorMatrix:

@@ -39,12 +39,14 @@ from .circle_ops import (
     semigroup_act_samples,
 )
 from .line_ops import (
+    ALIAS_GUARD_TOL,
     AffineElement,
     hardy_project,
     hilbert_multiplier,
     hilbert_pv_quadrature,
     rep_natural,
 )
+from .probes import _EDGE_TOL as _PROBE_EDGE_TOL
 from .probes import make_probes
 from .signals import (
     CircleSamples,
@@ -112,6 +114,29 @@ _MOEBIUS_PROBE_DEGREE = 25
 # width down to 1.25) keep their spectrum inside half the band, as every
 # dilation by 1/2 of the m06 action set needs.
 _PACKET_MAX_DX = 0.16
+# Packets of a01 (m01 draws the make_probes defaults, narrower and nearer 0).
+_A01_PACKETS = {"width": (1.0, 1.6), "center": (-4.0, 4.0), "modulation": (3.5, 6.0)}
+# Packets safe for every element of the affine set: narrow enough for the
+# largest dilation, modulated away from the mean bin (and the band edge) so
+# neither symbol discontinuity carries energy.
+_GUARDED = {"width": (1.25, 1.4), "center": (-1.0, 1.0), "modulation": (4.5, 5.2)}
+# Dilations of the m06 action set.
+_ENGINE_SCALES = (0.5, 2.0, 4.0)
+
+
+def _packet_reach(packets: dict, a: float, eps: float) -> float:
+    """Half-window |x| outside which every packet of the ``packets`` ranges,
+    dilated by ``a``, has energy density (relative to its peak) and energy
+    share both below ``eps``.
+
+    |f|^2 is the Gaussian exp(-(x - c)^2 / w^2): its density at distance D
+    is exp(-D^2 / w^2), and its share beyond D on both sides together is
+    erfc(D / w), no larger.  Dilation by a scales the centre and the width
+    by a.
+    """
+    w = max(packets["width"])
+    c = max(abs(x) for x in packets["center"])
+    return a * (c + w * math.sqrt(math.log(1.0 / eps)))
 
 
 def _moebius_samples_needed(a: float) -> int:
@@ -213,6 +238,25 @@ class SuiteConfig:
                 f"{_PACKET_MAX_DX}: m06-engine-commutator-line needs its guarded packets "
                 f"inside half the operator band"
             )
+        # the last sample of the coarser of the line and operator grids
+        x_min, x_max = self.line.x_min, self.line.x_max
+        side = min(-x_min, x_max - (x_max - x_min) / min(self.line.n, self.operator_n))
+        a_max = max(*_ENGINE_SCALES, *(a for a, _ in self.affine_set))
+        for checks, packets, a, eps in (
+            # the probe generator's edge test bounds the amplitude, so the
+            # energy density share is its square
+            ("a01-multiplier-vs-quadrature and m01-line-parseval", _A01_PACKETS, 1.0,
+             _PROBE_EDGE_TOL**2),
+            ("a03-affine-commutation, m03-rep-isometry and m06-engine-commutator-line",
+             _GUARDED, a_max, ALIAS_GUARD_TOL),
+        ):
+            reach = _packet_reach(packets, a, eps)
+            if side < reach:
+                raise ValueError(
+                    f"line window [{x_min:g}, {x_max:g}] is too narrow: {checks} need "
+                    f"their packets, dilated by up to {a:g}, to keep below {eps:.0e} of "
+                    f"their energy outside +-{reach:.4g}"
+                )
 
     def line_grid(self) -> Grid1D:
         return Grid1D.from_interval(self.line.x_min, self.line.x_max, self.line.n)
@@ -398,18 +442,12 @@ def _probes(cfg: SuiteConfig, kind: str, salt: int, count: int, **params):
 # ---------------------------------------------------------------------------
 # line checks
 
-# Packets safe for every element of the affine set: narrow enough for the
-# largest dilation, modulated away from the mean bin (and the band edge) so
-# neither symbol discontinuity carries energy.
-_GUARDED = {"width": (1.25, 1.4), "center": (-1.0, 1.0), "modulation": (4.5, 5.2)}
-
-
 @_check("line", ("a01-multiplier-vs-quadrature", "multiplier_vs_quadrature",
                  "singular kernel quadrature agrees with the multiplier form on the line"))
 def _check_multiplier_vs_quadrature(cfg: SuiteConfig) -> float:
     grid = cfg.line_grid()
     f = _probes(cfg, "gaussian-packet", 11, cfg.probe_counts["line"], grid=grid,
-                width=(1.0, 1.6), center=(-4.0, 4.0), modulation=(3.5, 6.0))
+                **_A01_PACKETS)
     central = slice(grid.n // 4, 3 * grid.n // 4)
     diff = hilbert_pv_quadrature(f).values - hilbert_multiplier(f).values
     return _rel(diff[:, central], np.linalg.norm(f.values, axis=-1))
@@ -817,7 +855,7 @@ def _check_engine_commutator_line(cfg: SuiteConfig) -> float:
                          count=max(5, cfg.probe_counts["line"] // 2), grid=grid, **_GUARDED)
     actions = [
         line_affine_action(AffineElement(a, b))
-        for a in (0.5, 2.0, 4.0)
+        for a in _ENGINE_SCALES
         for b in (0.0, 7 * grid.dx, 3.5 * grid.dx)
     ]
     return commutator_defect(h_mat, actions, probes).max_defect

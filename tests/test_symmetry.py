@@ -1,6 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hilbertsym import symmetry
 from hilbertsym import (
     AffineElement,
     FourierBasis,
@@ -19,10 +23,15 @@ from hilbertsym import (
     synthesize_commuting_operator,
 )
 from hilbertsym.symmetry import (
+    HilbertClassification,
+    _conjugation_defect,
+    _decompose_blocks,
+    _spectral_matrix,
     apply_operator,
     circle_semigroup_action,
     line_affine_action,
 )
+from hilbertsym.verify import _scalarity_scales
 
 N_OP = 512
 LBASIS = LineBasis(N_OP, -40.0, 80.0 / N_OP)
@@ -318,6 +327,141 @@ class TestClassifier:
         assert (out.verdict, out.reason) == want
 
 
+def gram_first_classifier(T, tol=1e-8):
+    """The classifier with the exact Gram test always run (before the
+    certificate was added), as the oracle for the certified one."""
+    E = T.entries
+    tnorm = np.linalg.norm(E)
+    if tnorm == 0.0:
+        return HilbertClassification("neither", "operator is zero")
+    d = _conjugation_defect(T, tnorm)
+    if d > tol:
+        return HilbertClassification("neither", f"not a real operator (defect {d:.2e})")
+    herm = E.conj().T
+    herm += E
+    d = float(np.linalg.norm(herm) / tnorm)
+    if d > tol:
+        return HilbertClassification("neither", f"not anti-symmetric (defect {d:.2e})")
+    work = _spectral_matrix(T)
+    gram = work.conj().T @ work
+    g_diag = np.abs(np.diagonal(gram))
+    keep = g_diag > tol
+    if not np.any(keep):
+        return HilbertClassification("neither", "kernel exhausts the space")
+    sub = gram if keep.all() else gram[np.ix_(keep, keep)]
+    sub.reshape(-1)[:: sub.shape[0] + 1] -= 1.0
+    d = float(np.linalg.norm(sub) / math.sqrt(sub.shape[0]))
+    if d > tol:
+        return HilbertClassification(
+            "neither", f"not norm-preserving off the kernel block (defect {d:.2e})"
+        )
+    dec = _decompose_blocks(work, T)
+    scalar_res = max(dec.residual_plus, dec.residual_minus)
+    if scalar_res > tol:
+        return HilbertClassification(
+            "neither", f"not scalar on the frequency blocks (residual {scalar_res:.2e})"
+        )
+    if abs(dec.k1 - (-1j)) <= 1e-6 and abs(dec.k2 - 1j) <= 1e-6:
+        return HilbertClassification("plus-H")
+    if abs(dec.k1 - 1j) <= 1e-6 and abs(dec.k2 - (-1j)) <= 1e-6:
+        return HilbertClassification("minus-H")
+    return HilbertClassification(
+        "neither", f"block scalars ({dec.k1:.3g}, {dec.k2:.3g}) are not -/+ i"
+    )
+
+
+def real_rotation(basis):
+    """J: a real, anti-symmetric isometry that is not scalar on the blocks.
+    On the line it rotates sample pairs; on the circle it rotates index
+    pairs (1, 2), (3, 4), ... of k >= 1 and mirrors that onto k <= -1, which
+    keeps the pairing c_{-k} = conj(c_k) of real signals."""
+    if isinstance(basis, LineBasis):
+        return np.kron(np.eye(basis.n // 2), [[0.0, 1.0], [-1.0, 0.0]])
+    K = basis.K
+    plus = np.kron(np.eye(K // 2), [[0.0, 1.0], [-1.0, 0.0]])
+    out = np.zeros((basis.dim, basis.dim))
+    out[K + 1:, K + 1:] = plus
+    out[:K, :K] = plus[::-1, ::-1]
+    return out
+
+
+def real_antisymmetric(basis, seed=7):
+    """A random anti-symmetric operator that is real in the basis's sense,
+    scaled to ||A||_F = sqrt(dim), the norm of an isometry."""
+    rng = np.random.default_rng(seed)
+    n = basis.dim
+    if isinstance(basis, LineBasis):
+        a = rng.normal(size=(n, n))
+    else:  # conj(A[::-1, ::-1]) = A: real on the samples
+        b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        a = b + np.conj(b[::-1, ::-1])
+    a = a - a.conj().T
+    return a * (math.sqrt(n) / np.linalg.norm(a))
+
+
+ORACLE_BASES = [LineBasis(n, -40.0, 80.0 / n) for n in (16, 64, 256)] + [
+    FourierBasis(K) for K in (4, 32)
+]
+# straddles the default tol = 1e-8 of every stage the perturbation reaches
+EPSILONS = (1e-12, 1e-10, 1e-9, 3e-9, 1e-8, 3e-8, 1e-6)
+
+
+@pytest.mark.parametrize("basis", ORACLE_BASES, ids=repr)
+@pytest.mark.parametrize("case", ["H", "-H", "2H", "2J", "J"] + [f"H+{e:g}A" for e in EPSILONS])
+def test_classifier_matches_exact_gram_oracle(basis, case):
+    h = synthesize_commuting_operator(0.0, 1.0, basis).entries
+    j = real_rotation(basis)
+    if case.startswith("H+"):
+        entries = h + float(case[2:-1]) * real_antisymmetric(basis)
+    else:
+        entries = {"H": h, "-H": -h, "2H": 2 * h, "2J": 2 * j, "J": j}[case]
+    T = OperatorMatrix(basis, entries)
+    assert classify_pm_hilbert(T) == gram_first_classifier(T)
+
+
+def test_degenerate_basis_takes_the_exact_path():
+    # LineBasis(2) has no s > 0 or s < 0 block: the Gram test refutes 2J,
+    # and J, an isometry, reaches the decomposition, which refuses the basis
+    basis = LineBasis(2, 0.0, 1.0)
+    j = real_rotation(basis)
+    T = OperatorMatrix(basis, 2 * j)
+    assert classify_pm_hilbert(T) == gram_first_classifier(T)
+    with pytest.raises(ValueError, match="degenerate basis"):
+        classify_pm_hilbert(OperatorMatrix(basis, j))
+
+
+@pytest.mark.parametrize("basis", [LineBasis(256, -40.0, 80.0 / 256), FourierBasis(32)], ids=repr)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_certificate_decides_pm_hilbert(monkeypatch, basis, sign):
+    # +-H pass the isometry test on the O(n^2) certificate, not the Gram product
+    certified = []
+    real = symmetry._certified_decomposition
+
+    def spy(*args):
+        certified.append(real(*args))
+        return certified[-1]
+
+    monkeypatch.setattr(symmetry, "_certified_decomposition", spy)
+    out = classify_pm_hilbert(synthesize_commuting_operator(0.0, sign, basis))
+    assert out.verdict == ("plus-H" if sign > 0 else "minus-H")
+    assert len(certified) == 1 and certified[0] is not None
+
+
+@pytest.mark.parametrize("basis", [LineBasis(512, -40.0, 80.0 / 512), FourierBasis(128)], ids=repr)
+def test_classifier_allocates_no_gram_matrix(basis):
+    # the certified path holds one n x n complex array (the spectral matrix)
+    # at a time; the Gram product would take three
+    T = synthesize_commuting_operator(0.0, 1.0, basis)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert classify_pm_hilbert(T).verdict == "plus-H"
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * basis.dim**2 * np.dtype(complex).itemsize
+
+
 class TestRotationCommutant:
     def scales(self):
         return [
@@ -352,6 +496,33 @@ class TestRotationCommutant:
         report = rotation_commutant_analysis(OperatorMatrix(FBASIS, E), self.scales())
         assert report.diagonal_defect > 0.01
         assert report.rotation_defect > 0.01
+
+    def test_orbit_constant_operator_is_not_certified_scalar(self):
+        # constant on each orbit {m 2^j} of the suite's scale set but with 64
+        # distinct values on k >= 1: every defect is zero, and only the
+        # component count shows the operator is not scalar there
+        K = 128
+        k = np.abs(np.arange(-K, K + 1))
+        diag = (k // np.maximum(k & -k, 1)).astype(complex)  # the odd part m of |k|
+        assert len(np.unique(diag[K + 1:])) == 64
+        report = rotation_commutant_analysis(
+            OperatorMatrix(FourierBasis(K), np.diag(diag)), _scalarity_scales()
+        )
+        assert report.diagonal_defect == report.orbit_spread == report.rotation_defect == 0.0
+        assert report.orbit_components == 64
+
+    def test_one_orbit_component_under_coprime_dilations(self):
+        scales = self.scales()[:2] + [RationalScale(2, 1, 0.0), RationalScale(1, 3, 0.0)]
+        report = rotation_commutant_analysis(h_circle(4), scales)
+        # 1 - 2 - 4 and 3 -> 1 join every index of [1, 4]
+        assert report.orbit_components == 1
+        assert rotation_commutant_analysis(h_circle(4), self.scales()).orbit_components == 2
+
+    def test_zero_operator_reports_its_components(self):
+        T = OperatorMatrix(FBASIS, np.zeros((FBASIS.dim, FBASIS.dim)))
+        report = rotation_commutant_analysis(T, self.scales())
+        assert (report.diagonal_defect, report.orbit_spread, report.rotation_defect) == (0, 0, 0)
+        assert report.orbit_components == 16  # the odd indices of [1, 32]
 
     def test_missing_generators_rejected(self):
         T = h_circle()

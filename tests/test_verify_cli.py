@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -103,6 +104,35 @@ class TestRunVerify:
             return
         measured = values[i] if len(check.records) > 1 else values
         assert measured > cfg.tolerances[check.records[i][1]]
+
+
+@pytest.mark.parametrize(
+    "line, operator_n",
+    [
+        ((-10.0, 10.0, 512), 512),
+        ((-5.0, 5.0, 4096), 64),
+        ((-20.0, 20.0, 2048), 512),  # wide enough for a01, not for the dilations
+        ((-30.0, 30.0, 3072), 512),
+    ],
+)
+def test_line_window_is_rejected_or_its_report_passes(line, operator_n):
+    counts = {"line": 4, "circle": 4, "roundtrip": 4, "scalarity": 2, "annihilator": 2}
+    try:
+        cfg = SuiteConfig(line=LineGridConfig(*line), operator_n=operator_n,
+                          probe_counts=counts)
+    except ValueError as exc:
+        named = set(re.findall(r"\b[am]\d\d-[a-z-]+", str(exc)))
+        assert named and "too narrow" in str(exc)
+        # every named check does fail when the config is forced past validate()
+        cfg = SuiteConfig()
+        cfg.line, cfg.operator_n = LineGridConfig(*line), operator_n
+        for check_id in named:
+            check = next(c for c in _REGISTRY if check_id in [r[0] for r in c.records])
+            with pytest.raises(ValueError):
+                check.fn(cfg)  # a guard trips: the packets do not fit the window
+        return
+    report = run_verify("all", cfg)
+    assert [r.check_id for r in report.records if not r.passed] == []
 
 
 def _cpus(monkeypatch, count):
