@@ -160,22 +160,10 @@ def _run_apply(args) -> int:
 
 def _run_decompose(args) -> int:
     from .sigio import load_operator
-    from .symmetry import (
-        FourierBasis,
-        LineBasis,
-        decompose_circle_operator,
-        decompose_line_operator,
-    )
+    from .symmetry import decompose_circle_operator, decompose_line_operator
 
-    op = load_operator(args.infile)
-    if args.space == "line":
-        if not isinstance(op.basis, LineBasis):
-            raise UsageError("--space line needs an operator on a line basis")
-        dec = decompose_line_operator(op)
-    else:
-        if not isinstance(op.basis, FourierBasis):
-            raise UsageError("--space circle needs an operator on a fourier basis")
-        dec = decompose_circle_operator(op)
+    decompose = decompose_line_operator if args.space == "line" else decompose_circle_operator
+    dec = decompose(load_operator(args.infile))
     print(json.dumps(dec.to_json_dict()))
     if dec.max_residual <= args.tol:
         return EXIT_OK

@@ -28,6 +28,7 @@ import numpy as np
 from .signals import (
     LineSignal,
     LineSpectrum,
+    _frozen_complex_array,
     dft,
     idft,
     sign_symbol,
@@ -287,7 +288,8 @@ def rep_natural(f: LineSignal, g: AffineElement) -> LineSignal:
 
 @dataclass(frozen=True)
 class HalfLineSignal:
-    """Samples of a function supported on one half-line.
+    """Samples of a function supported on one half-line, one row per probe
+    for values of shape (P, n).
 
     sign "+" places samples on (0, X] at x_j = (j+1)*dx; sign "-" on [-X, 0)
     at x_j = (j-n)*dx.  The function is taken as zero beyond the sampled
@@ -303,17 +305,14 @@ class HalfLineSignal:
             raise ValueError("sign must be '+' or '-'")
         if not (self.dx > 0.0 and math.isfinite(self.dx)):
             raise ValueError("dx must be positive and finite")
-        arr = np.array(self.values, dtype=complex)
-        if arr.ndim != 1 or arr.shape[0] < 2:
-            raise ValueError("need a 1-d array of at least two samples")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-            raise ValueError("samples must be finite")
-        arr.setflags(write=False)
+        arr = _frozen_complex_array(self.values)
+        if arr.shape[-1] < 2:
+            raise ValueError("need at least two samples")
         object.__setattr__(self, "values", arr)
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-1]
 
     def positions(self) -> np.ndarray:
         j = np.arange(self.n)
@@ -323,9 +322,9 @@ class HalfLineSignal:
 def _resample_halfline(g: HalfLineSignal, a: float) -> np.ndarray:
     """Values of g at a * (its own sample positions), zero outside the
     sampled range, by 4-point Lagrange interpolation on the sample lattice
-    (stencil nodes beyond the range read as zero, as the signal is taken).
-    Targets between the origin and the nearest sample (a < 1 only) read the
-    cubic through the four samples nearest the origin.
+    along the last axis (stencil nodes beyond the range read as zero, as the
+    signal is taken).  Targets between the origin and the nearest sample
+    (a < 1 only) read the cubic through the four samples nearest the origin.
 
     The targets are computed in index units, a(j+1)-1 on the "+" half and
     n+a(j-n) on the "-" half, so an integer a lands exactly on the nodes and
@@ -345,21 +344,19 @@ def _resample_halfline(g: HalfLineSignal, a: float) -> np.ndarray:
         -(t + 1) * t * (t - 2) / 2,
         (t + 1) * t * (t - 1) / 6,
     ), axis=-1)
-    padded = np.concatenate((np.zeros(2), g.values, np.zeros(2)))
-    # nodes i-1 .. i+2 sit at i+1 .. i+4 of the zero-padded samples
-    vals = np.sum(w * padded[i[:, None] + np.arange(1, 5)], axis=-1)
+    pad = np.zeros(g.values.shape[:-1] + (2,))
+    padded = np.concatenate((pad, g.values, pad), axis=-1)
+    # nodes i-1 .. i+2 sit at i+1 .. i+4 of the zero-padded samples; take
+    # keeps the stencil axis innermost, so a batch sums in the order of a row
+    vals = np.sum(w * np.take(padded, i[:, None] + np.arange(1, 5), axis=-1), axis=-1)
     return np.where(inside, vals, 0.0)
 
 
-def rep_fourier_side(
-    g: HalfLineSignal, a: float, b: float, convention: str = "angular"
-) -> HalfLineSignal:
-    """Frequency-side action [pi_check(a,b) g](x) = a^(1/2) phase(b,x) g(a x).
+def rep_fourier_side(g: HalfLineSignal, a: float, b: float) -> HalfLineSignal:
+    """Frequency-side action [pi_check(a,b) g](x) = a^(1/2) exp(i b x) g(a x).
 
-    ``convention`` selects the phase: "angular" uses exp(i b x); "cyclic"
-    uses exp(2 pi i b x).  The two differ by a rescaling of b and satisfy the
-    same composition law; both are exposed because both normalisations are in
-    circulation.  The half-line support is preserved by construction (a > 0).
+    The half-line support is preserved by construction (a > 0); a batch of
+    probes is resampled row by row.
 
     Sign convention: on each half-line of the spectrum (the "+" half read as
     the bins xi > 0 of :func:`dft`, with dx = dxi), F pi(a, b) f =
@@ -368,41 +365,38 @@ def rep_fourier_side(
     """
     if not (a > 0.0 and math.isfinite(a)):
         raise ValueError("scale a must be positive and finite")
-    if convention not in ("angular", "cyclic"):
-        raise ValueError("convention must be 'angular' or 'cyclic'")
-    x = g.positions()
-    phase = np.exp(1j * b * x) if convention == "angular" else np.exp(2j * np.pi * b * x)
-    vals = math.sqrt(a) * phase * _resample_halfline(g, a)
+    vals = math.sqrt(a) * np.exp(1j * b * g.positions()) * _resample_halfline(g, a)
     return HalfLineSignal(g.sign, g.dx, vals)
 
 
 def intertwine_defect(f: LineSignal, g: AffineElement) -> float:
     """Relative mismatch between transforming after the natural action and
-    applying the frequency-side multiplication-dilation form directly:
+    applying the frequency-side action to the transform:
 
-        || dft(pi(a,b) f)  -  a^(1/2) exp(-i b xi) s(a xi) || / ||f||
+        || dft(pi(a,b) f)  -  pi_check(a,-b) dft(f) || / ||f||
 
-    with s = dft(f).  The phase sign exp(-i b xi) is the one produced by the
-    change of variables in the forward transform of a^(-1/2) f((x-b)/a); it
-    is frozen by a unit test.  For integer a the right-hand side is a pure
-    bin gather, an independent code path from the dilation operator.  For a
-    batch of probes the largest row mismatch is returned.
+    pi_check is :func:`rep_fourier_side` on the n//2 bins xi > 0 and the
+    n//2 bins xi < 0 of s = dft(f), and a^(1/2) s(0) on the mean bin.  On an
+    even grid the shared extreme bin ends the first half and opens the
+    second, as in the periodic spectrum; its output is the "+" half's.  The
+    right-hand side never calls :func:`dilate`, so it is independent of the
+    left at every a: integer a is the exact bin gather, and at non-integer a
+    the defect includes the half-line resampler's interpolation error.  The
+    phase sign exp(-i b xi) comes from the change of variables in the
+    forward transform of a^(-1/2) f((x-b)/a) and is frozen by a unit test.
+    Needs n >= 4.  For a batch of probes the largest row mismatch is
+    returned.
     """
     grid = f.grid
-    lhs = dft(rep_natural(f, g)).values
-    s = dft(f).values
-    a, b = g.a, g.b
     n = grid.n
-    ks = grid.signed_indices()
-    if a == 1.0:
-        scaled = s
-    elif a == int(a):
-        ak = int(a) * ks
-        scaled = np.zeros_like(s)
-        ok = np.abs(ak) <= n // 2
-        scaled[..., ok] = s[..., ak[ok] % n]
-    else:
-        scaled = _semidiscrete_spectrum_scaled(f, a)
-    rhs = math.sqrt(a) * np.exp(-1j * b * grid.frequencies()) * scaled
+    half = n // 2
+    s = dft(f).values
+    plus, minus = (
+        rep_fourier_side(HalfLineSignal(sign, grid.dxi, v), g.a, -g.b).values
+        for sign, v in (("+", s[..., 1 : half + 1]), ("-", s[..., n - half :]))
+    )
+    # wrap order is the mean bin, the xi > 0 bins, then the xi < 0 bins
+    rhs = np.concatenate((math.sqrt(g.a) * s[..., :1], plus, minus[..., 1 - n % 2 :]), axis=-1)
+    lhs = dft(rep_natural(f, g)).values
     diff = math.sqrt(grid.dxi) * np.linalg.norm(lhs - rhs, axis=-1)
     return float(np.max(diff / (math.sqrt(grid.dx) * np.linalg.norm(f.values, axis=-1))))

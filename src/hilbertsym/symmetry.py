@@ -486,20 +486,6 @@ class RotationCommutantReport:
     orbit_components: int
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {i: i for i in items}
-
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i, j):
-        self.parent[self.find(i)] = self.find(j)
-
-
 def rotation_commutant_analysis(
     T: OperatorMatrix, scales: Sequence[RationalScale]
 ) -> RotationCommutantReport:
@@ -525,22 +511,22 @@ def rotation_commutant_analysis(
             "missing dilation generators: need one (n, 1, 0) and one (1, p, 0) with n, p >= 2"
         )
 
-    uf = _UnionFind(range(1, K + 1))
-    for k in range(1, K + 1):
-        for nn in ups:
-            if nn * k <= K:
-                uf.union(k, nn * k)
-        for pp in downs:
-            if k % pp == 0 and k // pp >= 1:
-                uf.union(k, k // pp)
-    groups = {}
-    for k in range(1, K + 1):
-        groups.setdefault(uf.find(k), []).append(k)
+    # the orbit classes of [1, K] under the edges m ~ c*m (c*m <= K), by
+    # min-label propagation; an edge k ~ k/p is the edge m ~ p*m
+    k = np.arange(1, K + 1)
+    src = np.concatenate([k[: K // c] for c in ups + downs]) - 1
+    dst = np.concatenate([c * k[: K // c] for c in ups + downs]) - 1
+    label, prev = k, None
+    while not np.array_equal(label, prev):
+        prev, label = label, label.copy()
+        np.minimum.at(label, src, prev[dst])
+        np.minimum.at(label, dst, prev[src])
+    components = np.unique(label).size
 
     E = T.entries
     tnorm = np.linalg.norm(E)
     if tnorm == 0.0:
-        return RotationCommutantReport(0.0, 0.0, 0.0, len(groups))
+        return RotationCommutantReport(0.0, 0.0, 0.0, components)
     ks = np.arange(-K, K + 1)
     rot_defect = 0.0
     for beta in rot_betas:
@@ -548,14 +534,10 @@ def rotation_commutant_analysis(
         rot_defect = max(rot_defect, float(np.linalg.norm(E * d[None, :] - d[:, None] * E) / tnorm))
     diagonal_defect = float(np.linalg.norm(E - np.diag(np.diagonal(E))) / tnorm)
 
-    diag = np.diagonal(E)
-    spread = 0.0
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        vals = np.array([diag[k + K] for k in members])
-        spread = max(spread, float(np.max(np.abs(vals[:, None] - vals[None, :]))))
-    return RotationCommutantReport(diagonal_defect, spread, rot_defect, len(groups))
+    diag = np.diagonal(E)[K + 1 :]
+    same = label[:, None] == label[None, :]
+    spread = float(np.max(np.abs(diag[:, None] - diag[None, :]), where=same, initial=0.0))
+    return RotationCommutantReport(diagonal_defect, spread, rot_defect, components)
 
 
 def synthesize_commuting_operator(lam: complex, eta: complex, basis: Basis) -> OperatorMatrix:

@@ -292,14 +292,7 @@ class CheckRecord:
     note: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "anchor": self.anchor,
-            "measured": self.measured,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -306,11 +306,10 @@ class TestFourierSideRepresentation:
         assert out.sign == sign
         assert out.n == g.n
 
-    @pytest.mark.parametrize("convention", ["angular", "cyclic"])
-    def test_homomorphism_integer_scales(self, convention):
+    def test_homomorphism_integer_scales(self):
         g = decaying_halfline()
-        lhs = rep_fourier_side(rep_fourier_side(g, 3.0, 4.0, convention), 2.0, 1.0, convention)
-        rhs = rep_fourier_side(g, 6.0, 9.0, convention)
+        lhs = rep_fourier_side(rep_fourier_side(g, 3.0, 4.0), 2.0, 1.0)
+        rhs = rep_fourier_side(g, 6.0, 9.0)
         scale = np.linalg.norm(g.values)
         assert np.linalg.norm(lhs.values - rhs.values) <= 1e-10 * scale
 
@@ -365,8 +364,80 @@ class TestFourierSideRepresentation:
         assert mismatch(-b) <= 1e-10
         assert mismatch(b) > 1.0
 
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    @pytest.mark.parametrize("a", [0.7, 1.5, 2.0])
+    def test_batch_equals_rows(self, sign, a):
+        rows = [decaying_halfline(n=301, sign=sign)]
+        rows.append(HalfLineSignal(sign, rows[0].dx, rows[0].values * np.exp(0.2j * np.arange(301))))
+        batch = HalfLineSignal(sign, rows[0].dx, np.stack([r.values for r in rows]))
+        out = rep_fourier_side(batch, a, 0.4)
+        assert out.values.shape == (2, 301)
+        assert np.array_equal(out.values, np.stack([rep_fourier_side(r, a, 0.4).values for r in rows]))
+
+    @pytest.mark.parametrize(
+        "values, match",
+        [
+            (np.zeros((2, 3, 4)), "shape"),
+            ([1.0, np.nan, 2.0], "finite"),
+            ([1.0], "two samples"),
+            (np.zeros((3, 1)), "two samples"),
+        ],
+    )
+    def test_values_validated(self, values, match):
+        with pytest.raises(ValueError, match=match):
+            HalfLineSignal("+", 0.1, values)
+
+
+def _gather_defect(f, g):
+    """The integer-scale mismatch as a plain bin gather: bin k of the
+    right-hand side reads bin a*k of dft(f), zero beyond the band."""
+    grid = f.grid
+    n = grid.n
+    s = dft(f).values
+    ak = int(g.a) * grid.signed_indices()
+    scaled = np.zeros_like(s)
+    ok = np.abs(ak) <= n // 2
+    scaled[..., ok] = s[..., ak[ok] % n]
+    rhs = np.sqrt(g.a) * np.exp(-1j * g.b * grid.frequencies()) * scaled
+    lhs = dft(rep_natural(f, g)).values
+    diff = np.sqrt(grid.dxi) * np.linalg.norm(lhs - rhs, axis=-1)
+    return float(np.max(diff / (np.sqrt(grid.dx) * np.linalg.norm(f.values, axis=-1))))
+
 
 class TestIntertwining:
+    @pytest.mark.parametrize("b", [0.0, 0.3])
+    @pytest.mark.parametrize("a", [2, 4])
+    @pytest.mark.parametrize("n", [1024, 1001])
+    def test_integer_scale_equals_bin_gather(self, n, a, b):
+        grid = Grid1D.from_interval(-40.0, 40.0, n)
+        f = LineSignal(grid, np.stack([p.values for p in make_probes(
+            "gaussian-packet", seed=101, count=3, grid=grid)]))
+        g = AffineElement(a, b)
+        assert intertwine_defect(f, g) == _gather_defect(f, g)
+
+    def test_non_integer_scale_is_the_half_line_action(self, packets):
+        # the right-hand side is rep_fourier_side on the xi > 0 and xi < 0
+        # bins, not dilate's own chirp-z: the mismatch is the resampler's
+        # interpolation error, far above roundoff
+        f = LineSignal(packets[0].grid, np.stack([p.values for p in packets]))
+        grid = f.grid
+        a, b = 1.5, 0.3
+        s = dft(f).values
+        ks = grid.signed_indices()
+        rhs = np.zeros_like(s)
+        rhs[:, ks == 0] = np.sqrt(a) * s[:, ks == 0]
+        for sign, half in (("+", ks > 0), ("-", ks < 0)):
+            spec = HalfLineSignal(sign, grid.dxi, s[:, half])
+            rhs[:, half] = rep_fourier_side(spec, a, -b).values
+        lhs = dft(rep_natural(f, AffineElement(a, b))).values
+        by_hand = np.max(
+            np.sqrt(grid.dxi) * np.linalg.norm(lhs - rhs, axis=-1)
+            / (np.sqrt(grid.dx) * np.linalg.norm(f.values, axis=-1))
+        )
+        got = intertwine_defect(f, AffineElement(a, b))
+        assert got == pytest.approx(by_hand, rel=1e-12)
+        assert 1e-8 < got < 1e-3
+
     def test_identity_element(self, packets):
         assert intertwine_defect(packets[0], AffineElement(1, 0)) <= 1e-13
 

@@ -518,6 +518,20 @@ class TestRotationCommutant:
         assert report.orbit_components == 1
         assert rotation_commutant_analysis(h_circle(4), self.scales()).orbit_components == 2
 
+    def test_classes_join_through_a_common_multiple(self):
+        # 2 and 3 are joined only through 12 = 4*3 = 6*2: {1, 4, 6},
+        # {2, 3, 8, 12} and the five singletons 5, 7, 9, 10, 11
+        scales = self.scales()[:2] + [RationalScale(4, 1, 0.0), RationalScale(1, 6, 0.0)]
+        K = 12
+        diag = np.zeros(2 * K + 1, dtype=complex)
+        diag[K + np.array([2, 3, 8, 12])] = 1.0
+        report = rotation_commutant_analysis(OperatorMatrix(FourierBasis(K), np.diag(diag)), scales)
+        assert report.orbit_components == 7
+        assert report.orbit_spread == 0.0
+        diag[K + 3] = 3.0
+        report = rotation_commutant_analysis(OperatorMatrix(FourierBasis(K), np.diag(diag)), scales)
+        assert report.orbit_spread == 2.0
+
     def test_zero_operator_reports_its_components(self):
         T = OperatorMatrix(FBASIS, np.zeros((FBASIS.dim, FBASIS.dim)))
         report = rotation_commutant_analysis(T, self.scales())
