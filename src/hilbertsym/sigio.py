@@ -7,15 +7,22 @@ Signal files:
     {"type": "circle-samples", "grid": {"n": ...},                          "values": [[re, im], ...]}
 
 values are ordered by sample index (line, circle-samples) or by k from -K to
-K (circle-coeffs).  Floats are serialised by the default shortest
-round-tripping decimal representation, which preserves at least 17
-significant digits of information.
+K (circle-coeffs).  Floats are written as their shortest round-tripping
+decimal representation (``repr``, at most 17 significant digits), so a file
+loads back to equal values.
 
 Operator files:
 
     {"dim": ..., "basis": {"kind": "fourier", "K": ...} |
                           {"kind": "line", "n": ..., "x_min": ..., "dx": ...},
      "entries": [[re, im], ...]}   # row-major, dim*dim pairs
+
+The writers produce exactly the bytes of ``json.dumps(signal_to_dict(x))``
+and ``json.dumps(operator_to_dict(op))`` plus a newline, but format each
+distinct complex value once and join the pieces in order, so the cost grows
+with the number of distinct entries.  An operator that commutes with the
+ax+b action has few: a circulant on the line (at most n distinct values
+among n*n), a diagonal on the circle.
 """
 
 from __future__ import annotations
@@ -43,10 +50,42 @@ __all__ = [
 ]
 
 
-def _pairs(values: np.ndarray) -> list:
+def _flat(values: np.ndarray) -> np.ndarray:
     if values.ndim != 1:
         raise ValueError("a file holds one signal, not a batch")
-    return np.ascontiguousarray(values, dtype=complex).view(float).reshape(-1, 2).tolist()
+    return np.ascontiguousarray(values, dtype=complex)
+
+
+def _pairs(values: np.ndarray) -> list:
+    return _flat(values).view(float).reshape(-1, 2).tolist()
+
+
+def _pairs_text(values: np.ndarray) -> str:
+    """``json.dumps(_pairs(values))``, formatting each distinct value once.
+
+    Entries are grouped by their bit pattern, not by value: -0.0 == 0.0 but
+    their reprs differ.  The numeric sort puts equal values next to each
+    other, and a new group starts wherever the bits change, so a group never
+    mixes two patterns (one pattern split over several groups is harmless).
+    """
+    flat = _flat(values)
+    order = np.argsort(flat)
+    bits = flat.view(np.uint64).reshape(-1, 2)[order]
+    start = np.empty(flat.size, dtype=bool)
+    start[:1] = True
+    np.any(bits[1:] != bits[:-1], axis=1, out=start[1:])
+    group = np.empty(flat.size, dtype=np.intp)
+    group[order] = np.cumsum(start) - 1
+    reps = _pairs(flat[order[start]])
+    toks = np.array(["[%r, %r]" % (re, im) for re, im in reps], dtype=object)
+    return "[" + ", ".join(toks[group].tolist()) + "]"
+
+
+def _write(path, head: dict, key: str, values: np.ndarray):
+    """Write ``head`` with ``key: _pairs(values)`` appended as its last key,
+    byte for byte as ``json.dumps`` writes the whole document."""
+    text = json.dumps(head)
+    Path(path).write_text(f'{text[:-1]}, "{key}": {_pairs_text(values)}}}\n')
 
 
 def _unpairs(pairs) -> np.ndarray:
@@ -56,19 +95,21 @@ def _unpairs(pairs) -> np.ndarray:
     return arr[:, 0] + 1j * arr[:, 1]
 
 
-def signal_to_dict(sig) -> dict:
+def _signal_head(sig) -> tuple:
+    """The signal document without its last key, and that key's values."""
     if isinstance(sig, LineSignal):
         g = sig.grid
-        return {
-            "type": "line",
-            "grid": {"x_min": g.x_min, "n": g.n, "dx": g.dx},
-            "values": _pairs(sig.values),
-        }
+        return {"type": "line", "grid": {"x_min": g.x_min, "n": g.n, "dx": g.dx}}, sig.values
     if isinstance(sig, CircleSignal):
-        return {"type": "circle-coeffs", "grid": {"K": sig.K}, "values": _pairs(sig.coeffs)}
+        return {"type": "circle-coeffs", "grid": {"K": sig.K}}, sig.coeffs
     if isinstance(sig, CircleSamples):
-        return {"type": "circle-samples", "grid": {"n": sig.n}, "values": _pairs(sig.values)}
+        return {"type": "circle-samples", "grid": {"n": sig.n}}, sig.values
     raise ValueError(f"unsupported signal type {type(sig).__name__}")
+
+
+def signal_to_dict(sig) -> dict:
+    head, values = _signal_head(sig)
+    return {**head, "values": _pairs(values)}
 
 
 def _object(doc: dict, key: str) -> dict:
@@ -103,21 +144,27 @@ def signal_from_dict(doc: dict):
 
 
 def save_signal(sig, path):
-    Path(path).write_text(json.dumps(signal_to_dict(sig)) + "\n")
+    head, values = _signal_head(sig)
+    _write(path, head, "values", values)
 
 
 def load_signal(path):
     return signal_from_dict(json.loads(Path(path).read_text()))
 
 
-def operator_to_dict(op: OperatorMatrix) -> dict:
+def _operator_head(op: OperatorMatrix) -> dict:
+    """The operator document without its last key, ``entries``."""
     from .symmetry import FourierBasis
 
     if isinstance(op.basis, FourierBasis):
         basis = {"kind": "fourier", "K": op.basis.K}
     else:
         basis = {"kind": "line", "n": op.basis.n, "x_min": op.basis.x_min, "dx": op.basis.dx}
-    return {"dim": op.dim, "basis": basis, "entries": _pairs(op.entries.reshape(-1))}
+    return {"dim": op.dim, "basis": basis}
+
+
+def operator_to_dict(op: OperatorMatrix) -> dict:
+    return {**_operator_head(op), "entries": _pairs(op.entries.reshape(-1))}
 
 
 def operator_from_dict(doc: dict) -> OperatorMatrix:
@@ -146,7 +193,7 @@ def operator_from_dict(doc: dict) -> OperatorMatrix:
 
 
 def save_operator(op: OperatorMatrix, path):
-    Path(path).write_text(json.dumps(operator_to_dict(op)) + "\n")
+    _write(path, _operator_head(op), "entries", op.entries.reshape(-1))
 
 
 def load_operator(path) -> OperatorMatrix:

@@ -24,6 +24,8 @@ from hilbertsym import (
     rep_natural,
     translate,
 )
+from hilbertsym.signals import stack_signals
+from hilbertsym.verify import _GUARDED
 
 from conftest import rel_err
 
@@ -122,6 +124,19 @@ class TestQuadrature:
             big_grid.dx
         )
         assert err <= 1e-3
+
+    def test_observed_order_against_multiplier(self):
+        # the verify suite's guarded packets; the error falls about 8x per
+        # halving of dx (order 3), the cubic model of validate()'s a01 rule
+        errs = []
+        for n in (750, 1500, 3000, 6000):
+            g = Grid1D.from_interval(-40.0, 40.0, n)
+            f = stack_signals(make_probes("gaussian-packet", seed=5, count=4, grid=g, **_GUARDED))
+            central = slice(n // 4, 3 * n // 4)
+            diff = (hilbert_pv_quadrature(f).values - hilbert_multiplier(f).values)[:, central]
+            errs.append(np.max(np.linalg.norm(diff, axis=-1) / np.linalg.norm(f.values, axis=-1)))
+        orders = np.log2(np.divide(errs[:-1], errs[1:]))
+        assert np.all(orders >= 2.0), orders
 
     def test_edge_decay_warning_flag(self, grid):
         x = grid.positions()

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,12 +16,16 @@ from hilbertsym import (
     LineBasis,
     LineSignal,
     OperatorMatrix,
+    decompose_circle_operator,
+    decompose_line_operator,
+    synthesize_commuting_operator,
 )
 from hilbertsym.cli import main
 from hilbertsym.sigio import (
     load_operator,
     load_signal,
     operator_from_dict,
+    operator_to_dict,
     save_operator,
     save_signal,
     signal_from_dict,
@@ -112,6 +117,107 @@ def test_pairs_match_the_per_element_listing():
         assert json.dumps(_pairs(values)) == json.dumps(old)
     with pytest.raises(ValueError, match="not a batch"):
         _pairs(np.zeros((2, 3), dtype=complex))
+
+
+# --- the writers: byte for byte the json.dumps of the document, at a cost
+# that follows the number of distinct entries
+
+_TINY = 2.2250738585072014e-308  # smallest normal double
+_SPECIAL_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, _TINY / 3, -_TINY / 7, _TINY, 1e300, -1e300, 1e-300, -1e-300,
+    1.0, -2.0, 3.0, 123456789.0, 2.0**53,
+    # repr switches to exponent form at 1e16 and below 1e-4
+    1e16, np.nextafter(1e16, 0.0), -1e16, 1e-4, np.nextafter(1e-4, 0.0), 1e-5, -1e-5,
+]
+_floats = st.sampled_from(_SPECIAL_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+# scalars whose lam I + eta H stays finite on small bases
+_moderate = st.sampled_from(_SPECIAL_FLOATS) | st.floats(-1e300, 1e300)
+
+
+@st.composite
+def _repetitive(draw, size, floats=_floats):
+    """``size`` complex values whose parts come from a small pool of floats."""
+    pool = draw(st.lists(floats, min_size=1, max_size=5))
+    pool += draw(st.sampled_from([[], [0.0, -0.0]]))  # equal values with different reprs
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2 * size, max_size=2 * size))
+    return np.array([pool[i] for i in picks]).view(complex)
+
+
+@st.composite
+def _signals(draw):
+    kind = draw(st.sampled_from(["line", "circle-coeffs", "circle-samples"]))
+    if kind == "line":
+        n = draw(st.integers(2, 24))
+        grid = Grid1D(x_min=draw(_floats), n=n, dx=draw(_floats.filter(lambda v: v > 0)))
+        return LineSignal(grid, draw(_repetitive(n)))
+    if kind == "circle-coeffs":
+        return CircleSignal(draw(_repetitive(2 * draw(st.integers(0, 12)) + 1)))
+    return CircleSamples(draw(_repetitive(draw(st.integers(1, 24)))))
+
+
+@st.composite
+def _operators(draw):
+    if draw(st.booleans()):
+        basis = FourierBasis(draw(st.integers(0, 4)))
+    else:
+        dx = draw(_floats.filter(lambda v: v > 0))
+        basis = LineBasis(draw(st.integers(2, 8)), draw(_floats), dx)
+    if draw(st.booleans()):  # lam I + eta H: a circulant on the line, a diagonal on the circle
+        lam, eta = draw(_repetitive(2, _moderate))
+        return synthesize_commuting_operator(lam, eta, basis)
+    return OperatorMatrix(basis, draw(_repetitive(basis.dim**2)).reshape(basis.dim, basis.dim))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sig=_signals(), op=_operators())
+def test_writers_match_the_json_dumps_of_the_document(sig, op):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.json"
+        save_signal(sig, path)
+        assert path.read_bytes() == (json.dumps(signal_to_dict(sig)) + "\n").encode()
+        save_operator(op, path)
+        assert path.read_bytes() == (json.dumps(operator_to_dict(op)) + "\n").encode()
+
+
+def test_save_rejects_a_batch_without_writing(tmp_path):
+    g = Grid1D(x_min=-1.0, n=4, dx=0.5)
+    path = tmp_path / "f.json"
+    with pytest.raises(ValueError, match="not a batch"):
+        save_signal(LineSignal(g, np.ones((2, 4))), path)
+    assert not path.exists()
+
+
+@pytest.fixture(scope="module")
+def line_commutant():
+    basis = LineBasis(512, -40.0, 80.0 / 512)
+    return synthesize_commuting_operator(0.3 - 1.1j, 0.7 + 0.2j, basis)
+
+
+def test_save_operator_peak_memory_is_a_few_file_sizes(tmp_path, line_commutant):
+    # json.dumps of the n*n nested list of operator_to_dict(op) peaked at 5-6x
+    op = line_commutant
+    path = tmp_path / "op.json"
+    tracemalloc.start()
+    try:
+        save_operator(op, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * path.stat().st_size
+
+
+@pytest.mark.parametrize("space", ["line", "circle"])
+def test_decompose_reads_what_save_operator_writes(tmp_path, capsys, space, line_commutant):
+    if space == "line":
+        op, decompose = line_commutant, decompose_line_operator
+    else:
+        op = synthesize_commuting_operator(-0.4 + 0.9j, 1.3 - 0.2j, FourierBasis(128))
+        decompose = decompose_circle_operator
+    path = tmp_path / "op.json"
+    save_operator(op, path)
+    assert main(["decompose", "--in", str(path), "--space", space]) == 0
+    assert capsys.readouterr().out == json.dumps(decompose(op).to_json_dict()) + "\n"
+    np.testing.assert_array_equal(load_operator(path).entries, op.entries)
 
 
 # --- malformed documents through the CLI: a usage (1) or i/o (2) exit, never

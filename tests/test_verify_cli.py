@@ -59,7 +59,8 @@ class TestRunVerify:
         assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
 
     def test_degenerate_grid_fails_without_crashing(self):
-        cfg = SuiteConfig(line=LineGridConfig(n=8), probe_counts={"line": 2})
+        cfg = SuiteConfig(probe_counts={"line": 2})
+        cfg.line = LineGridConfig(n=8)  # forced past validate(), which rejects it
         report = run_verify("line", cfg)
         assert not report.passed
         errored = [r for r in report.records if r.note.startswith("error:")]
@@ -88,6 +89,7 @@ class TestRunVerify:
             ("circle", CircleConfig(K=1), "a09-perturbation-flagging"),
             ("operator_n", 255, "m06-engine-commutator-line"),
             ("circle", CircleConfig(K=16, n_samples=64), "a11-moebius-unitarity"),
+            ("line", LineGridConfig(n=1000), "a01-multiplier-vs-quadrature"),
         ],
     )
     def test_out_of_regime_config_is_rejected(self, field, value, check_id):
@@ -223,7 +225,8 @@ class TestCliVerify:
 
     def test_failing_suite_exits_four(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"line": {"n": 8}, "probe_counts": {"line": 2}}))
+        cfg_path.write_text(json.dumps({"tolerances": {"parseval": 1e-300},
+                                        "probe_counts": {"line": 2}}))
         code = main(["verify", "line", "--config", str(cfg_path)])
         assert code == 4
         doc = json.loads(capsys.readouterr().out)
