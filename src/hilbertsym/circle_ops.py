@@ -78,11 +78,6 @@ class RationalScale:
         if not math.isfinite(self.beta):
             raise ValueError("beta must be finite")
 
-    @property
-    def omega_p(self) -> complex:
-        """Primitive p-th root of unity exp(2 pi i / p)."""
-        return complex(np.exp(2j * np.pi / self.p))
-
 
 @dataclass(frozen=True)
 class MoebiusElement:

@@ -103,6 +103,7 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--seed", type=int, help="override the config RNG seed")
     p_verify.add_argument("--csv", help="also write a check_id,measured,tolerance table")
     p_verify.add_argument("--gnuplot-dat", help="also write plain two-column data")
+    p_verify.set_defaults(run=_run_verify)
 
     p_apply = sub.add_parser("apply", help="apply an operator/action to a signal file")
     p_apply.add_argument("op", choices=APPLY)
@@ -118,11 +119,13 @@ def _build_parser() -> _Parser:
     p_apply.add_argument("--blaschke-a", type=float, help="disc automorphism parameter in [0,1)")
     p_apply.add_argument("--weight", choices=("plain", "jacobian"), default="plain")
     p_apply.add_argument("--with", help="second input file (convolve)")
+    p_apply.set_defaults(run=_run_apply)
 
     p_dec = sub.add_parser("decompose", help="scalar-decompose an operator file")
     p_dec.add_argument("--in", dest="infile", required=True)
     p_dec.add_argument("--space", choices=("line", "circle"), required=True)
     p_dec.add_argument("--tol", type=float, default=1e-10, help="residual pass tolerance")
+    p_dec.set_defaults(run=_run_decompose)
     return parser
 
 
@@ -201,13 +204,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "verify":
-            return _run_verify(args)
-        if args.command == "apply":
-            return _run_apply(args)
-        if args.command == "decompose":
-            return _run_decompose(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

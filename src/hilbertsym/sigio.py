@@ -89,10 +89,10 @@ def _write(path, head: dict, key: str, values: np.ndarray):
 
 
 def _unpairs(pairs) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
+    arr = np.ascontiguousarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("values must be a list of [re, im] pairs")
-    return arr[:, 0] + 1j * arr[:, 1]
+    return arr.view(complex).reshape(-1)  # keeps the sign of a zero part
 
 
 def _signal_head(sig) -> tuple:

@@ -110,43 +110,14 @@ def _default_probe_counts() -> dict:
 
 # Degree of the trig-poly probes of the a11 Moebius checks.
 _MOEBIUS_PROBE_DEGREE = 25
-# Coarsest grid spacing on which the guarded packets (modulation up to 5.2,
-# width down to 1.25) keep their spectrum inside half the band, as every
-# dilation by 1/2 of the m06 action set needs.
-_PACKET_MAX_DX = 0.16
 # Packets of a01 (m01 draws the make_probes defaults, narrower and nearer 0).
 _A01_PACKETS = {"width": (1.0, 1.6), "center": (-4.0, 4.0), "modulation": (3.5, 6.0)}
-# a01's error is cubic in the line spacing for these packets: at most
-# 12.38 dx^3 over rng seeds 0-31 at the default grid, 12.35 dx^3 at n = 1800-1900.
-_A01_CUBIC = 16.0
 # Packets safe for every element of the affine set: narrow enough for the
 # largest dilation, modulated away from the mean bin (and the band edge) so
 # neither symbol discontinuity carries energy.
 _GUARDED = {"width": (1.25, 1.4), "center": (-1.0, 1.0), "modulation": (4.5, 5.2)}
 # Dilations of the m06 action set.
 _ENGINE_SCALES = (0.5, 2.0, 4.0)
-
-
-def _packet_reach(packets: dict, a: float, eps: float) -> float:
-    """Half-window |x| outside which every packet of the ``packets`` ranges,
-    dilated by ``a``, has energy density (relative to its peak) and energy
-    share both below ``eps``.
-
-    |f|^2 is the Gaussian exp(-(x - c)^2 / w^2): its density at distance D
-    is exp(-D^2 / w^2), and its share beyond D on both sides together is
-    erfc(D / w), no larger.  Dilation by a scales the centre and the width
-    by a.
-    """
-    w = max(packets["width"])
-    c = max(abs(x) for x in packets["center"])
-    return a * (c + w * math.sqrt(math.log(1.0 / eps)))
-
-
-def _moebius_samples_needed(a: float) -> int:
-    """Sample count that holds the a11 probes after a disc automorphism with
-    Blaschke parameter a: the map stretches frequencies by up to (1+a)/(1-a),
-    and half the samples must cover 1.5 times the stretched probe degree."""
-    return 2 * math.ceil(1.5 * _MOEBIUS_PROBE_DEGREE * (1.0 + a) / (1.0 - a))
 
 
 @dataclass
@@ -199,6 +170,8 @@ class SuiteConfig:
         self.validate()
 
     def validate(self):
+        """Raise ValueError at the first generic rule broken (the checks'
+        regime rules rely on them), else with every check's reason, if any."""
         for name, tol in self.tolerances.items():
             if not tol > 0:
                 raise ValueError(f"tolerance {name!r} must be positive")
@@ -211,63 +184,11 @@ class SuiteConfig:
             raise ValueError("circle n_samples must be even (quadrature pairing)")
         if self.line.n < 8:
             raise ValueError("line grid too small")
-        K = self.circle.K
-        if K < 2:
-            raise ValueError(
-                f"circle K={K} is too small: a09-perturbation-flagging perturbs one index "
-                f"in [1, K//2], so K must be at least 2"
-            )
-        for q, p, beta in self.rational_set:
-            if p == 1 and q > K:
-                raise ValueError(
-                    f"circle K={K} is below the scale q={q} of rational element "
-                    f"{(q, p, beta)}: a06-semigroup-commutation keeps a scale by q on the "
-                    f"degree-K truncation, which needs q <= K"
-                )
         if not all(0.0 <= a < 1.0 for _, a in self.moebius_set):
             raise ValueError("moebius_set Blaschke parameters must lie in [0, 1)")
-        a_max = max(a for _, a in self.moebius_set)
-        need = _moebius_samples_needed(a_max)
-        if self.circle.n_samples < need:
-            raise ValueError(
-                f"circle n_samples={self.circle.n_samples} is below {need}: "
-                f"a11-moebius-unitarity needs its degree-{_MOEBIUS_PROBE_DEGREE} probes, "
-                f"stretched by (1+a)/(1-a) at a={a_max}, to stay inside the sampled band"
-            )
-        dx = (self.line.x_max - self.line.x_min) / self.operator_n
-        if dx > _PACKET_MAX_DX:
-            raise ValueError(
-                f"operator grid spacing {dx:.4g} (operator_n={self.operator_n}) exceeds "
-                f"{_PACKET_MAX_DX}: m06-engine-commutator-line needs its guarded packets "
-                f"inside half the operator band"
-            )
-        # the last sample of the coarser of the line and operator grids
-        x_min, x_max = self.line.x_min, self.line.x_max
-        side = min(-x_min, x_max - (x_max - x_min) / min(self.line.n, self.operator_n))
-        a_max = max(*_ENGINE_SCALES, *(a for a, _ in self.affine_set))
-        for checks, packets, a, eps in (
-            # the probe generator's edge test bounds the amplitude, so the
-            # energy density share is its square
-            ("a01-multiplier-vs-quadrature and m01-line-parseval", _A01_PACKETS, 1.0,
-             _PROBE_EDGE_TOL**2),
-            ("a03-affine-commutation, m03-rep-isometry and m06-engine-commutator-line",
-             _GUARDED, a_max, ALIAS_GUARD_TOL),
-        ):
-            reach = _packet_reach(packets, a, eps)
-            if side < reach:
-                raise ValueError(
-                    f"line window [{x_min:g}, {x_max:g}] is too narrow: {checks} need "
-                    f"their packets, dilated by up to {a:g}, to keep below {eps:.0e} of "
-                    f"their energy outside +-{reach:.4g}"
-                )
-        line_dx = (x_max - x_min) / self.line.n
-        tol = self.tolerances["multiplier_vs_quadrature"]
-        if _A01_CUBIC * line_dx**3 > tol:
-            raise ValueError(
-                f"line grid spacing {line_dx:.4g} (n={self.line.n}) is too coarse: "
-                f"a01-multiplier-vs-quadrature errs by up to {_A01_CUBIC:g}*dx^3 = "
-                f"{_A01_CUBIC * line_dx**3:.2g}, above its tolerance {tol:g}"
-            )
+        reasons = [why for check in _REGISTRY if check.regime and (why := check.regime(self))]
+        if reasons:
+            raise ValueError("; ".join(reasons))
 
     def line_grid(self) -> Grid1D:
         return Grid1D.from_interval(self.line.x_min, self.line.x_max, self.line.n)
@@ -278,19 +199,8 @@ class SuiteConfig:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SuiteConfig":
         doc = dict(doc)
-        line = LineGridConfig(**doc.pop("line", {}))
-        circle = CircleConfig(**doc.pop("circle", {}))
-        affine = doc.pop("affine_set", None)
-        rational = doc.pop("rational_set", None)
-        moebius = doc.pop("moebius_set", None)
-        return cls(
-            line=line,
-            circle=circle,
-            affine_set=[tuple(x) for x in affine] if affine is not None else None,
-            rational_set=[tuple(x) for x in rational] if rational is not None else None,
-            moebius_set=[tuple(x) for x in moebius] if moebius is not None else None,
-            **doc,
-        )
+        line, circle = doc.pop("line", {}), doc.pop("circle", {})
+        return cls(line=LineGridConfig(**line), circle=CircleConfig(**circle), **doc)
 
 
 @dataclass(frozen=True)
@@ -419,19 +329,21 @@ class _Check(NamedTuple):
     target: str
     fn: Callable[[SuiteConfig], object]
     records: tuple  # (check_id, tol_key, anchor) per measured value
+    regime: Optional[Callable[[SuiteConfig], Optional[str]]]
 
 
 _REGISTRY = []  # every check, in declaration order (the order "all" runs them in)
 
 
-def _check(target: str, *records):
+def _check(target: str, *records, regime=None):
     """Register the decorated function as a check of ``target`` with one
     (check_id, tol_key, anchor) record per value it returns: a bare value for
     one record, a tuple for several.  A tol_key names an entry of the config's
-    tolerances; None marks a record that is reported, not asserted."""
+    tolerances; None marks a record that is reported, not asserted.  ``regime(cfg)``
+    returns why ``validate()`` must reject ``cfg``, naming the checks it breaks, or None."""
 
     def register(fn):
-        _REGISTRY.append(_Check(target, fn, records))
+        _REGISTRY.append(_Check(target, fn, records, regime))
         return fn
 
     return register
@@ -446,8 +358,47 @@ def _probes(cfg: SuiteConfig, kind: str, salt: int, count: int, **params):
 # ---------------------------------------------------------------------------
 # line checks
 
+def _window_reason(cfg: SuiteConfig, checks: str, packets: dict, a: float,
+                   eps: float) -> Optional[str]:
+    """Why the line window is too narrow for ``checks``, or None when, beyond the
+    last sample of the coarser of the line and operator grids, every packet of
+    the ``packets`` ranges, dilated by ``a``, has energy density (relative to its
+    peak) and energy share below ``eps``: |f|^2 = exp(-(x - c)^2 / w^2) has density
+    exp(-D^2 / w^2) at distance D and share erfc(D / w), no larger, beyond D on
+    both sides.  Dilation by a scales c and w by a."""
+    x_min, x_max = cfg.line.x_min, cfg.line.x_max
+    side = min(-x_min, x_max - (x_max - x_min) / min(cfg.line.n, cfg.operator_n))
+    w = max(packets["width"])
+    c = max(abs(x) for x in packets["center"])
+    reach = a * (c + w * math.sqrt(math.log(1.0 / eps)))
+    if side < reach:
+        return (f"line window [{x_min:g}, {x_max:g}] is too narrow: {checks} need their "
+                f"packets, dilated by up to {a:g}, to keep below {eps:.0e} of their "
+                f"energy outside +-{reach:.4g}")
+    return None
+
+
+# a01's error is cubic in the line spacing for these packets: at most
+# 12.38 dx^3 over rng seeds 0-31 at the default grid, 12.35 dx^3 at n = 1800-1900.
+_A01_CUBIC = 16.0
+
+
+def _a01_regime(cfg: SuiteConfig) -> Optional[str]:
+    # make_probes' edge test bounds the amplitude, so the density bound is its square
+    window = _window_reason(cfg, "a01-multiplier-vs-quadrature and m01-line-parseval",
+                            _A01_PACKETS, 1.0, _PROBE_EDGE_TOL**2)
+    dx = (cfg.line.x_max - cfg.line.x_min) / cfg.line.n
+    tol = cfg.tolerances["multiplier_vs_quadrature"]
+    coarse = _A01_CUBIC * dx**3 > tol and (
+        f"line grid spacing {dx:.4g} (n={cfg.line.n}) is too coarse: "
+        f"a01-multiplier-vs-quadrature errs by up to {_A01_CUBIC:g}*dx^3 = "
+        f"{_A01_CUBIC * dx**3:.2g}, above its tolerance {tol:g}")
+    return "; ".join(why for why in (window, coarse) if why) or None
+
+
 @_check("line", ("a01-multiplier-vs-quadrature", "multiplier_vs_quadrature",
-                 "singular kernel quadrature agrees with the multiplier form on the line"))
+                 "singular kernel quadrature agrees with the multiplier form on the line"),
+        regime=_a01_regime)
 def _check_multiplier_vs_quadrature(cfg: SuiteConfig) -> float:
     grid = cfg.line_grid()
     f = _probes(cfg, "gaussian-packet", 11, cfg.probe_counts["line"], grid=grid,
@@ -465,8 +416,15 @@ def _check_involution_line(cfg: SuiteConfig) -> float:
     return _rel(hh.values + f.values, np.linalg.norm(f.values, axis=-1))
 
 
+def _a03_regime(cfg: SuiteConfig) -> Optional[str]:
+    a_max = max(*_ENGINE_SCALES, *(a for a, _ in cfg.affine_set))
+    return _window_reason(cfg, "a03-affine-commutation, m03-rep-isometry and "
+                          "m06-engine-commutator-line", _GUARDED, a_max, ALIAS_GUARD_TOL)
+
+
 @_check("line", ("a03-affine-commutation", "affine_commutation",
-                 "scale and shift actions commute with the line transform"))
+                 "scale and shift actions commute with the line transform"),
+        regime=_a03_regime)
 def _check_affine_commutation(cfg: SuiteConfig) -> float:
     f = _probes(cfg, "gaussian-packet", 13, cfg.probe_counts["line"], grid=cfg.line_grid(),
                 **_GUARDED)
@@ -592,9 +550,16 @@ def _check_semigroup_averaging(cfg: SuiteConfig) -> float:
     return max(0.0, *map(defect, cfg.rational_set))
 
 
+def _a06_regime(cfg: SuiteConfig) -> Optional[str]:
+    return next((f"circle K={cfg.circle.K} is below the scale q={q} of rational element "
+                 f"{(q, p, beta)}: a06-semigroup-commutation keeps a scale by q on the "
+                 f"degree-K truncation, which needs q <= K"
+                 for q, p, beta in cfg.rational_set if p == 1 and q > cfg.circle.K), None)
+
+
 @_check("circle", ("a06-semigroup-commutation", "semigroup_commutation",
                    "rational-dilation action commutes with the circular transform in exact "
-                   "coefficient arithmetic"))
+                   "coefficient arithmetic"), regime=_a06_regime)
 def _check_semigroup_commutation(cfg: SuiteConfig) -> float:
     K = cfg.circle.K
 
@@ -663,8 +628,26 @@ def _circle_probe_samples(cfg: SuiteConfig, salt: int, count: int) -> CircleSamp
     return circle_samples_from_coeffs(c, cfg.circle.n_samples)
 
 
+def _moebius_samples_needed(a: float) -> int:
+    """Sample count that holds the a11 probes after a disc automorphism with
+    Blaschke parameter a: the map stretches frequencies by up to (1+a)/(1-a),
+    and half the samples must cover 1.5 times the stretched probe degree."""
+    return 2 * math.ceil(1.5 * _MOEBIUS_PROBE_DEGREE * (1.0 + a) / (1.0 - a))
+
+
+def _a11_regime(cfg: SuiteConfig) -> Optional[str]:
+    a_max = max(a for _, a in cfg.moebius_set)
+    need = _moebius_samples_needed(a_max)
+    if cfg.circle.n_samples < need:
+        return (f"circle n_samples={cfg.circle.n_samples} is below {need}: "
+                f"a11-moebius-unitarity needs its degree-{_MOEBIUS_PROBE_DEGREE} probes, "
+                f"stretched by (1+a)/(1-a) at a={a_max}, to stay inside the sampled band")
+    return None
+
+
 @_check("circle", ("a11-moebius-unitarity", "moebius_unitarity",
-                   "disc-automorphism action with the jacobian weight preserves the norm"))
+                   "disc-automorphism action with the jacobian weight preserves the norm"),
+        regime=_a11_regime)
 def _check_moebius_unitarity(cfg: SuiteConfig) -> float:
     s = _circle_probe_samples(cfg, 28, cfg.probe_counts["circle"])
     sn = np.linalg.norm(s.values, axis=-1)
@@ -812,7 +795,8 @@ def _scalarity_scales():
 
 
 @_check("symmetry", ("a09-commutant-scalarity", "commutant_scalarity",
-                     "rotation/orbit analysis certifies scalar commutants at truncation"))
+                     "polynomials in H show no off-diagonal, rotation or within-orbit spread "
+                     "defect (no scalarity proof: the dilation orbits need not be one class)"))
 def _check_commutant_scalarity(cfg: SuiteConfig) -> float:
     basis = FourierBasis(cfg.circle.K)
     h_diag = -1j * sign_symbol(basis.signed_indices())
@@ -829,8 +813,16 @@ def _check_commutant_scalarity(cfg: SuiteConfig) -> float:
     return max(0.0, *chain.from_iterable(map(defects, range(cfg.probe_counts["scalarity"]))))
 
 
+def _a09_regime(cfg: SuiteConfig) -> Optional[str]:
+    if cfg.circle.K < 2:
+        return (f"circle K={cfg.circle.K} is too small: a09-perturbation-flagging perturbs "
+                f"one index in [1, K//2], so K must be at least 2")
+    return None
+
+
 @_check("symmetry", ("a09-perturbation-flagging", "perturbation_flag",
-                     "orbit-breaking diagonal perturbations are flagged (count not flagged)"))
+                     "orbit-breaking diagonal perturbations are flagged (count not flagged)"),
+        regime=_a09_regime)
 def _check_perturbation_flags(cfg: SuiteConfig) -> float:
     K = cfg.circle.K
     basis = FourierBasis(K)
@@ -849,8 +841,24 @@ def _check_perturbation_flags(cfg: SuiteConfig) -> float:
     return float(missed)
 
 
+# Coarsest grid spacing on which the guarded packets (modulation up to 5.2,
+# width down to 1.25) keep their spectrum inside half the band, as every
+# dilation by 1/2 of the m06 action set needs.
+_PACKET_MAX_DX = 0.16
+
+
+def _m06_regime(cfg: SuiteConfig) -> Optional[str]:
+    dx = (cfg.line.x_max - cfg.line.x_min) / cfg.operator_n
+    if dx > _PACKET_MAX_DX:
+        return (f"operator grid spacing {dx:.4g} (operator_n={cfg.operator_n}) exceeds "
+                f"{_PACKET_MAX_DX}: m06-engine-commutator-line needs its guarded packets "
+                f"inside half the operator band")
+    return None
+
+
 @_check("symmetry", ("m06-engine-commutator-line", "engine_commutator_line",
-                     "matrix engine reproduces the line commutation bound"))
+                     "matrix engine reproduces the line commutation bound"),
+        regime=_m06_regime)
 def _check_engine_commutator_line(cfg: SuiteConfig) -> float:
     grid = cfg.operator_grid()
     basis = LineBasis(grid.n, grid.x_min, grid.dx)

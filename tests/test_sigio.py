@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hilbertsym import (
@@ -22,6 +22,7 @@ from hilbertsym import (
 )
 from hilbertsym.cli import main
 from hilbertsym.sigio import (
+    _signal_head,
     load_operator,
     load_signal,
     operator_from_dict,
@@ -177,6 +178,38 @@ def test_writers_match_the_json_dumps_of_the_document(sig, op):
         assert path.read_bytes() == (json.dumps(signal_to_dict(sig)) + "\n").encode()
         save_operator(op, path)
         assert path.read_bytes() == (json.dumps(operator_to_dict(op)) + "\n").encode()
+
+
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(sig=_signals(), op=_operators())
+@example(
+    sig=CircleSignal(np.array([complex(-0.0, 1.0), complex(1.0, -0.0), complex(-0.0, -0.0)])),
+    op=OperatorMatrix(FourierBasis(0), np.array([[complex(-0.0, 0.0)]])),
+)
+def test_load_returns_the_bits_save_wrote(sig, op):
+    # signed zeros included: -0.0 == 0.0, but a load must not turn one into the other
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.json"
+        save_signal(sig, path)
+        head, values = _signal_head(sig)
+        back = load_signal(path)
+        assert _signal_head(back)[0] == head
+        np.testing.assert_array_equal(_bits(_signal_head(back)[1]), _bits(values))
+        save_operator(op, path)
+        back = load_operator(path)
+        assert back.basis == op.basis
+        np.testing.assert_array_equal(_bits(back.entries), _bits(op.entries))
+
+
+def test_values_may_be_any_float_array_of_pairs():
+    pairs = np.array([[-0.0, 1.0], [2.0, -0.0], [3.0, 4.0]])
+    for values in (np.asfortranarray(pairs), pairs.T.copy().T, pairs.astype(np.float32)):
+        sig = signal_from_dict({"type": "circle-samples", "grid": {"n": 3}, "values": values})
+        np.testing.assert_array_equal(_bits(sig.values), _bits(pairs.view(complex)[:, 0]))
 
 
 def test_save_rejects_a_batch_without_writing(tmp_path):

@@ -1,13 +1,24 @@
 """The check registry of the verify suite, and the suite's measured values
 against the reference snapshot the benchmark gates on."""
 
+import inspect
 import json
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilbertsym import verify
-from hilbertsym.verify import _REGISTRY, SuiteConfig, _default_tolerances, run_verify
+from hilbertsym.verify import (
+    _REGISTRY,
+    CircleConfig,
+    LineGridConfig,
+    SuiteConfig,
+    _default_tolerances,
+    run_verify,
+)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "verify_measured.json"
 RTOL, ATOL = 1e-9, 1e-12  # the rule of the reference snapshot
@@ -86,3 +97,94 @@ def test_measured_values_match_the_reference_snapshot(rng_seed):
         if not abs(m - reference[check_id]) <= RTOL * abs(reference[check_id]) + ATOL
     }
     assert drift == {}
+
+
+# --- regime rules, each declared at its check
+
+CHECK_ID = re.compile(r"\b[am]\d\d-[a-z-]+")
+REGISTERED = {check_id for check_id, _, _ in declared_records()}
+
+# a config change that each check's regime rejects (and no other check's)
+OUT_OF_REGIME = {
+    "a01-multiplier-vs-quadrature": {"line": LineGridConfig(n=1000)},
+    "a03-affine-commutation": {"line": LineGridConfig(-20.0, 20.0, 2048)},
+    "a06-semigroup-commutation": {"circle": CircleConfig(K=2)},
+    "a09-perturbation-flagging": {"circle": CircleConfig(K=1), "rational_set": [(1, 2, 0.0)]},
+    "a11-moebius-unitarity": {"circle": CircleConfig(K=16, n_samples=64)},
+    "m06-engine-commutator-line": {"operator_n": 255},
+}
+
+
+def forced(change):
+    """The default config with ``change`` set past validate()."""
+    cfg = SuiteConfig()
+    for field, value in change.items():
+        setattr(cfg, field, value)
+    return cfg
+
+
+def test_every_regime_rule_has_an_out_of_regime_case():
+    with_regime = {check.records[0][0] for check in _REGISTRY if check.regime is not None}
+    assert with_regime == set(OUT_OF_REGIME)
+
+
+@pytest.mark.parametrize("check_id", sorted(OUT_OF_REGIME))
+def test_regime_messages_name_their_check_and_only_registered_ones(check_id):
+    check = next(c for c in _REGISTRY if c.records[0][0] == check_id)
+    change = OUT_OF_REGIME[check_id]
+    why = check.regime(forced(change))
+    assert check_id in why
+    assert set(CHECK_ID.findall(why)) <= REGISTERED
+    assert check.regime(SuiteConfig()) is None
+    with pytest.raises(ValueError) as exc:
+        SuiteConfig(**change)
+    assert str(exc.value) == why
+
+
+def test_several_broken_rules_are_all_named_in_registry_order():
+    with pytest.raises(ValueError) as exc:
+        SuiteConfig(circle=CircleConfig(K=1))
+    assert str(exc.value) == (
+        "circle K=1 is below the scale q=2 of rational element (2, 1, 0.0): "
+        "a06-semigroup-commutation keeps a scale by q on the degree-K truncation, which "
+        "needs q <= K; circle K=1 is too small: a09-perturbation-flagging perturbs one "
+        "index in [1, K//2], so K must be at least 2"
+    )
+
+
+def test_generic_rules_are_checked_before_the_regime_rules():
+    # a Blaschke parameter of 1 would divide by zero in a11's sample count
+    with pytest.raises(ValueError, match=r"^moebius_set Blaschke parameters must lie in"):
+        SuiteConfig(circle=CircleConfig(K=1), moebius_set=[(0.0, 1.0)])
+
+
+def test_validate_names_no_check():
+    source = inspect.getsource(SuiteConfig.validate)
+    assert CHECK_ID.findall(source) == []
+    assert re.findall(r"\b_[A-Z][A-Z0-9_]+\b", source) == ["_REGISTRY"]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    half_window=st.sampled_from([20.0, 28.0, 30.0, 40.0, 60.0]),
+    n=st.sampled_from([1024, 1536, 2048, 3000, 4096, 6144, 8192]),
+    K=st.sampled_from([5, 16, 64, 128, 200]),
+    n_samples=st.sampled_from([428, 512, 1024]),
+    operator_n=st.sampled_from([300, 384, 512, 640, 768]),
+    rng_seed=st.integers(0, 2**32 - 1),
+)
+def test_a_config_is_rejected_naming_a_check_or_its_report_passes(
+    half_window, n, K, n_samples, operator_n, rng_seed
+):
+    counts = {"line": 6, "circle": 6, "roundtrip": 6, "scalarity": 3, "annihilator": 3}
+    try:
+        cfg = SuiteConfig(
+            rng_seed=rng_seed, line=LineGridConfig(-half_window, half_window, n),
+            circle=CircleConfig(K, n_samples), operator_n=operator_n, probe_counts=counts,
+        )
+    except ValueError as exc:
+        named = set(CHECK_ID.findall(str(exc)))
+        assert named and named <= REGISTERED
+        return
+    report = run_verify("all", cfg)
+    assert [r.check_id for r in report.records if not r.passed] == []
