@@ -273,10 +273,14 @@ def circular_convolve(f: CircleSignal, g: CircleSignal) -> CircleSignal:
     return f.with_coeffs(f.coeffs * g.coeffs)
 
 
-def zero_set(fam: SignalFamily, rel_tol: float = 1e-12) -> set:
+# relative threshold below which a coefficient or a product counts as zero
+_ZERO_TOL = 1e-12
+
+
+def zero_set(fam: SignalFamily) -> set:
     """Indices at which every member vanishes.
 
-    A member's coefficient counts as zero when |c_k| <= rel_tol * max|c| of
+    A member's coefficient counts as zero when |c_k| <= _ZERO_TOL * max|c| of
     that member (exact zeros always qualify; the relative threshold covers
     computed inputs).  An identically-zero member vanishes everywhere.
     """
@@ -284,17 +288,15 @@ def zero_set(fam: SignalFamily, rel_tol: float = 1e-12) -> set:
     common = np.ones(2 * K + 1, dtype=bool)
     for member in fam.members:
         mags = np.abs(member.coeffs)
-        common &= mags <= rel_tol * (mags.max() if mags.max() > 0 else 1.0)
+        common &= mags <= _ZERO_TOL * (mags.max() if mags.max() > 0 else 1.0)
     return {int(k) for k in np.arange(-K, K + 1)[common]}
 
 
-def annihilator_witness(
-    fam: SignalFamily, phi: CircleSignal, tol: float = 1e-12
-) -> Optional[int]:
+def annihilator_witness(fam: SignalFamily, phi: CircleSignal) -> Optional[int]:
     """Convolution-annihilation test behind the empty-zero-set lemma.
 
     Requires zero_set(fam) to be empty (raised otherwise: the lemma's
-    hypothesis fails).  If f * phi vanishes (to tol, relative) for every
+    hypothesis fails).  If f * phi vanishes (to _ZERO_TOL, relative) for every
     member, returns None -- and checks that phi is then forced to vanish,
     coefficient by coefficient, which is exactly the lemma's mechanism.
     Otherwise returns an index k with f_k * phi_k != 0 as a counterexample
@@ -302,7 +304,7 @@ def annihilator_witness(
     """
     if phi.K != fam.K:
         raise ValueError(f"truncation mismatch: K={phi.K} vs K={fam.K}")
-    z = zero_set(fam, rel_tol=tol)
+    z = zero_set(fam)
     if z:
         raise ValueError(
             f"zero set must be empty for the annihilation test, found {sorted(z)}"
@@ -315,15 +317,15 @@ def annihilator_witness(
         return None
     conv = np.abs(stacked * phi.coeffs[None, :])
     worst = conv.max(axis=0)
-    if np.all(worst <= tol * scale):
+    if np.all(worst <= _ZERO_TOL * scale):
         best = np.abs(stacked).max(axis=0)
-        bound = tol * scale / best
-        if np.any(np.abs(phi.coeffs) > np.maximum(bound, tol * np.abs(phi.coeffs).max())):
+        bound = _ZERO_TOL * scale / best
+        if np.any(np.abs(phi.coeffs) > np.maximum(bound, _ZERO_TOL * np.abs(phi.coeffs).max())):
             raise RuntimeError(
                 "convolutions vanish but phi does not; inconsistent with an "
                 "empty zero set"
             )
         return None
-    candidates = np.flatnonzero(worst > tol * scale)
+    candidates = np.flatnonzero(worst > _ZERO_TOL * scale)
     order = sorted(candidates, key=lambda i: (-worst[i], abs(int(ks[i]))))
     return int(ks[order[0]])

@@ -181,16 +181,13 @@ def _run_decompose(args) -> int:
 def _run_verify(args) -> int:
     from .verify import SuiteConfig, run_verify
 
-    if args.config is not None:
-        doc = json.loads(Path(args.config).read_text())
-        try:
-            cfg = SuiteConfig.from_json_dict(doc)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"invalid config: {exc}") from exc
-    else:
-        cfg = SuiteConfig()
-    if args.seed is not None:
-        cfg.rng_seed = args.seed
+    doc = json.loads(Path(args.config).read_text()) if args.config is not None else {}
+    try:
+        # the seed override goes through validate() like the rest of the config
+        cfg = SuiteConfig.from_json_dict(
+            doc if args.seed is None else {**doc, "rng_seed": args.seed})
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"invalid config: {exc}") from exc
     report = run_verify(args.target, cfg)
     print(json.dumps(report.to_json_dict(), indent=2))
     if args.csv:

@@ -14,7 +14,8 @@ Conventions fixed here (and relied on by the symmetry engine):
 
 Every operator here acts along the last axis, so a signal carrying a batch
 of P probes as values of shape (P, n) is processed in one call; a guard or
-warning trips for the batch when it trips for any row.
+warning trips for the batch when it trips for any row.  Each output carries
+its input's flags, then each warning flag it raises that the input lacks.
 """
 
 from __future__ import annotations
@@ -111,13 +112,20 @@ def _pv_kernel_fft(n: int) -> np.ndarray:
     return kern_fft
 
 
+def _carry(f: LineSignal, out: LineSignal, new=()) -> LineSignal:
+    """``out`` with the flags of ``f``, then each flag of ``new`` that ``f``
+    lacks; ``out`` itself when that leaves no flag."""
+    flags = f.flags + tuple(flag for flag in new if flag not in f.flags)
+    return LineSignal(out.grid, out.values, flags) if flags else out
+
+
 def hilbert_multiplier(f: LineSignal) -> LineSignal:
     """Apply -i*sgn(xi) binwise on the spectrum (sgn(0) = 0, Nyquist bin 0)."""
     s = dft(f)
-    return idft(s.with_values(-1j * sign_symbol(f.grid.signed_indices()) * s.values))
+    return _carry(f, idft(s.with_values(-1j * sign_symbol(f.grid.signed_indices()) * s.values)))
 
 
-def hilbert_pv_quadrature(f: LineSignal, *, edge_tol: float = EDGE_DECAY_TOL) -> LineSignal:
+def hilbert_pv_quadrature(f: LineSignal) -> LineSignal:
     """Principal-value quadrature of (1/pi) * integral f(y)/(x-y) dy.
 
     The kernel sum excludes the singular node y = x and pairs the remaining
@@ -125,8 +133,8 @@ def hilbert_pv_quadrature(f: LineSignal, *, edge_tol: float = EDGE_DECAY_TOL) ->
     cancellation; the excluded node's removable value -f'(x) (the limit of
     the regularised integrand) enters through a central difference, giving an
     O(dx^2) interior error.  No endpoint weights are applied: the scheme's
-    validity regime is signals that have decayed to ~edge_tol at the grid
-    boundary, checked here and reported as a warning flag, not an error.
+    validity regime is signals that have decayed to EDGE_DECAY_TOL of their
+    peak at the grid boundary, checked here and flagged "edge-decay".
 
     This path never touches the Fourier side, so it serves as an independent
     oracle for :func:`hilbert_multiplier`.
@@ -135,14 +143,12 @@ def hilbert_pv_quadrature(f: LineSignal, *, edge_tol: float = EDGE_DECAY_TOL) ->
     n = f.grid.n
     peak = np.abs(v).max(axis=-1)
     edge = np.maximum(np.abs(v[..., 0]), np.abs(v[..., -1]))
-    flags = f.flags
-    if np.any((peak > 0) & (edge > edge_tol * peak)):
-        flags = flags + ("edge-decay",)
+    new = ("edge-decay",) if np.any((peak > 0) & (edge > EDGE_DECAY_TOL * peak)) else ()
 
     kern_fft = _pv_kernel_fft(n)
     out = np.fft.ifft(np.fft.fft(v, kern_fft.shape[0]) * kern_fft)[..., :n]
     out = out - np.gradient(v, f.grid.dx, axis=-1) * (f.grid.dx / np.pi)
-    return LineSignal(f.grid, out, flags)
+    return _carry(f, LineSignal(f.grid, out), new)
 
 
 def hardy_project(f: LineSignal, sign: str) -> LineSignal:
@@ -158,7 +164,7 @@ def hardy_project(f: LineSignal, sign: str) -> LineSignal:
     s = dft(f)
     mult = sign_symbol(f.grid.signed_indices())
     mask = 0.5 * (1.0 + mult) if sign == "+" else 0.5 * (1.0 - mult)
-    return idft(s.with_values(mask * s.values))
+    return _carry(f, idft(s.with_values(mask * s.values)))
 
 
 @functools.lru_cache(maxsize=32)
@@ -212,7 +218,7 @@ def _mass_fraction(energy: np.ndarray, mask: np.ndarray) -> float:
     return float(np.max(np.divide(part, total, out=np.zeros_like(total), where=total > 0.0)))
 
 
-def dilate(f: LineSignal, a: float, *, guard_tol: float = ALIAS_GUARD_TOL) -> LineSignal:
+def dilate(f: LineSignal, a: float) -> LineSignal:
     """Unitary dilation (T_a f)(x) = a^(-1/2) f(x/a) by spectral resampling.
 
     The output spectrum is a^(1/2) s(a*xi_k) with s the bandlimited
@@ -224,20 +230,20 @@ def dilate(f: LineSignal, a: float, *, guard_tol: float = ALIAS_GUARD_TOL) -> Li
     * a > 1 stretches the support; input energy outside the shrunk window
       [x_min/a, x_max/a] would leave the grid.
 
-    Either guard trips an :class:`AliasingError` naming the offending energy
-    fraction (for a batch, the largest row fraction).
+    Either guard trips an :class:`AliasingError` above ALIAS_GUARD_TOL, naming
+    the energy fraction (for a batch, the largest row's); a = 1 returns ``f``.
     """
     if not (a > 0.0 and math.isfinite(a)):
         raise ValueError("dilation scale must be positive and finite")
     if a == 1.0:
-        return LineSignal(f.grid, f.values, f.flags)
+        return f
 
     g = f.grid
     if a < 1.0:
         energy = np.abs(dft(f).values) ** 2
         ks = g.signed_indices()
         frac = _mass_fraction(energy, np.abs(ks) > a * (g.n // 2))
-        if frac > guard_tol:
+        if frac > ALIAS_GUARD_TOL:
             raise AliasingError(
                 f"dilation by a={a} would alias a spectral mass fraction of "
                 f"{frac:.3e} beyond the Nyquist frequency"
@@ -246,38 +252,35 @@ def dilate(f: LineSignal, a: float, *, guard_tol: float = ALIAS_GUARD_TOL) -> Li
         x = g.positions()
         lo, hi = g.x_min / a, (g.x_min + g.span) / a
         frac = _mass_fraction(np.abs(f.values) ** 2, (x < lo) | (x >= hi))
-        if frac > guard_tol:
+        if frac > ALIAS_GUARD_TOL:
             raise AliasingError(
                 f"dilation by a={a} would push a mass fraction of {frac:.3e} "
                 f"outside the grid"
             )
 
     spec = math.sqrt(a) * _semidiscrete_spectrum_scaled(f, a)
-    return idft(LineSpectrum(g, spec))
+    return _carry(f, idft(LineSpectrum(g, spec)))
 
 
-def translate(f: LineSignal, b: float, *, edge_tol: float = EDGE_DECAY_TOL) -> LineSignal:
+def translate(f: LineSignal, b: float) -> LineSignal:
     """Shift (tau_b f)(x) = f(x - b) through the spectral phase ramp
     exp(-i xi b).
 
     For b an integer multiple of dx this is exactly the circular index shift;
-    b = 0 returns the samples unchanged.  Signals with non-negligible energy
-    in the band that wraps around the grid edge get an "edge-mass" warning
-    flag.
+    b = 0 returns ``f`` itself.  Signals with an energy share above
+    EDGE_DECAY_TOL in the band that wraps around the grid edge get an
+    "edge-mass" warning flag.
     """
     if not math.isfinite(b):
         raise ValueError("shift must be finite")
-    g = f.grid
     if b == 0.0:
-        return LineSignal(g, f.values, f.flags)
-    flags = f.flags
+        return f
+    g = f.grid
     x = g.positions()
     edge = x >= g.x_min + g.span - b if b > 0 else x < g.x_min - b
-    if _mass_fraction(np.abs(f.values) ** 2, edge) > edge_tol:
-        flags = flags + ("edge-mass",)
+    new = ("edge-mass",) if _mass_fraction(np.abs(f.values) ** 2, edge) > EDGE_DECAY_TOL else ()
     s = dft(f)
-    out = idft(s.with_values(s.values * np.exp(-1j * g.frequencies() * b)))
-    return LineSignal(g, out.values, flags)
+    return _carry(f, idft(s.with_values(s.values * np.exp(-1j * g.frequencies() * b))), new)
 
 
 def rep_natural(f: LineSignal, g: AffineElement) -> LineSignal:

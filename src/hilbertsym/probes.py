@@ -26,6 +26,12 @@ __all__ = ["make_probes"]
 
 _EDGE_TOL = 1e-8
 _BAND_TOL = 1e-8
+# the parameters each kind reads; make_probes rejects any other
+_PARAMS = {
+    "gaussian-packet": {"width", "center", "modulation", "real"},
+    "random-bandlimited": set(),
+    "trig-poly": {"degree", "real"},
+}
 
 
 def _range_pair(value, name):
@@ -58,7 +64,8 @@ def _check_line_guards(sig: LineSignal, kind: str):
         )
 
 
-def _gaussian_packets(grid, rng, count, width, center, modulation, real):
+def _gaussian_packets(grid, rng, count, width=(1.0, 1.5), center=(-3.0, 3.0),
+                      modulation=(3.5, 6.0), real=False):
     w_lo, w_hi = _range_pair(width, "width")
     c_lo, c_hi = _range_pair(center, "center")
     m_lo, m_hi = _range_pair(modulation, "modulation")
@@ -83,12 +90,10 @@ def _gaussian_packets(grid, rng, count, width, center, modulation, real):
     return out
 
 
-def _random_bandlimited(grid, rng, count, band_fraction):
-    if not (0 < band_fraction <= 0.5):
-        raise ValueError("band_fraction must lie in (0, 0.5]")
+def _random_bandlimited(grid, rng, count):
     ks = grid.signed_indices()
     n = grid.n
-    cutoff = band_fraction * (n // 2)
+    cutoff = 0.5 * (n // 2)  # the central half of the band
     sigma = max(cutoff / 4.0, 1.0)
     out = []
     for _ in range(count):
@@ -103,7 +108,8 @@ def _random_bandlimited(grid, rng, count, band_fraction):
     return out
 
 
-def _trig_polys(K, rng, count, degree, real):
+def _trig_polys(K, rng, count, degree=None, real=False):
+    degree = K if degree is None else degree
     if degree > K:
         raise ValueError(f"degree {degree} exceeds truncation K={K}")
     if degree < 0:
@@ -128,30 +134,21 @@ def make_probes(kind, *, seed, count, grid: Grid1D | None = None, K: int | None 
     Parameters depend on the kind: gaussian-packet takes ``width``, ``center``
     and ``modulation`` (scalars or (lo, hi) ranges, modulation taken as a
     magnitude range with random sign, plus ``real=True`` for cosine packets);
-    random-bandlimited takes ``band_fraction``; trig-poly takes ``degree`` and
-    ``real``.
+    random-bandlimited takes none; trig-poly takes ``degree`` (default K) and
+    ``real``.  A parameter the kind does not read raises ValueError.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    if kind not in _PARAMS:
+        raise ValueError(f"unknown probe kind {kind!r}")
+    if unused := sorted(set(params) - _PARAMS[kind]):
+        raise ValueError(f"{kind} probes do not read {', '.join(map(repr, unused))}")
     rng = np.random.default_rng(seed)
-    if kind == "gaussian-packet":
-        if grid is None:
-            raise ValueError("gaussian-packet probes need a grid")
-        return _gaussian_packets(
-            grid,
-            rng,
-            count,
-            params.pop("width", (1.0, 1.5)),
-            params.pop("center", (-3.0, 3.0)),
-            params.pop("modulation", (3.5, 6.0)),
-            params.pop("real", False),
-        )
-    if kind == "random-bandlimited":
-        if grid is None:
-            raise ValueError("random-bandlimited probes need a grid")
-        return _random_bandlimited(grid, rng, count, params.pop("band_fraction", 0.5))
     if kind == "trig-poly":
         if K is None:
             raise ValueError("trig-poly probes need a truncation degree K")
-        return _trig_polys(K, rng, count, params.pop("degree", K), params.pop("real", False))
-    raise ValueError(f"unknown probe kind {kind!r}")
+        return _trig_polys(K, rng, count, **params)
+    if grid is None:
+        raise ValueError(f"{kind} probes need a grid")
+    build = _gaussian_packets if kind == "gaussian-packet" else _random_bandlimited
+    return build(grid, rng, count, **params)

@@ -145,8 +145,8 @@ class LineSignal:
         object.__setattr__(self, "values", _frozen_complex_array(self.values, self.grid.n))
         object.__setattr__(self, "flags", tuple(self.flags))
 
-    def with_values(self, values, flags=None) -> "LineSignal":
-        return LineSignal(self.grid, values, self.flags if flags is None else tuple(flags))
+    def with_values(self, values) -> "LineSignal":
+        return LineSignal(self.grid, values, self.flags)
 
 
 @dataclass(frozen=True)

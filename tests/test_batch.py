@@ -180,6 +180,36 @@ def test_pv_quadrature_flags_edge_decay_for_one_row(grid, packets):
     assert hilbert_pv_quadrature(batch).flags == ("edge-decay",)
 
 
+def test_a_flag_is_carried_once_through_later_steps(grid):
+    shifted = translate(_far_packet(grid, 39.5), 0.5)
+    assert shifted.flags == ("edge-mass",)
+    assert hilbert_multiplier(shifted).flags == ("edge-mass",)
+    assert translate(shifted, 0.5).flags == ("edge-mass",)
+    # a warning the step raises itself follows the input's
+    assert hilbert_pv_quadrature(shifted).flags == ("edge-mass", "edge-decay")
+
+
+@pytest.mark.parametrize("op", [
+    lambda f: rep_natural(f, AffineElement(2.0, 0.0)),
+    lambda f: rep_natural(f, AffineElement(2.0, 0.3)),
+    lambda f: rep_natural(f, AffineElement(0.5, -0.3)),
+    lambda f: dilate(f, 0.5),
+    lambda f: dilate(f, 4.0),
+    lambda f: hardy_project(f, "+"),
+    lambda f: hardy_project(f, "-"),
+    hilbert_multiplier,
+], ids=["rep-2-0", "rep-2-b", "rep-half-b", "dilate-half", "dilate-4", "hardy+", "hardy-",
+        "hilbert"])
+@pytest.mark.parametrize("batched", [False, True])
+def test_line_operators_keep_their_input_flags(op, batched, packets):
+    f = _stack(packets) if batched else packets[0]
+    flagged = LineSignal(f.grid, f.values, ("edge-decay",))
+    out = op(flagged)
+    assert out.flags == ("edge-decay",)
+    assert out.values.tobytes() == op(f).values.tobytes()
+    assert op(f).flags == ()
+
+
 def test_norm_and_inner_product_stay_single(packets, trig_probes):
     f, g = packets[0], packets[1]
     dx = f.grid.dx

@@ -360,6 +360,16 @@ class TestZeroSetAndAnnihilator:
         with pytest.raises(ValueError, match="zero set"):
             annihilator_witness(fam, monomial(1, K=2))
 
+    def test_one_zero_threshold_and_no_keyword(self):
+        import inspect
+
+        for fn in (zero_set, annihilator_witness):
+            assert list(inspect.signature(fn).parameters) in (["fam"], ["fam", "phi"])
+        # 1e-12 relative: a coefficient just below counts as zero, just above does not
+        for c1, zeros in ((0.9e-12, {-1, 1}), (1.1e-12, {-1})):
+            member = CircleSignal.from_dict({0: 1.0, 1: c1}, K=1)
+            assert zero_set(SignalFamily((member,))) == zeros
+
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=-6, max_value=6), st.integers(min_value=-6, max_value=6))

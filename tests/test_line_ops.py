@@ -547,3 +547,13 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_thresholds_are_module_constants_not_keywords(packets):
+    import inspect
+
+    for fn in (hilbert_pv_quadrature, translate, dilate, LineSignal.with_values):
+        assert not {"edge_tol", "guard_tol", "flags"} & set(inspect.signature(fn).parameters)
+    # the identity shortcuts hand back the input itself
+    f = LineSignal(packets[0].grid, packets[0].values, ("edge-decay",))
+    assert translate(f, 0.0) is f and dilate(f, 1.0) is f

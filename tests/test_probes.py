@@ -76,3 +76,18 @@ def test_trig_poly_degree_errors():
 def test_unknown_kind():
     with pytest.raises(ValueError):
         make_probes("sinc-train", seed=1, count=1)
+
+
+@pytest.mark.parametrize(
+    "kind, extra",
+    [
+        ("gaussian-packet", {"widht": (5.0, 6.0)}),
+        ("gaussian-packet", {"degree": 3}),
+        ("random-bandlimited", {"band_fraction": 0.25}),
+        ("trig-poly", {"width": 1.0, "center": 0.0}),
+    ],
+)
+def test_a_parameter_the_kind_does_not_read_is_rejected(grid, kind, extra):
+    unread = ", ".join(repr(k) for k in sorted(extra))
+    with pytest.raises(ValueError, match=f"^{kind} probes do not read {unread}$"):
+        make_probes(kind, seed=1, count=1, grid=grid, K=8, **extra)

@@ -233,6 +233,40 @@ class TestCliVerify:
         assert doc["pass"] is False
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"rng_seed": -1}, "rng_seed"),
+        ({"rng_seed": "x"}, "rng_seed"),
+        ({"rng_seed": 1e30}, "rng_seed"),
+        ({"circle": {"K": 128.0}}, "circle.K"),
+        ({"circle": {"n_samples": 512.0}}, "circle.n_samples"),
+        ({"line": {"n": 4096.0}}, "line.n"),
+        ({"operator_n": 512.0}, "operator_n"),
+        ({"operator_n": 0}, "operator_n"),
+        ({"operator_n": -5}, "operator_n"),
+        ({"line": {"n": 0}}, "line grid too small"),
+        ({"probe_counts": {"circle": 2.5}}, "probe count 'circle'"),
+        ({"rational_set": [[2, 4, 0.0]]}, "rational_set element [2, 4, 0.0]: q/p"),
+        ({"affine_set": [[-1.0, 0.0]]}, "affine_set element [-1.0, 0.0]: scale a"),
+        ({"tolerances": {"parsevl": 1e-12}}, "unknown tolerance 'parsevl'"),
+        ({"probe_counts": {"lines": 4}}, "unknown probe count 'lines'"),
+    ],
+)
+def test_malformed_config_exits_one_naming_its_field(tmp_path, capsys, doc, field):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["verify", "all", "--config", str(cfg_path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage error: invalid config: ") and field in out.err
+
+
+def test_seed_override_is_validated(capsys):
+    assert main(["verify", "line", "--seed", "-1"]) == 1
+    assert "rng_seed must be at least 0, got -1" in capsys.readouterr().err
+
+
 class TestCliApply:
     def test_semigroup_on_monomial(self, tmp_path, capsys):
         t2 = CircleSignal.from_dict({2: 1.0}, K=8)
