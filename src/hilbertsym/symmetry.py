@@ -15,7 +15,9 @@ the operator truly lies in the commutant.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -244,20 +246,57 @@ class ScalarDecomposition:
         }
 
 
+_SCRATCH = {}  # thread ident -> flat complex buffer, while a scope is open
+_SCRATCH_DEPTH = 0  # open scopes, nested ones counted
+_SCRATCH_LOCK = threading.Lock()
+
+
+@contextlib.contextmanager
+def _scratch_scope():
+    """Let :func:`_scratch` reuse one buffer per thread until the outermost
+    scope exits, which drops them all."""
+    global _SCRATCH_DEPTH
+    with _SCRATCH_LOCK:
+        _SCRATCH_DEPTH += 1
+    try:
+        yield
+    finally:
+        with _SCRATCH_LOCK:
+            _SCRATCH_DEPTH -= 1
+            if _SCRATCH_DEPTH == 0:
+                _SCRATCH.clear()
+
+
+def _scratch(n: int) -> np.ndarray:
+    """A C-contiguous (n, n) complex array of undefined content: inside a
+    :func:`_scratch_scope`, this thread's buffer (grown on demand, so each
+    call overwrites the last one's result); outside, a fresh array."""
+    if not _SCRATCH_DEPTH:
+        return np.empty((n, n), dtype=complex)
+    key = threading.get_ident()
+    buf = _SCRATCH.get(key)
+    if buf is None or buf.size < n * n:
+        buf = _SCRATCH[key] = np.empty(n * n, dtype=complex)
+    return buf[: n * n].reshape(n, n)
+
+
 def _spectral_matrix(T: OperatorMatrix) -> np.ndarray:
-    """T in the basis where the sign symbol is diagonal, as a fresh
-    C-contiguous array the caller owns.
+    """T in the basis where the sign symbol is diagonal, as a C-contiguous
+    array from :func:`_scratch`: inside a scope it is this thread's buffer,
+    so a thread must not hold two results at once.
 
     On the line that is the conjugation by the unitary DFT; the calibration
     prefactor of the public transform is a constant-modulus diagonal and
     drops out of every quantity used here (diagonal entries and block-row
-    Frobenius norms).  The second transform runs in place on the first one's
-    output.  On the circle the coefficient basis already is that basis.
+    Frobenius norms).  Both transforms write into the result.  On the circle
+    the coefficient basis already is that basis.
     """
+    out = _scratch(T.dim)
     if isinstance(T.basis, FourierBasis):
-        return np.array(T.entries, order="C")
-    tilde = np.fft.ifft(T.entries, axis=1)
-    return np.fft.fft(tilde, axis=0, out=tilde)
+        np.copyto(out, T.entries)
+        return out
+    np.fft.ifft(T.entries, axis=1, out=out)
+    return np.fft.fft(out, axis=0, out=out)
 
 
 def _row_sq_norms(m: np.ndarray) -> np.ndarray:
@@ -349,6 +388,19 @@ def _conjugation_defect(T: OperatorMatrix, tnorm: float) -> float:
     return float(np.linalg.norm(np.conj(E[::-1, ::-1]) - E) / tnorm)
 
 
+def _antisymmetry_defect(E: np.ndarray, tnorm: float) -> float:
+    """||E^H + E||_F / tnorm, from M = conj(E) + E^T (whose transpose is
+    E^H + E) in a :func:`_scratch` array, built 64 rows at a time so that E^T
+    is read in cache-sized strips rather than one strided column per element.
+    M has the memory order of ``E.conj()``, so its norm is the same float as
+    that of ``E.conj().T + E`` built in one pass."""
+    m = _scratch(E.shape[0])
+    for r in range(0, E.shape[0], 64):
+        np.conjugate(E[r : r + 64], out=m[r : r + 64])
+        m[r : r + 64] += E[:, r : r + 64].T
+    return float(np.linalg.norm(m) / tnorm)
+
+
 def _certified_decomposition(work: np.ndarray, T: OperatorMatrix, tnorm: float, tol: float):
     """The decomposition of T, when it proves that the Gram test of
     :func:`classify_pm_hilbert` passes; otherwise None, with ``work`` (W,
@@ -424,10 +476,7 @@ def classify_pm_hilbert(T: OperatorMatrix, tol: float = 1e-8) -> HilbertClassifi
     if d > tol:
         return HilbertClassification("neither", f"not a real operator (defect {d:.2e})")
 
-    herm = E.conj().T
-    herm += E
-    d = float(np.linalg.norm(herm) / tnorm)
-    del herm  # freed before the Gram test allocates its own n x n arrays
+    d = _antisymmetry_defect(E, tnorm)
     if d > tol:
         return HilbertClassification("neither", f"not anti-symmetric (defect {d:.2e})")
 

@@ -42,10 +42,11 @@ from .circle_ops import (
 from .line_ops import (
     ALIAS_GUARD_TOL,
     AffineElement,
+    dilate,
     hardy_project,
     hilbert_multiplier,
     hilbert_pv_quadrature,
-    rep_natural,
+    translate,
 )
 from .probes import _EDGE_TOL as _PROBE_EDGE_TOL
 from .probes import make_probes
@@ -71,6 +72,7 @@ from .symmetry import (
     decompose_line_operator,
     line_affine_action,
     rotation_commutant_analysis,
+    _scratch_scope,
     synthesize_commuting_operator,
 )
 
@@ -446,10 +448,52 @@ def _check_involution_line(cfg: SuiteConfig) -> float:
     return _rel(hh.values + f.values, np.linalg.norm(f.values, axis=-1))
 
 
+def _by_scale(affine_set) -> list:
+    """(a, [b, ...]) for each distinct scale a of ``affine_set``, in order of
+    first appearance, so a check dilates once per scale and then shifts by
+    each b, as rep_natural does (translate after dilate)."""
+    shifts = {}
+    for a, b in affine_set:
+        shifts.setdefault(a, []).append(b)
+    return list(shifts.items())
+
+
+def _band_reason(cfg: SuiteConfig) -> Optional[str]:
+    """Why the smallest scale a < 1 of the affine set is too small for the line
+    grid, or None when every guarded packet, dilated by it, has spectral energy
+    density below eps of its peak beyond the a*(n//2) bins that survive the
+    dilation.  eps is ALIAS_GUARD_TOL for the aliasing guard of a03 and m03,
+    and a03's tolerance squared for its Nyquist bin, where H vanishes and the
+    dilated H f does not.  |f^|^2 = exp(-w^2 (xi - nu)^2) is below eps beyond
+    nu + sqrt(log(1/eps)) / w, and so is its share there, since
+    erfc(t) <= exp(-t^2); that reach is largest at the narrowest width and the
+    largest modulation."""
+    a = min(a for a, _ in cfg.affine_set)
+    if a >= 1.0:
+        return None
+    grid = cfg.line_grid()
+    band = (grid.n // 2) * grid.dxi
+    w, nu = min(_GUARDED["width"]), max(_GUARDED["modulation"])
+
+    def least_scale(eps):
+        return (nu + math.sqrt(math.log(1.0 / eps)) / w) / band
+
+    eps = min(ALIAS_GUARD_TOL, cfg.tolerances["affine_commutation"] ** 2)
+    if a >= least_scale(eps):
+        return None
+    m03 = a < least_scale(ALIAS_GUARD_TOL)  # its aliasing guard trips too
+    return (f"affine scale a={a:g} is too small for line n={grid.n} on "
+            f"[{cfg.line.x_min:g}, {cfg.line.x_max:g}]: a03-affine-commutation"
+            f"{' and m03-rep-isometry dilate' if m03 else ' dilates'} packets modulated up "
+            f"to {nu:g}, which only a >= {least_scale(eps):.4g} keeps below {eps:.0e} of "
+            f"their peak energy density beyond the band |xi| <= a*{band:.4g}")
+
+
 def _a03_regime(cfg: SuiteConfig) -> Optional[str]:
     a_max = max(*_ENGINE_SCALES, *(a for a, _ in cfg.affine_set))
-    return _window_reason(cfg, "a03-affine-commutation, m03-rep-isometry and "
-                          "m06-engine-commutator-line", _GUARDED, a_max, ALIAS_GUARD_TOL)
+    window = _window_reason(cfg, "a03-affine-commutation, m03-rep-isometry and "
+                            "m06-engine-commutator-line", _GUARDED, a_max, ALIAS_GUARD_TOL)
+    return "; ".join(why for why in (window, _band_reason(cfg)) if why) or None
 
 
 @_check("line", ("a03-affine-commutation", "affine_commutation",
@@ -461,13 +505,13 @@ def _check_affine_commutation(cfg: SuiteConfig) -> float:
     hf = hilbert_multiplier(f)
     fn = np.linalg.norm(f.values, axis=-1)
 
-    def defect(element):
-        a, b = element
-        g = AffineElement(a, b)
-        lhs = hilbert_multiplier(rep_natural(f, g))
-        return _rel(lhs.values - rep_natural(hf, g).values, fn)
+    def defects(group):
+        a, shifts = group
+        df, dhf = dilate(f, a), dilate(hf, a)
+        return max(_rel(hilbert_multiplier(translate(df, b)).values - translate(dhf, b).values, fn)
+                   for b in shifts)
 
-    return max(0.0, *_map(defect, cfg.affine_set))
+    return max(0.0, *_map(defects, _by_scale(cfg.affine_set)))
 
 
 @_check("line", ("m01-line-parseval", "parseval",
@@ -514,12 +558,13 @@ def _check_rep_isometry(cfg: SuiteConfig) -> float:
                 grid=cfg.line_grid(), **_GUARDED)
     fn = np.linalg.norm(f.values, axis=-1)
 
-    def drift(element):
-        a, b = element
-        acted = np.linalg.norm(rep_natural(f, AffineElement(a, b)).values, axis=-1)
-        return float(np.max(np.abs(acted - fn) / fn))
+    def drifts(group):
+        a, shifts = group
+        df = dilate(f, a)
+        norms = (np.linalg.norm(translate(df, b).values, axis=-1) for b in shifts)
+        return max(float(np.max(np.abs(acted - fn) / fn)) for acted in norms)
 
-    return max(0.0, *_map(drift, cfg.affine_set))
+    return max(0.0, *_map(drifts, _by_scale(cfg.affine_set)))
 
 
 # ---------------------------------------------------------------------------
@@ -949,6 +994,10 @@ def run_verify(target: str, config: Optional[SuiteConfig] = None) -> SuiteReport
     timestamp.  Check failures (including tripped guards inside a check)
     become failed records rather than exceptions; a check that raises fails
     every record it declares, with the same note.
+
+    Each check runs in its own scratch scope of the symmetry engine: its
+    dense spectral matrices reuse one buffer per thread, and the buffers are
+    reused only within that check and dropped when it returns or raises.
     """
     if target not in TARGETS:
         raise ValueError(f"unknown verify target {target!r}; expected one of {TARGETS}")
@@ -958,7 +1007,8 @@ def run_verify(target: str, config: Optional[SuiteConfig] = None) -> SuiteReport
         if target not in ("all", check.target):
             continue
         try:
-            values = check.fn(cfg)
+            with _scratch_scope():
+                values = check.fn(cfg)
             measured = [float(v) for v in (values if len(check.records) > 1 else (values,))]
             note = ""
         except Exception as exc:  # noqa: BLE001 - failed checks become records

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -452,14 +454,122 @@ def test_classifier_allocates_no_gram_matrix(basis):
     # the certified path holds one n x n complex array (the spectral matrix)
     # at a time; the Gram product would take three
     T = synthesize_commuting_operator(0.0, 1.0, basis)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        assert classify_pm_hilbert(T).verdict == "plus-H"
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * basis.dim**2 * np.dtype(complex).itemsize
+    for scope in (contextlib.nullcontext, symmetry._scratch_scope):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with scope():
+                assert classify_pm_hilbert(T).verdict == "plus-H"
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * basis.dim**2 * np.dtype(complex).itemsize
+
+
+@pytest.mark.parametrize("basis", [LineBasis(100, -40.0, 0.8), LBASIS, FourierBasis(40)], ids=repr)
+def test_antisymmetry_defect_is_the_unblocked_norm(basis):
+    rng = np.random.default_rng(4)
+    shape = (basis.dim, basis.dim)
+    for E in (synthesize_commuting_operator(0.0, 1.0, basis).entries,
+              rng.normal(size=shape) + 1j * rng.normal(size=shape)):
+        tnorm = np.linalg.norm(E)
+        herm = E.conj().T
+        herm += E
+        oracle = float(np.linalg.norm(herm) / tnorm)
+        assert symmetry._antisymmetry_defect(E, tnorm).hex() == oracle.hex()
+
+
+class TestScratchScope:
+    # a spectral matrix at N_OP takes N_OP^2 complex values
+    SIZE = N_OP**2 * np.dtype(complex).itemsize
+
+    def operators(self):
+        return [synthesize_commuting_operator(lam, eta, LBASIS)
+                for lam, eta in ((0.3, 0.7j), (-1.0 + 0.5j, 2.0), (0.0, 1.0))]
+
+    @staticmethod
+    def traced(fn):
+        """(peak, end) traced memory of ``fn()`` above where it started."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            end, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - base, end - base
+
+    def test_a_second_decomposition_in_a_scope_reuses_the_buffer(self):
+        T = self.operators()[0]
+        with symmetry._scratch_scope():
+            decompose_line_operator(T)  # grows this thread's buffer
+            peak, _ = self.traced(lambda: decompose_line_operator(T))
+        assert peak < 0.5 * self.SIZE
+
+    def test_buffers_are_dropped_when_the_scope_exits(self):
+        T = self.operators()[0]
+
+        def scoped():
+            with symmetry._scratch_scope():
+                with symmetry._scratch_scope():  # nested: the outer exit drops them
+                    decompose_line_operator(T)
+                assert symmetry._SCRATCH
+                decompose_line_operator(T)
+
+        peak, end = self.traced(scoped)
+        assert peak > self.SIZE and end < 0.1 * self.SIZE
+        assert symmetry._SCRATCH == {} and symmetry._SCRATCH_DEPTH == 0
+
+    def test_buffers_are_dropped_when_a_check_raises(self, monkeypatch):
+        from hilbertsym import verify
+
+        T = self.operators()[0]
+
+        def failing(cfg):
+            decompose_line_operator(T)
+            assert symmetry._SCRATCH  # run_verify opened a scope around the check
+            raise RuntimeError("after a decomposition")
+
+        record = ("x01-failing", "soundness", "raises after a decomposition")
+        check = verify._Check("symmetry", failing, (record,), None)
+        monkeypatch.setattr(verify, "_REGISTRY", [check])
+        cfg = verify.SuiteConfig()
+        report = []
+        _, end = self.traced(lambda: report.append(verify.run_verify("symmetry", cfg)))
+        (rec,) = report[0].records
+        assert not rec.passed and rec.note == "error: after a decomposition"
+        assert end < 0.1 * self.SIZE
+        assert symmetry._SCRATCH == {} and symmetry._SCRATCH_DEPTH == 0
+
+    def test_no_buffer_is_kept_outside_a_scope(self):
+        T = self.operators()[0]
+        first = _spectral_matrix(T)
+        assert not np.shares_memory(first, _spectral_matrix(T))
+        _, end = self.traced(lambda: decompose_line_operator(T))
+        assert end < 0.1 * self.SIZE
+        assert symmetry._SCRATCH == {}
+
+    def test_threads_in_one_scope_get_their_own_buffers(self):
+        ops = self.operators()
+        serial = [decompose_line_operator(T) for T in ops]
+        fresh = [_spectral_matrix(T) for T in ops[:2]]
+        barrier = threading.Barrier(2, timeout=60)
+        held, decs = [None, None], [None, None]
+
+        def work(i):
+            held[i] = _spectral_matrix(ops[i])
+            barrier.wait()  # both threads hold their buffer at once
+            assert np.array_equal(held[i], fresh[i])
+            decs[i] = [decompose_line_operator(T) for T in ops]
+
+        with symmetry._scratch_scope():
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        assert not np.shares_memory(held[0], held[1])
+        assert decs[0] == serial and decs[1] == serial
 
 
 class TestRotationCommutant:

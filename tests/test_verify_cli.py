@@ -6,17 +6,24 @@ import sys
 import numpy as np
 import pytest
 
-from hilbertsym import CircleSignal, Grid1D, LineBasis, LineSignal, OperatorMatrix
+from hilbertsym import verify
+from hilbertsym import AffineElement, CircleSignal, Grid1D, LineBasis, LineSignal, OperatorMatrix
 from hilbertsym.cli import main
+from hilbertsym.line_ops import hilbert_multiplier, rep_natural
 from hilbertsym.sigio import load_signal, save_operator, save_signal
 from hilbertsym.symmetry import synthesize_commuting_operator
 from hilbertsym.verify import (
+    _GUARDED,
     _REGISTRY,
     CircleConfig,
     LineGridConfig,
     SuiteConfig,
+    _check_affine_commutation,
+    _check_rep_isometry,
     _map,
     _moebius_samples_needed,
+    _probes,
+    _rel,
     run_verify,
 )
 
@@ -90,6 +97,7 @@ class TestRunVerify:
             ("operator_n", 255, "m06-engine-commutator-line"),
             ("circle", CircleConfig(K=16, n_samples=64), "a11-moebius-unitarity"),
             ("line", LineGridConfig(n=1000), "a01-multiplier-vs-quadrature"),
+            ("affine_set", [(0.05, 0.0)], "a03-affine-commutation"),
         ],
     )
     def test_out_of_regime_config_is_rejected(self, field, value, check_id):
@@ -183,13 +191,78 @@ class TestThreadedMap:
         # a=0.05 (item 1) and a=0.02 (item 2) both alias; with two CPUs they
         # fall in different shares, the later one on the calling thread
         _cpus(monkeypatch, cpus)
-        affine = [(2.0, 0.0), (0.05, 0.0), (0.02, 0.0), (4.0, 0.0)]
-        cfg = SuiteConfig(rng_seed=3, probe_counts={"line": 4}, affine_set=affine)
+        cfg = SuiteConfig(rng_seed=3, probe_counts={"line": 4})
+        # past validate(), which rejects scales this small
+        cfg.affine_set = [(2.0, 0.0), (0.05, 0.0), (0.02, 0.0), (4.0, 0.0)]
         records = {r.check_id: r for r in run_verify("line", cfg).records}
         a03 = records["a03-affine-commutation"]
         assert a03.measured is None and not a03.passed
         assert a03.note.startswith("error: dilation by a=0.05 would alias")
         assert run_verify("line", SuiteConfig(probe_counts={"line": 4})).passed
+
+
+def _a03_per_element(cfg):
+    """a03 as one rep_natural per affine element: the oracle of the grouped check."""
+    f = _probes(cfg, "gaussian-packet", 13, cfg.probe_counts["line"], grid=cfg.line_grid(),
+                **_GUARDED)
+    hf = hilbert_multiplier(f)
+    fn = np.linalg.norm(f.values, axis=-1)
+
+    def defect(element):
+        g = AffineElement(*element)
+        return _rel(hilbert_multiplier(rep_natural(f, g)).values - rep_natural(hf, g).values, fn)
+
+    return max(0.0, *map(defect, cfg.affine_set))
+
+
+def _m03_per_element(cfg):
+    """m03 as one rep_natural per affine element: the oracle of the grouped check."""
+    f = _probes(cfg, "gaussian-packet", 18, max(5, cfg.probe_counts["line"] // 2),
+                grid=cfg.line_grid(), **_GUARDED)
+    fn = np.linalg.norm(f.values, axis=-1)
+
+    def drift(element):
+        acted = np.linalg.norm(rep_natural(f, AffineElement(*element)).values, axis=-1)
+        return float(np.max(np.abs(acted - fn) / fn))
+
+    return max(0.0, *map(drift, cfg.affine_set))
+
+
+class TestAffineCommutationByScale:
+    @pytest.mark.parametrize("rng_seed", [0, 7])
+    def test_grouped_check_equals_the_per_element_oracle(self, monkeypatch, rng_seed):
+        cfg = SuiteConfig(rng_seed=rng_seed)
+        dilations = []
+        real = verify.dilate
+        monkeypatch.setattr(verify, "dilate", lambda f, a: dilations.append(a) or real(f, a))
+        measured = _check_affine_commutation(cfg)
+        # one dilation of f and one of H f per distinct scale, not per element
+        assert sorted(dilations) == sorted(2 * [a for a in (0.5, 2.0, 4.0)])
+        assert measured.hex() == _a03_per_element(cfg).hex()
+        assert _check_rep_isometry(cfg).hex() == _m03_per_element(cfg).hex()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_interleaved_repeated_scales(self, monkeypatch, cpus):
+        _cpus(monkeypatch, cpus)
+        cfg = SuiteConfig(rng_seed=7, probe_counts={"line": 6},
+                          affine_set=[(2.0, 0.0), (0.5, 0.1), (2.0, -0.2), (0.5, 0.0)])
+        assert _check_affine_commutation(cfg).hex() == _a03_per_element(cfg).hex()
+        assert _check_rep_isometry(cfg).hex() == _m03_per_element(cfg).hex()
+
+    def test_smallest_scale_is_bounded(self, tmp_path):
+        with pytest.raises(ValueError, match="a03-affine-commutation and m03-rep-isometry"):
+            SuiteConfig(affine_set=[(0.05, 0.0)])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"affine_set": [[0.05, 0.0]]}))
+        assert main(["verify", "line", "--config", str(cfg_path)]) == 1
+
+    @pytest.mark.parametrize("rng_seed", [0, 3, 7])
+    def test_an_accepted_small_scale_runs_clean(self, rng_seed):
+        # the rule's least scale at the defaults is 0.0585
+        cfg = SuiteConfig(rng_seed=rng_seed, probe_counts={"line": 8},
+                          affine_set=[(0.06, 0.0), (0.06, 0.3), (0.08, -0.1), (2.0, 0.0)])
+        report = run_verify("line", cfg)
+        assert [r.check_id for r in report.records if not r.passed] == []
 
 
 class TestCliVerify:
