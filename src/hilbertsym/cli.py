@@ -165,6 +165,8 @@ def _run_decompose(args) -> int:
     from .sigio import load_operator
     from .symmetry import decompose_circle_operator, decompose_line_operator
 
+    if not args.tol >= 0.0:  # also rejects NaN
+        raise UsageError(f"--tol must be a non-negative number, got {args.tol}")
     decompose = decompose_line_operator if args.space == "line" else decompose_circle_operator
     dec = decompose(load_operator(args.infile))
     print(json.dumps(dec.to_json_dict()))

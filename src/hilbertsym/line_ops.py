@@ -125,6 +125,14 @@ def hilbert_multiplier(f: LineSignal) -> LineSignal:
     return _carry(f, idft(s.with_values(-1j * sign_symbol(f.grid.signed_indices()) * s.values)))
 
 
+def _edge_test(v: np.ndarray) -> tuple:
+    """Per row of ``v``: the peak modulus, the larger edge modulus, and whether
+    that exceeds EDGE_DECAY_TOL of the peak (hilbert_pv_quadrature's regime)."""
+    mag = np.abs(v)
+    peak, edge = mag.max(axis=-1), np.maximum(mag[..., 0], mag[..., -1])
+    return peak, edge, edge > EDGE_DECAY_TOL * peak
+
+
 def hilbert_pv_quadrature(f: LineSignal) -> LineSignal:
     """Principal-value quadrature of (1/pi) * integral f(y)/(x-y) dy.
 
@@ -141,9 +149,7 @@ def hilbert_pv_quadrature(f: LineSignal) -> LineSignal:
     """
     v = f.values
     n = f.grid.n
-    peak = np.abs(v).max(axis=-1)
-    edge = np.maximum(np.abs(v[..., 0]), np.abs(v[..., -1]))
-    new = ("edge-decay",) if np.any((peak > 0) & (edge > EDGE_DECAY_TOL * peak)) else ()
+    new = ("edge-decay",) if np.any(_edge_test(v)[2]) else ()
 
     kern_fft = _pv_kernel_fft(n)
     out = np.fft.ifft(np.fft.fft(v, kern_fft.shape[0]) * kern_fft)[..., :n]
@@ -218,6 +224,13 @@ def _mass_fraction(energy: np.ndarray, mask: np.ndarray) -> float:
     return float(np.max(np.divide(part, total, out=np.zeros_like(total), where=total > 0.0)))
 
 
+def _band_share(f: LineSignal, a: float) -> float:
+    """Largest row share of the spectral energy of ``f`` beyond a*(n//2) bins
+    from the mean: what a dilation by a < 1 pushes past the band."""
+    energy = np.abs(dft(f).values) ** 2
+    return _mass_fraction(energy, np.abs(f.grid.signed_indices()) > a * (f.grid.n // 2))
+
+
 def dilate(f: LineSignal, a: float) -> LineSignal:
     """Unitary dilation (T_a f)(x) = a^(-1/2) f(x/a) by spectral resampling.
 
@@ -240,9 +253,7 @@ def dilate(f: LineSignal, a: float) -> LineSignal:
 
     g = f.grid
     if a < 1.0:
-        energy = np.abs(dft(f).values) ** 2
-        ks = g.signed_indices()
-        frac = _mass_fraction(energy, np.abs(ks) > a * (g.n // 2))
+        frac = _band_share(f, a)
         if frac > ALIAS_GUARD_TOL:
             raise AliasingError(
                 f"dilation by a={a} would alias a spectral mass fraction of "

@@ -3,9 +3,13 @@
 Three families:
 
 * ``gaussian-packet`` -- modulated Gaussians on a line grid.  Smooth,
-  decaying, and (for the default parameter ranges) spectrally concentrated
-  well inside the Nyquist band, so dilation by moderate factors stays inside
-  the aliasing guard.
+  decaying, and spectrally concentrated well inside the Nyquist band, so
+  dilation by moderate factors stays inside the aliasing guard.  Each packet
+  must pass two of line_ops' rules, or make_probes raises ValueError: the
+  edge test of ``hilbert_pv_quadrature`` (edge samples within EDGE_DECAY_TOL
+  of the peak) and the band share that ``dilate`` guards at a = 1/2 (at most
+  ALIAS_GUARD_TOL of the spectral energy outside the central half of the
+  band).
 * ``random-bandlimited`` -- noise with spectrum confined to the central half
   of the frequency range (hard cutoff plus a Gaussian envelope) and zero
   mean/Nyquist bins.  No spatial decay is implied.
@@ -20,12 +24,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .signals import CircleSignal, Grid1D, LineSignal, LineSpectrum, dft, idft, norm, sign_symbol
+from .line_ops import ALIAS_GUARD_TOL, _band_share, _edge_test
+from .signals import CircleSignal, Grid1D, LineSignal, LineSpectrum, idft, norm, sign_symbol
 
 __all__ = ["make_probes"]
 
-_EDGE_TOL = 1e-8
-_BAND_TOL = 1e-8
 # the parameters each kind reads; make_probes rejects any other
 _PARAMS = {
     "gaussian-packet": {"width", "center", "modulation", "real"},
@@ -44,23 +47,20 @@ def _range_pair(value, name):
 
 
 def _check_line_guards(sig: LineSignal, kind: str):
-    v = np.abs(sig.values)
-    peak = v.max()
+    peak, edge, undecayed = _edge_test(sig.values)
     if peak == 0.0:
         raise ValueError(f"{kind} probe degenerated to zero")
-    if max(v[0], v[-1]) > _EDGE_TOL * peak:
+    if undecayed:
         raise ValueError(
             f"degenerate {kind} params: probe does not decay at the grid edges "
-            f"(edge/peak = {max(v[0], v[-1]) / peak:.2e})"
+            f"(edge/peak = {edge / peak:.2e})"
         )
-    s = dft(sig).values
-    ks = sig.grid.signed_indices()
-    energy = np.abs(s) ** 2
-    outer = energy[np.abs(ks) > sig.grid.n // 4].sum()
-    if outer > _BAND_TOL * energy.sum():
+    # the central half: the share a dilation by 1/2 would push past the band
+    outer = _band_share(sig, 0.5)
+    if outer > ALIAS_GUARD_TOL:
         raise ValueError(
             f"degenerate {kind} params: spectral mass outside the central half "
-            f"of the band (fraction {outer / energy.sum():.2e})"
+            f"of the band (fraction {outer:.2e})"
         )
 
 

@@ -7,9 +7,10 @@ Signal files:
     {"type": "circle-samples", "grid": {"n": ...},                          "values": [[re, im], ...]}
 
 values are ordered by sample index (line, circle-samples) or by k from -K to
-K (circle-coeffs).  Floats are written as their shortest round-tripping
-decimal representation (``repr``, at most 17 significant digits), so a file
-loads back to equal values.
+K (circle-coeffs).  The sizes n, K and dim are JSON integers; a float, string
+or boolean there makes the document malformed.  Floats are written as their
+shortest round-tripping decimal representation (``repr``, at most 17
+significant digits), so a file loads back to equal values.
 
 Operator files:
 
@@ -112,29 +113,31 @@ def signal_to_dict(sig) -> dict:
     return {**head, "values": _pairs(values)}
 
 
-def _object(doc: dict, key: str) -> dict:
+def _field(doc: dict, key: str, kind: type):
+    """``doc[key]``, which must be a JSON object (kind dict) or integer (int)."""
     value = doc[key]
-    if not isinstance(value, dict):
-        raise TypeError(f"field {key!r} must be an object, got {type(value).__name__}")
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise TypeError(f"field {key!r} must be {'an object' if kind is dict else 'an integer'}, "
+                        f"got {type(value).__name__}")
     return value
 
 
 def signal_from_dict(doc: dict):
     try:
         kind = doc["type"]
-        grid = _object(doc, "grid")
+        grid = _field(doc, "grid", dict)
         values = _unpairs(doc["values"])
         if kind == "line":
-            return LineSignal(Grid1D(x_min=grid["x_min"], n=int(grid["n"]), dx=grid["dx"]), values)
+            return LineSignal(Grid1D(grid["x_min"], _field(grid, "n", int), grid["dx"]), values)
         if kind == "circle-coeffs":
-            K = int(grid["K"])
+            K = _field(grid, "K", int)
             if len(values) != 2 * K + 1:
                 raise ValueError(
                     f"expected {2 * K + 1} coefficients for K={K}, got {len(values)}"
                 )
             return CircleSignal(values)
         if kind == "circle-samples":
-            n = int(grid["n"])
+            n = _field(grid, "n", int)
             if len(values) != n:
                 raise ValueError(f"expected {n} samples, got {len(values)}")
             return CircleSamples(values)
@@ -171,17 +174,17 @@ def operator_from_dict(doc: dict) -> OperatorMatrix:
     from .symmetry import FourierBasis, LineBasis, OperatorMatrix
 
     try:
-        dim = int(doc["dim"])
-        basis_doc = _object(doc, "basis")
+        dim = _field(doc, "dim", int)
+        basis_doc = _field(doc, "basis", dict)
         entries = _unpairs(doc["entries"])
         if entries.shape[0] != dim * dim:
             raise ValueError(f"expected {dim * dim} row-major entries, got {entries.shape[0]}")
         kind = basis_doc.get("kind")
         if kind == "fourier":
-            basis = FourierBasis(K=int(basis_doc["K"]))
+            basis = FourierBasis(K=_field(basis_doc, "K", int))
         elif kind == "line":
             basis = LineBasis(
-                n=int(basis_doc["n"]),
+                n=_field(basis_doc, "n", int),
                 x_min=float(basis_doc["x_min"]),
                 dx=float(basis_doc["dx"]),
             )

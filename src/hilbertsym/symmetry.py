@@ -107,7 +107,7 @@ class OperatorMatrix:
             raise ValueError(
                 f"dimension {arr.shape[0]} inconsistent with basis dim {self.basis.dim}"
             )
-        if not np.isfinite(arr).all():
+        if not np.isfinite(arr.ravel("K").view(float)).all():  # faster than on complex
             raise ValueError("operator entries must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)

@@ -41,6 +41,7 @@ from .circle_ops import (
 )
 from .line_ops import (
     ALIAS_GUARD_TOL,
+    EDGE_DECAY_TOL,
     AffineElement,
     dilate,
     hardy_project,
@@ -48,7 +49,6 @@ from .line_ops import (
     hilbert_pv_quadrature,
     translate,
 )
-from .probes import _EDGE_TOL as _PROBE_EDGE_TOL
 from .probes import make_probes
 from .signals import (
     CircleSamples,
@@ -113,7 +113,8 @@ def _default_probe_counts() -> dict:
 
 # Degree of the trig-poly probes of the a11 Moebius checks.
 _MOEBIUS_PROBE_DEGREE = 25
-# Packets of a01 (m01 draws the make_probes defaults, narrower and nearer 0).
+# Packets of a01.  m01 draws the make_probes defaults, whose ranges lie inside
+# these, so a01's regime rule holds for m01 too.
 _A01_PACKETS = {"width": (1.0, 1.6), "center": (-4.0, 4.0), "modulation": (3.5, 6.0)}
 # Packets safe for every element of the affine set: narrow enough for the
 # largest dilation, modulated away from the mean bin (and the band edge) so
@@ -175,7 +176,7 @@ class SuiteConfig:
     def validate(self):
         """Raise ValueError at the first generic rule broken (the checks'
         regime rules rely on them): the six value rules, then unknown keys,
-        non-integer sizes, a negative seed or operator_n below 1, and action-set
+        non-integer sizes, a negative seed or operator_n below 2, and action-set
         elements their own class rejects; else with every check's reason."""
         for name, tol in self.tolerances.items():
             if not tol > 0:
@@ -202,7 +203,7 @@ class SuiteConfig:
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name, value, least in (("rng_seed", self.rng_seed, 0),
-                                   ("operator_n", self.operator_n, 1)):
+                                   ("operator_n", self.operator_n, 2)):
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
         for name, element_type in (("affine_set", AffineElement), ("rational_set", RationalScale),
@@ -390,24 +391,71 @@ def _probes(cfg: SuiteConfig, kind: str, salt: int, count: int, **params):
 # ---------------------------------------------------------------------------
 # line checks
 
-def _window_reason(cfg: SuiteConfig, checks: str, packets: dict, a: float,
-                   eps: float) -> Optional[str]:
-    """Why the line window is too narrow for ``checks``, or None when, beyond the
-    last sample of the coarser of the line and operator grids, every packet of
-    the ``packets`` ranges, dilated by ``a``, has energy density (relative to its
-    peak) and energy share below ``eps``: |f|^2 = exp(-(x - c)^2 / w^2) has density
-    exp(-D^2 / w^2) at distance D and share erfc(D / w), no larger, beyond D on
-    both sides.  Dilation by a scales c and w by a."""
+class _Draw(NamedTuple):
+    """Checks drawing one packet family on one grid: their ids (``tol`` is the
+    first one's tolerance), the config field sizing the grid, its size on the
+    line window, and the scales the checks dilate the packets by."""
+
+    checks: tuple
+    field: str
+    n: int
+    scales: tuple
+    tol: float
+
+
+def _names(checks) -> str:
+    return " and ".join((", ".join(checks[:-1]), checks[-1])) if len(checks) > 1 else checks[0]
+
+
+def _reach_reason(cfg: SuiteConfig, packets: dict, eps: float, draw: _Draw,
+                  window: Optional[tuple] = None) -> Optional[str]:
+    """Why the line window or ``draw``'s band is too small for the Gaussian
+    packets of the ``packets`` ranges, or None.
+
+    |f|^2 = exp(-(x - c)^2 / w^2) is below e of its peak beyond |x - c| =
+    w sqrt(log(1/e)), and so is its share there (erfc(t) <= exp(-t^2));
+    |f^|^2 = exp(-w^2 (xi - nu)^2) likewise beyond |xi - nu| = sqrt(log(1/e)) / w.
+    Dilation by a scales c and w by a.  The window must hold the packets below
+    ``eps`` at the largest scale of the draws ``window`` (default: ``draw``)
+    up to the last sample of their coarsest grid.  ``draw``'s band must hold
+    them below ``eps`` at min(1/2, a_min), for make_probes' central half and
+    every dilate guard, and at a_min < 1 below min(ALIAS_GUARD_TOL, tol^2) too,
+    for the Nyquist bin that H zeroes and the dilated H f does not.
+    """
     x_min, x_max = cfg.line.x_min, cfg.line.x_max
-    side = min(-x_min, x_max - (x_max - x_min) / min(cfg.line.n, cfg.operator_n))
-    w = max(packets["width"])
-    c = max(abs(x) for x in packets["center"])
-    reach = a * (c + w * math.sqrt(math.log(1.0 / eps)))
-    if side < reach:
-        return (f"line window [{x_min:g}, {x_max:g}] is too narrow: {checks} need their "
-                f"packets, dilated by up to {a:g}, to keep below {eps:.0e} of their "
-                f"energy outside +-{reach:.4g}")
-    return None
+    w, nu = min(packets["width"]), max(packets["modulation"])
+    reasons = []
+    if window := ((draw,) if window is None else window):
+        a_max = max(max(d.scales) for d in window)
+        reach = a_max * (max(abs(c) for c in packets["center"])
+                         + max(packets["width"]) * math.sqrt(math.log(1.0 / eps)))
+        if min(-x_min, x_max - (x_max - x_min) / min(d.n for d in window)) < reach:
+            reasons.append(
+                f"line window [{x_min:g}, {x_max:g}] is too narrow: "
+                f"{_names(sum((d.checks for d in window), ()))} need their packets, dilated "
+                f"by up to {a_max:g}, to keep below {eps:.0e} of their energy outside "
+                f"+-{reach:.4g}")
+    band = (draw.n // 2) * Grid1D.from_interval(x_min, x_max, draw.n).dxi
+
+    def least(e):  # the least scale of the band that holds the packets below e
+        return (nu + math.sqrt(math.log(1.0 / e)) / w) / band
+
+    a = min(draw.scales)
+    rules = [(min(0.5, a), eps, draw.checks)]  # (scale, density, checks it breaks)
+    if a < 1.0:
+        rules.append((a, min(ALIAS_GUARD_TOL, draw.tol**2), draw.checks[:1]))
+    broken = [(s, e, checks) for s, e, checks in rules if s < least(e)]
+    for scale in sorted({s for s, _, _ in broken}):
+        e = min(e for s, e, _ in broken if s == scale)
+        checks = max((checks for s, _, checks in broken if s == scale), key=len)
+        what, verb = (f"affine scale a={a:g}", "dilate") if scale == a else (
+            f"the central half (a={scale:g}) of the band that make_probes keeps packets in", "draw")
+        reasons.append(
+            f"{what} is too small for {draw.field}={draw.n} on [{x_min:g}, {x_max:g}]: "
+            f"{_names(checks)} {verb}{'' if len(checks) > 1 else 's'} packets modulated up to "
+            f"{nu:g}, which only a >= {least(e):.4g} keeps below {e:.0e} of their peak energy "
+            f"density beyond the band |xi| <= a*{band:.4g}")
+    return "; ".join(reasons) or None
 
 
 # a01's error is cubic in the line spacing for these packets: at most
@@ -416,16 +464,16 @@ _A01_CUBIC = 16.0
 
 
 def _a01_regime(cfg: SuiteConfig) -> Optional[str]:
-    # make_probes' edge test bounds the amplitude, so the density bound is its square
-    window = _window_reason(cfg, "a01-multiplier-vs-quadrature and m01-line-parseval",
-                            _A01_PACKETS, 1.0, _PROBE_EDGE_TOL**2)
-    dx = (cfg.line.x_max - cfg.line.x_min) / cfg.line.n
     tol = cfg.tolerances["multiplier_vs_quadrature"]
+    # make_probes' edge test bounds the amplitude, so the density bound is its square
+    reach = _reach_reason(cfg, _A01_PACKETS, EDGE_DECAY_TOL**2, _Draw(
+        ("a01-multiplier-vs-quadrature", "m01-line-parseval"), "line n", cfg.line.n, (1.0,), tol))
+    dx = (cfg.line.x_max - cfg.line.x_min) / cfg.line.n
     coarse = _A01_CUBIC * dx**3 > tol and (
         f"line grid spacing {dx:.4g} (n={cfg.line.n}) is too coarse: "
         f"a01-multiplier-vs-quadrature errs by up to {_A01_CUBIC:g}*dx^3 = "
         f"{_A01_CUBIC * dx**3:.2g}, above its tolerance {tol:g}")
-    return "; ".join(why for why in (window, coarse) if why) or None
+    return "; ".join(why for why in (reach, coarse) if why) or None
 
 
 @_check("line", ("a01-multiplier-vs-quadrature", "multiplier_vs_quadrature",
@@ -458,42 +506,11 @@ def _by_scale(affine_set) -> list:
     return list(shifts.items())
 
 
-def _band_reason(cfg: SuiteConfig) -> Optional[str]:
-    """Why the smallest scale a < 1 of the affine set is too small for the line
-    grid, or None when every guarded packet, dilated by it, has spectral energy
-    density below eps of its peak beyond the a*(n//2) bins that survive the
-    dilation.  eps is ALIAS_GUARD_TOL for the aliasing guard of a03 and m03,
-    and a03's tolerance squared for its Nyquist bin, where H vanishes and the
-    dilated H f does not.  |f^|^2 = exp(-w^2 (xi - nu)^2) is below eps beyond
-    nu + sqrt(log(1/eps)) / w, and so is its share there, since
-    erfc(t) <= exp(-t^2); that reach is largest at the narrowest width and the
-    largest modulation."""
-    a = min(a for a, _ in cfg.affine_set)
-    if a >= 1.0:
-        return None
-    grid = cfg.line_grid()
-    band = (grid.n // 2) * grid.dxi
-    w, nu = min(_GUARDED["width"]), max(_GUARDED["modulation"])
-
-    def least_scale(eps):
-        return (nu + math.sqrt(math.log(1.0 / eps)) / w) / band
-
-    eps = min(ALIAS_GUARD_TOL, cfg.tolerances["affine_commutation"] ** 2)
-    if a >= least_scale(eps):
-        return None
-    m03 = a < least_scale(ALIAS_GUARD_TOL)  # its aliasing guard trips too
-    return (f"affine scale a={a:g} is too small for line n={grid.n} on "
-            f"[{cfg.line.x_min:g}, {cfg.line.x_max:g}]: a03-affine-commutation"
-            f"{' and m03-rep-isometry dilate' if m03 else ' dilates'} packets modulated up "
-            f"to {nu:g}, which only a >= {least_scale(eps):.4g} keeps below {eps:.0e} of "
-            f"their peak energy density beyond the band |xi| <= a*{band:.4g}")
-
-
 def _a03_regime(cfg: SuiteConfig) -> Optional[str]:
-    a_max = max(*_ENGINE_SCALES, *(a for a, _ in cfg.affine_set))
-    window = _window_reason(cfg, "a03-affine-commutation, m03-rep-isometry and "
-                            "m06-engine-commutator-line", _GUARDED, a_max, ALIAS_GUARD_TOL)
-    return "; ".join(why for why in (window, _band_reason(cfg)) if why) or None
+    a03 = _Draw(("a03-affine-commutation", "m03-rep-isometry"), "line n", cfg.line.n,
+                tuple(a for a, _ in cfg.affine_set), cfg.tolerances["affine_commutation"])
+    # the one window of the guarded packets is held here, for m06's draw too
+    return _reach_reason(cfg, _GUARDED, ALIAS_GUARD_TOL, a03, window=(a03, _m06_draw(cfg)))
 
 
 @_check("line", ("a03-affine-commutation", "affine_commutation",
@@ -916,19 +933,14 @@ def _check_perturbation_flags(cfg: SuiteConfig) -> float:
     return float(missed)
 
 
-# Coarsest grid spacing on which the guarded packets (modulation up to 5.2,
-# width down to 1.25) keep their spectrum inside half the band, as every
-# dilation by 1/2 of the m06 action set needs.
-_PACKET_MAX_DX = 0.16
+def _m06_draw(cfg: SuiteConfig) -> _Draw:
+    return _Draw(("m06-engine-commutator-line",), "operator_n", cfg.operator_n, _ENGINE_SCALES,
+                 cfg.tolerances["engine_commutator_line"])
 
 
 def _m06_regime(cfg: SuiteConfig) -> Optional[str]:
-    dx = (cfg.line.x_max - cfg.line.x_min) / cfg.operator_n
-    if dx > _PACKET_MAX_DX:
-        return (f"operator grid spacing {dx:.4g} (operator_n={cfg.operator_n}) exceeds "
-                f"{_PACKET_MAX_DX}: m06-engine-commutator-line needs its guarded packets "
-                f"inside half the operator band")
-    return None
+    # a03's rule holds the window of every draw of the guarded packets
+    return _reach_reason(cfg, _GUARDED, ALIAS_GUARD_TOL, _m06_draw(cfg), window=())
 
 
 @_check("symmetry", ("m06-engine-commutator-line", "engine_commutator_line",

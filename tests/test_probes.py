@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from hilbertsym import Grid1D, dft, make_probes, norm
+from hilbertsym import (
+    AliasingError,
+    Grid1D,
+    LineSignal,
+    dft,
+    dilate,
+    hilbert_pv_quadrature,
+    make_probes,
+    norm,
+)
 
 
 def test_deterministic_for_fixed_seed(grid):
@@ -37,6 +46,33 @@ def test_gaussian_packet_guards_reject_degenerate_params(grid):
         make_probes("gaussian-packet", seed=1, count=1, grid=grid, width=-1.0)
     with pytest.raises(ValueError):
         make_probes("gaussian-packet", seed=1, count=0, grid=grid)
+
+
+def test_packet_guards_are_the_line_operators_rules():
+    # make_probes rejects a packet for its edges exactly where the quadrature
+    # flags edge decay, and for its band exactly where dilation by 1/2 aliases
+    grid = Grid1D.from_interval(-40.0, 40.0, 256)
+    x = grid.positions()
+    params = [(1.25, nu) for nu in np.arange(0.5, 3.0, 0.25)] + [(w, 0.5) for w in (4, 7, 10)]
+    verdicts = set()
+    for width, nu in params:
+        f = LineSignal(grid, np.exp(-(x**2) / (2.0 * width**2)) * np.cos(nu * x))
+        try:
+            make_probes("gaussian-packet", seed=0, count=1, grid=grid, width=width, center=0.0,
+                        modulation=nu, real=True)
+            verdict = "accepted"
+        except ValueError as exc:
+            verdict = "edge" if "decay" in str(exc) else "band"
+        try:
+            dilate(f, 0.5)
+            aliases = False
+        except AliasingError:
+            aliases = True
+        assert (verdict == "edge") == ("edge-decay" in hilbert_pv_quadrature(f).flags)
+        if verdict != "edge":
+            assert (verdict == "band") == aliases
+        verdicts.add(verdict)
+    assert verdicts == {"accepted", "edge", "band"}
 
 
 def test_bandlimited_spectral_guard(grid, bandlimited):

@@ -341,6 +341,43 @@ def test_decompose_rejects_an_invalid_basis(tmp_path, capsys, space, basis, fiel
     assert f" {field} " in capsys.readouterr().err
 
 
+_SIZE_FIELDS = [  # (template, the object holding the size or None for the document, field)
+    (_SIGNAL_TEMPLATES[0], "grid", "n"),
+    (_SIGNAL_TEMPLATES[1], "grid", "K"),
+    (_SIGNAL_TEMPLATES[2], "grid", "n"),
+    (_OPERATOR_TEMPLATES[0], None, "dim"),
+    (_OPERATOR_TEMPLATES[0], "basis", "K"),
+    (_OPERATOR_TEMPLATES[1], "basis", "n"),
+]
+
+
+@pytest.mark.parametrize("spoil", [lambda v: v + 0.9, float, str, lambda v: True])
+@pytest.mark.parametrize("template, holder, field", _SIZE_FIELDS)
+def test_sizes_load_only_as_json_integers(template, holder, field, spoil):
+    doc = json.loads(json.dumps(template))
+    from_dict = operator_from_dict if "entries" in doc else signal_from_dict
+    from_dict(doc)  # the template loads
+    sizes = doc[holder] if holder else doc
+    sizes[field] = spoil(sizes[field])
+    with pytest.raises(ValueError, match=f"field '{field}' must be an integer"):
+        from_dict(json.loads(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("n", [1024.9, "1024"])
+def test_apply_rejects_a_line_file_with_a_non_integer_size(tmp_path, capsys, n):
+    grid = Grid1D.from_interval(-40.0, 40.0, 1024)
+    x = grid.positions()
+    inp, out = tmp_path / "f.json", tmp_path / "out.json"
+    save_signal(LineSignal(grid, np.exp(-x**2)), inp)
+    assert main(["apply", "hilbert", "--in", str(inp), "--out", str(out)]) == 0
+    doc = json.loads(inp.read_text())
+    doc["grid"]["n"] = n
+    inp.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["apply", "hilbert", "--in", str(inp), "--out", str(out)]) == 1
+    assert "field 'n' must be an integer" in capsys.readouterr().err
+
+
 def test_non_object_grid_and_basis_are_malformed():
     with pytest.raises(ValueError, match="malformed signal document"):
         signal_from_dict({"type": "line", "grid": [1, 2], "values": [[0, 0]]})

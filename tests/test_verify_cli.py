@@ -145,6 +145,50 @@ def test_line_window_is_rejected_or_its_report_passes(line, operator_n):
     assert [r.check_id for r in report.records if not r.passed] == []
 
 
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ({"line": {"n": 450}, "tolerances": {"multiplier_vs_quadrature": 0.1},
+          "affine_set": [[2.0, 0.0]]}, {"a01-multiplier-vs-quadrature", "m01-line-parseval"}),
+        ({"line": {"n": 450}, "tolerances": {"multiplier_vs_quadrature": 0.1},
+          "affine_set": [[0.9, 0.0]]}, {"a01-multiplier-vs-quadrature", "m01-line-parseval"}),
+        ({"line": {"n": 400}, "tolerances": {"multiplier_vs_quadrature": 0.2},
+          "affine_set": [[1.0, 0.0]]}, {"a01-multiplier-vs-quadrature", "m01-line-parseval",
+                                       "a03-affine-commutation", "m03-rep-isometry"}),
+    ],
+)
+def test_packets_beyond_the_central_half_of_the_band_are_rejected(tmp_path, config, named):
+    # a loosened a01 tolerance passes the cubic rule; the packets' band does not
+    with pytest.raises(ValueError) as exc:
+        SuiteConfig.from_json_dict(config)
+    assert set(re.findall(r"\b[am]\d\d-[a-z-]+", str(exc.value))) == named
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["verify", "line", "--config", str(cfg_path)]) == 1
+    # forced past validate(), every named check fails
+    cfg = SuiteConfig()
+    cfg.line, cfg.affine_set = LineGridConfig(**config["line"]), config["affine_set"]
+    cfg.tolerances.update(config["tolerances"])
+    failed = {r.check_id for r in run_verify("line", cfg).records if not r.passed}
+    assert failed == named
+
+
+@pytest.mark.parametrize("operator_n", [255, 479])
+def test_operator_grids_below_the_m06_band_bound_are_rejected(operator_n):
+    with pytest.raises(ValueError, match=rf"^affine scale a=0.5 is too small for "
+                                         rf"operator_n={operator_n} on \[-40, 40\]: "
+                                         rf"m06-engine-commutator-line dilates [^;]*$"):
+        SuiteConfig(operator_n=operator_n)
+
+
+@pytest.mark.parametrize("operator_n", [480, 499])
+@pytest.mark.parametrize("rng_seed", [0, 7, 24, 12345])
+def test_operator_grids_at_the_m06_band_bound_pass_m06(operator_n, rng_seed):
+    cfg = SuiteConfig(rng_seed=rng_seed, operator_n=operator_n)
+    m06 = next(c for c in _REGISTRY if c.records[0][0] == "m06-engine-commutator-line")
+    assert m06.fn(cfg) <= cfg.tolerances["engine_commutator_line"]
+
+
 def _cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
@@ -466,6 +510,16 @@ class TestCliDecompose:
         assert code == 3
         doc = json.loads(capsys.readouterr().out)
         assert max(doc["residuals"]["plus"], doc["residuals"]["minus"]) > 1e-3
+
+    @pytest.mark.parametrize("tol", ["nan", "-1e-10", "-inf"])
+    def test_tolerance_must_be_a_non_negative_number(self, tmp_path, capsys, tol):
+        path = tmp_path / "i.json"
+        save_operator(synthesize_commuting_operator(1.0, 0.0, LineBasis(16, -2.0, 0.25)), path)
+        assert main(["decompose", "--in", str(path), "--space", "line"]) == 0
+        capsys.readouterr()
+        assert main(["decompose", "--in", str(path), "--space", "line", f"--tol={tol}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--tol must be a non-negative number" in captured.err
 
     def test_space_mismatch_is_usage_error(self, tmp_path):
         basis = LineBasis(16, -2.0, 0.25)

@@ -164,23 +164,30 @@ def test_validate_names_no_check():
     assert re.findall(r"\b_[A-Z][A-Z0-9_]+\b", source) == ["_REGISTRY"]
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     half_window=st.sampled_from([20.0, 28.0, 30.0, 40.0, 60.0]),
-    n=st.sampled_from([1024, 1536, 2048, 3000, 4096, 6144, 8192]),
+    n=st.sampled_from([400, 450, 500, 560, 640, 700, 1024, 1536, 2048, 3000, 4096, 6144, 8192]),
     K=st.sampled_from([5, 16, 64, 128, 200]),
     n_samples=st.sampled_from([428, 512, 1024]),
-    operator_n=st.sampled_from([300, 384, 512, 640, 768]),
+    operator_n=st.sampled_from([300, 384, 480, 512, 640, 768]),
     rng_seed=st.integers(0, 2**32 - 1),
+    # a loosened a01 tolerance lets coarse line grids past a01's cubic rule
+    a01_tol=st.sampled_from([None, 0.1, 0.15, 0.2]),
+    # affine sets whose smallest scale leaves the band rule at 1/2 to make_probes
+    affine_set=st.sampled_from([None, [(2.0, 0.0)], [(1.0, 0.0)], [(0.9, 0.0), (2.0, 0.25)],
+                                [(0.6, 0.0), (4.0, -0.5)]]),
 )
 def test_a_config_is_rejected_naming_a_check_or_its_report_passes(
-    half_window, n, K, n_samples, operator_n, rng_seed
+    half_window, n, K, n_samples, operator_n, rng_seed, a01_tol, affine_set
 ):
     counts = {"line": 6, "circle": 6, "roundtrip": 6, "scalarity": 3, "annihilator": 3}
+    tolerances = {} if a01_tol is None else {"multiplier_vs_quadrature": a01_tol}
     try:
         cfg = SuiteConfig(
             rng_seed=rng_seed, line=LineGridConfig(-half_window, half_window, n),
             circle=CircleConfig(K, n_samples), operator_n=operator_n, probe_counts=counts,
+            tolerances=tolerances, affine_set=affine_set,
         )
     except ValueError as exc:
         named = set(CHECK_ID.findall(str(exc)))
