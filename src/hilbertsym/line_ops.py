@@ -178,15 +178,17 @@ def _chirp_z_plan(n: int, a: float, kmin: int):
     """Bluestein plan for the n-point chirp z-transform along
     z_k = A * w^-k, w = exp(-2 pi i a / n), A = w^-kmin, i.e. the semidiscrete
     transform at the scaled bins a*(kmin + k) (Bluestein 1970; Rabiner,
-    Schafer & Rader 1969).  The formulas are those of scipy.signal.CZT, so
-    the output matches scipy.signal.czt to the last bit on numpy >= 2 (both
-    run the same pocketfft)."""
+    Schafer & Rader 1969).  The formulas are those of scipy.signal.CZT, with
+    the powers w^(k^2/2) and A^-k taken as exponentials of the principal
+    logarithms of w and A, one per entry rather than one complex power; the
+    output agrees with scipy.signal.czt to 1e-13 relative to its peak."""
     w = np.exp(-2j * np.pi * a / n)
     A = 1.0 * w ** (-kmin)
+    log_w, log_A = np.log(w), np.log(A)
     k = np.arange(n)
-    wk2 = w ** (k**2 / 2.0)
+    wk2 = np.exp(k**2 / 2.0 * log_w)
     nfft = _next_fast_len(2 * n - 1)
-    pre = A**-k * wk2
+    pre = np.exp(-k * log_A) * wk2
     kern_fft = np.fft.fft(1 / np.hstack((wk2[n - 1 : 0 : -1], wk2)), nfft)
     for arr in (pre, kern_fft, wk2):
         arr.setflags(write=False)

@@ -337,6 +337,21 @@ def circle_coeffs_from_samples(s: CircleSamples, K: int) -> CircleSignal:
     return CircleSignal(F[..., ks % s.n])
 
 
+def _phase_table(theta: np.ndarray, start: int, step: int, m: int) -> np.ndarray:
+    """exp(i theta (start + step*j)) for j < m, shape (len(theta), m).
+
+    With j = s*h + l and s ~ sqrt(m), each entry is the product of
+    exp(i theta (start + step*s*h)) and exp(i theta step*l), so only about
+    2 sqrt(m) exponentials are taken per angle.  Each factor rounds its own
+    argument once, so the phase error stays within that of the direct
+    ``exp(1j * theta * k)`` plus the arguments' sum of moduli, rather than
+    compounding as a chain of powers would."""
+    s = math.isqrt(m - 1) + 1
+    coarse = np.exp(1j * np.multiply.outer(theta, start + step * s * np.arange(-(-m // s))))
+    fine = np.exp(1j * np.multiply.outer(theta, step * np.arange(s)))
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(theta.size, -1)[:, :m]
+
+
 def evaluate_fourier_series(c: CircleSignal, angles: np.ndarray) -> np.ndarray:
     """Evaluate sum_k c_k exp(i k theta) at arbitrary angles (exact for the
     truncated series; used by off-grid actions and quadrature oracles).
@@ -346,8 +361,9 @@ def evaluate_fourier_series(c: CircleSignal, angles: np.ndarray) -> np.ndarray:
 
         sum_k c_k e^{ik theta} = sum_q e^{i(Bq-K) theta} sum_r c_{Bq+r-K} e^{ir theta},
 
-    which needs n*(B+Q) exponentials, built once for every row, and one
-    (n, B) x (B, P*Q) product instead of an (n, 2K+1) exponential matrix.
+    which needs the two phase tables of :func:`_phase_table`, built once for
+    every row, and one (n, B) x (B, P*Q) product instead of an (n, 2K+1)
+    exponential matrix.
     """
     theta = np.asarray(angles, dtype=float).ravel()
     lead = c.coeffs.shape[:-1]
@@ -357,7 +373,7 @@ def evaluate_fourier_series(c: CircleSignal, angles: np.ndarray) -> np.ndarray:
     blocks = np.zeros(lead + (B * Q,), dtype=complex)
     blocks[..., :size] = c.coeffs
     # (P*Q, B) rows of B consecutive coefficients, transposed for one product
-    inner = np.exp(1j * np.outer(theta, np.arange(B))) @ blocks.reshape(-1, B).T
-    outer = np.exp(1j * np.outer(theta, B * np.arange(Q) - c.K))
+    inner = _phase_table(theta, 0, 1, B) @ blocks.reshape(-1, B).T
+    outer = _phase_table(theta, -c.K, B, Q)
     vals = np.einsum("nq,npq->pn", outer, inner.reshape(theta.size, -1, Q))
     return vals.reshape(lead + (theta.size,))

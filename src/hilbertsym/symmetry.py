@@ -267,23 +267,34 @@ def _scratch_scope():
                 _SCRATCH.clear()
 
 
-def _scratch(n: int) -> np.ndarray:
-    """A C-contiguous (n, n) complex array of undefined content: inside a
-    :func:`_scratch_scope`, this thread's buffer (grown on demand, so each
-    call overwrites the last one's result); outside, a fresh array."""
+def _scratch(n: int, padded: bool = False) -> np.ndarray:
+    """An (n, n) complex array of undefined content: C-contiguous, or with
+    ``padded`` rows n + 1 values apart (the [:, :n] view of an (n, n + 1)
+    array), so that a transform along axis 0 does not map every element of
+    a column to the same cache set when n is a power of two.  Inside a
+    :func:`_scratch_scope` both are views of this thread's buffer (sized for
+    the padded form on first use, so each call overwrites the last one's
+    result); outside, fresh arrays."""
+    cols = n + 1 if padded else n
     if not _SCRATCH_DEPTH:
-        return np.empty((n, n), dtype=complex)
+        return np.empty((n, cols), dtype=complex)[:, :n]
     key = threading.get_ident()
     buf = _SCRATCH.get(key)
-    if buf is None or buf.size < n * n:
-        buf = _SCRATCH[key] = np.empty(n * n, dtype=complex)
-    return buf[: n * n].reshape(n, n)
+    if buf is None or buf.size < n * (n + 1):
+        buf = _SCRATCH[key] = np.empty(n * (n + 1), dtype=complex)
+    return buf[: n * cols].reshape(n, cols)[:, :n]
+
+
+def _diagonal(m: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonal of a square array, whatever its row
+    stride (``reshape(-1)`` of a padded array would be a copy)."""
+    return np.einsum("ii->i", m)
 
 
 def _spectral_matrix(T: OperatorMatrix) -> np.ndarray:
-    """T in the basis where the sign symbol is diagonal, as a C-contiguous
-    array from :func:`_scratch`: inside a scope it is this thread's buffer,
-    so a thread must not hold two results at once.
+    """T in the basis where the sign symbol is diagonal, as a padded array
+    from :func:`_scratch`: inside a scope it is this thread's buffer, so a
+    thread must not hold two results at once.
 
     On the line that is the conjugation by the unitary DFT; the calibration
     prefactor of the public transform is a constant-modulus diagonal and
@@ -291,7 +302,7 @@ def _spectral_matrix(T: OperatorMatrix) -> np.ndarray:
     Frobenius norms).  Both transforms write into the result.  On the circle
     the coefficient basis already is that basis.
     """
-    out = _scratch(T.dim)
+    out = _scratch(T.dim, padded=True)
     if isinstance(T.basis, FourierBasis):
         np.copyto(out, T.entries)
         return out
@@ -300,8 +311,8 @@ def _spectral_matrix(T: OperatorMatrix) -> np.ndarray:
 
 
 def _row_sq_norms(m: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norm of each row of a C-contiguous complex matrix,
-    read through its float view without a temporary."""
+    """Squared Frobenius norm of each row of a complex matrix with
+    contiguous rows, read through its float view without a temporary."""
     v = m.view(float)
     return np.einsum("ij,ij->i", v, v)
 
@@ -351,7 +362,7 @@ def _decompose_blocks(tilde: np.ndarray, T: OperatorMatrix) -> ScalarDecompositi
     recon[plus] = k1
     recon[minus] = k2
     recon[zero] = k0
-    tilde.reshape(-1)[:: T.dim + 1] -= recon  # the diagonal, as a strided view
+    _diagonal(tilde)[...] -= recon
     rows = _row_sq_norms(tilde)
     # not np.linalg.norm: on a complex matrix it calls BLAS, whose spinning
     # worker threads would take the CPUs of the verify suite's thread map
@@ -393,7 +404,8 @@ def _antisymmetry_defect(E: np.ndarray, tnorm: float) -> float:
     E^H + E) in a :func:`_scratch` array, built 64 rows at a time so that E^T
     is read in cache-sized strips rather than one strided column per element.
     M has the memory order of ``E.conj()``, so its norm is the same float as
-    that of ``E.conj().T + E`` built in one pass."""
+    that of ``E.conj().T + E`` built in one pass.  M is contiguous, not
+    padded: ``np.linalg.norm`` would copy a padded array to ravel it."""
     m = _scratch(E.shape[0])
     for r in range(0, E.shape[0], 64):
         np.conjugate(E[r : r + 64], out=m[r : r + 64])
@@ -439,7 +451,7 @@ def _certified_decomposition(work: np.ndarray, T: OperatorMatrix, tnorm: float, 
     roundoff = 4.0 * n * np.finfo(float).eps * tnorm**2
     if (diag_part + 2.0 * d_max * r + r * r + roundoff) / math.sqrt(m) <= tol / 2:
         return dec
-    work.reshape(-1)[:: n + 1] = saved  # W again, bitwise
+    _diagonal(work)[...] = saved  # W again, bitwise
     return None
 
 
@@ -491,7 +503,7 @@ def classify_pm_hilbert(T: OperatorMatrix, tol: float = 1e-8) -> HilbertClassifi
         if not np.any(keep):
             return HilbertClassification("neither", "kernel exhausts the space")
         sub = gram if keep.all() else gram[np.ix_(keep, keep)]
-        sub.reshape(-1)[:: sub.shape[0] + 1] -= 1.0  # minus the identity, in place
+        _diagonal(sub)[...] -= 1.0  # minus the identity, in place
         d = float(np.linalg.norm(sub) / math.sqrt(sub.shape[0]))
         if d > tol:
             return HilbertClassification(

@@ -498,7 +498,8 @@ def test_chirp_z_matches_direct_sum(n, a):
     assert np.abs(got - _direct_chirp_z(x, a, kmin)).max() <= 1e-11 * np.abs(x).sum()
 
 
-@pytest.mark.parametrize("n", [512, 750, 4093, 4096])
+# 6000 and 12000 are the largest grids of the bench's size ladder
+@pytest.mark.parametrize("n", [512, 750, 4093, 4096, 6000, 12000])
 @pytest.mark.parametrize("a", [0.5, 1.3, 2.0, 4.0])
 def test_chirp_z_matches_scipy(n, a):
     signal = pytest.importorskip("scipy.signal")

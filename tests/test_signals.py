@@ -14,6 +14,7 @@ from hilbertsym import (
     norm,
 )
 from hilbertsym.signals import (
+    _phase_table,
     circle_coeffs_from_samples,
     circle_samples_from_coeffs,
     evaluate_fourier_series,
@@ -201,4 +202,22 @@ def test_fourier_series_matches_direct_exponential_sum(K):
     got = evaluate_fourier_series(c, angles)
     assert got.shape == angles.shape
     assert np.abs(got - direct).max() <= 1e-13 * np.abs(c.coeffs).sum()
+
+
+@pytest.mark.parametrize(
+    "start, step, m", [(0, 1, 1024), (0, 1, 23), (-511, 32, 32), (-511, 1, 1023)]
+)
+def test_phase_table_entries_hold_the_argument_rounding_bound(start, step, m):
+    # exp(1j * theta * k) rounds theta*k once, moving the phase by up to
+    # eps/2 |theta k|.  The table rounds the arguments of its two factors,
+    # whose indices sum to k and have moduli summing to at most
+    # |start| + |step| j; each exponential and the product add an ulp or two.
+    rng = np.random.default_rng(m)
+    theta = np.concatenate([rng.uniform(-50.0, 50.0, size=200), [-50.0, 50.0, 0.0, np.pi]])
+    j = np.arange(m)
+    k = start + step * j
+    eps = np.finfo(float).eps
+    bound = eps * (0.5 * np.abs(theta)[:, None] * (abs(start) + abs(step) * j + np.abs(k)) + 4.0)
+    err = np.abs(_phase_table(theta, start, step, m) - np.exp(1j * np.outer(theta, k)))
+    assert np.all(err <= bound)
 

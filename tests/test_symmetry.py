@@ -33,6 +33,7 @@ from hilbertsym.symmetry import (
     circle_semigroup_action,
     line_affine_action,
 )
+from hilbertsym.signals import sign_symbol
 from hilbertsym.verify import _scalarity_scales
 
 N_OP = 512
@@ -477,6 +478,70 @@ def test_antisymmetry_defect_is_the_unblocked_norm(basis):
         herm += E
         oracle = float(np.linalg.norm(herm) / tnorm)
         assert symmetry._antisymmetry_defect(E, tnorm).hex() == oracle.hex()
+
+
+class TestPaddedSpectralMatrix:
+    # the spectral matrix is the [:, :n] view of an (n, n + 1) array, so its
+    # rows do not sit a power of two apart; every edit must reach that array
+
+    @staticmethod
+    def operator(n):
+        rng = np.random.default_rng(n)
+        E = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return OperatorMatrix(LineBasis(n, -40.0, 80.0 / n), E)
+
+    @pytest.mark.parametrize("scope", [contextlib.nullcontext, symmetry._scratch_scope])
+    @pytest.mark.parametrize("n", [255, 256, 512, 1024])
+    def test_equals_the_two_transforms_bit_for_bit(self, n, scope):
+        T = self.operator(n)
+        ref = np.fft.fft(np.fft.ifft(T.entries, axis=1), axis=0)
+        with scope():
+            W = _spectral_matrix(T)
+            assert W.strides[0] == (n + 1) * W.itemsize
+            assert np.array_equal(W.view(float), ref.view(float))
+
+    @pytest.mark.parametrize("scope", [contextlib.nullcontext, symmetry._scratch_scope])
+    def test_decomposition_edits_the_diagonal_in_place(self, scope):
+        T = self.operator(N_OP)
+        with scope():
+            W = _spectral_matrix(T)
+            before = np.diagonal(W).copy()
+            assert np.shares_memory(symmetry._diagonal(W), W)
+            dec = _decompose_blocks(W, T)
+        s = sign_symbol(LBASIS.signed_indices())
+        recon = np.where(s > 0, dec.k1, np.where(s < 0, dec.k2, dec.lam))
+        assert np.array_equal(np.diagonal(W), before - recon)
+
+    @pytest.mark.parametrize("scope", [contextlib.nullcontext, symmetry._scratch_scope])
+    def test_a_refuted_certificate_restores_the_buffer(self, scope, monkeypatch):
+        # a random operator passes the column gap test, and its residual
+        # refutes the bound, so the diagonal is edited and then restored
+        T = self.operator(N_OP)
+        edited = []
+        real = symmetry._decompose_blocks
+
+        def spy(tilde, op):
+            dec = real(tilde, op)
+            edited.append(np.diagonal(tilde).copy())
+            return dec
+
+        monkeypatch.setattr(symmetry, "_decompose_blocks", spy)
+        with scope():
+            W = _spectral_matrix(T)
+            saved = W.copy()
+            tnorm = float(np.linalg.norm(T.entries))
+            assert symmetry._certified_decomposition(W, T, tnorm, 1e-8) is None
+            assert len(edited) == 1 and not np.array_equal(edited[0], np.diagonal(saved))
+            assert np.array_equal(W.view(float), saved.view(float))
+
+    def test_a_certified_decomposition_leaves_the_residual(self):
+        T = h_line()
+        with symmetry._scratch_scope():
+            W = _spectral_matrix(T)
+            assert abs(np.diagonal(W)).max() > 0.5  # the +-i of H
+            tnorm = float(np.linalg.norm(T.entries))
+            assert symmetry._certified_decomposition(W, T, tnorm, 1e-8) is not None
+            assert abs(np.diagonal(W)).max() < 1e-12
 
 
 class TestScratchScope:
