@@ -3,9 +3,11 @@ against the reference snapshot the benchmark gates on."""
 
 import inspect
 import json
+import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from hilbertsym.verify import (
     LineGridConfig,
     SuiteConfig,
     _default_tolerances,
+    _worst,
     run_verify,
 )
 
@@ -82,6 +85,53 @@ def test_annihilator_outcomes_run_once_per_suite(monkeypatch):
     cfg = small_config()
     assert run_verify("circle", cfg).passed
     assert len(calls) == 2 * cfg.probe_counts["annihilator"]
+
+
+# --- the one reduction of every record's defects
+
+
+def ragged(flat):
+    """Per-scale lists of per-shift arrays, then a tuple of arrays of different
+    shapes and a bare number, then a bare number: the 51 values of ``flat``."""
+    parts = iter(np.split(flat, [5, 10, 15, 20, 25, 30, 42, 49, 50]))
+    per_scale = [[next(parts)], [next(parts), next(parts), next(parts)], [next(parts), next(parts)]]
+    return [per_scale, (next(parts).reshape(3, 4), next(parts), float(next(parts)[0])),
+            float(next(parts)[0])]
+
+
+def test_worst_is_the_max_over_every_leaf_of_a_ragged_nesting():
+    flat = np.random.default_rng(3).random(51)
+    assert _worst(ragged(flat)).hex() == float(flat.max()).hex()
+    for k in range(flat.size):
+        top = flat.copy()
+        top[k] = 1.5
+        assert _worst(ragged(top)).hex() == (1.5).hex()
+
+
+def test_worst_of_no_defects_is_zero():
+    assert _worst([]) == 0.0
+    assert _worst([[], (np.empty(0), [])]) == 0.0
+
+
+def test_a_nan_leaf_anywhere_gives_nan():
+    flat = np.random.default_rng(4).random(51)
+    for k in range(flat.size):
+        poisoned = flat.copy()
+        poisoned[k] = np.nan
+        assert math.isnan(_worst(ragged(poisoned)))
+
+
+def test_a_nan_defect_fails_its_record(monkeypatch):
+    def nan_defect(cfg):
+        return [np.zeros(3), (0.0, np.array([1e-20, np.nan]))]
+
+    record = ("x01-nan-defect", "parseval", "returns a NaN among its defects")
+    monkeypatch.setattr(verify, "_REGISTRY",
+                        [*_REGISTRY, verify._Check("circle", nan_defect, (record,), None)])
+    records = {r.check_id: r for r in run_verify("circle", small_config()).records}
+    nan = records.pop("x01-nan-defect")
+    assert math.isnan(nan.measured) and nan.passed is False
+    assert all(r.passed for r in records.values())
 
 
 @pytest.mark.parametrize("rng_seed", [24])
@@ -154,7 +204,8 @@ def test_several_broken_rules_are_all_named_in_registry_order():
 
 def test_generic_rules_are_checked_before_the_regime_rules():
     # a Blaschke parameter of 1 would divide by zero in a11's sample count
-    with pytest.raises(ValueError, match=r"^moebius_set Blaschke parameters must lie in"):
+    with pytest.raises(ValueError, match=r"^moebius_set element \(0.0, 1.0\): "
+                                         r"Blaschke parameter must lie in"):
         SuiteConfig(circle=CircleConfig(K=1), moebius_set=[(0.0, 1.0)])
 
 
