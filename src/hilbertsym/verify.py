@@ -149,13 +149,10 @@ class SuiteConfig:
     operator_n: int = 512  # line-basis size for dense-matrix engine checks
 
     def __post_init__(self):
-        base = _default_tolerances()
-        base.update(self.tolerances)
-        self.tolerances = base
-        counts = _default_probe_counts()
-        counts.update(self.probe_counts)
-        self.probe_counts = counts
-        dx = (self.line.x_max - self.line.x_min) / max(self.line.n, 1)  # n < 8 fails validate()
+        self.tolerances = _default_tolerances() | dict(self.tolerances)
+        self.probe_counts = _default_probe_counts() | dict(self.probe_counts)
+        self._check_fields()  # before anything is derived from the fields
+        dx = (self.line.x_max - self.line.x_min) / self.line.n
         if self.affine_set is None:
             self.affine_set = [
                 (a, b) for a in (0.5, 2.0, 4.0) for b in (0.0, 7 * dx, -7 * dx, 3.5 * dx)
@@ -172,39 +169,47 @@ class SuiteConfig:
             self.moebius_set = [(theta, a) for theta in (0.0, 1.2) for a in (0.0, 0.3, 0.7)]
         self.validate()
 
+    def _check_fields(self):
+        """Raise ValueError at the first failing row of the field table: an unknown key, a value
+        not of its kind (no bool is of any), or one below its least (a number: not above it)."""
+        # kind -> (test, whether the value must lie above its least); finite floats are < 2**1024
+        kinds = {
+            "an integer": (lambda v: isinstance(v, numbers.Integral), False),
+            "an even integer": (lambda v: isinstance(v, numbers.Integral) and v % 2 == 0, False),
+            "a finite number": (lambda v: isinstance(v, numbers.Real) and abs(v) < 2**1024, True),
+            "a number": (lambda v: isinstance(v, numbers.Real), True)}
+        counts, tols = _default_probe_counts(), _default_tolerances()
+        table = [("rng_seed", self.rng_seed, "an integer", 0),
+                 ("line.n", self.line.n, "an integer", 8),
+                 ("line.x_min", self.line.x_min, "a finite number", -math.inf),
+                 ("line.x_max", self.line.x_max, "a finite number", self.line.x_min),
+                 ("circle.K", self.circle.K, "an integer", 0),
+                 ("circle.n_samples", self.circle.n_samples, "an even integer", 2),  # quad. pairs
+                 ("operator_n", self.operator_n, "an integer", 2),
+                 *((f"probe count {k!r}", v, "an integer" if k in counts else None, 1)
+                   for k, v in self.probe_counts.items()),
+                 *((f"tolerance {k!r}", v, "a number" if k in tols else None, 0)
+                   for k, v in self.tolerances.items())]
+        for name, value, kind, least in table:
+            if kind is None:
+                raise ValueError(f"unknown {name}")
+            test, above = kinds[kind]
+            if isinstance(value, bool) or not test(value):
+                raise ValueError(f"{name} must be {kind}, got {value!r}")
+            if not (value > least if above else value >= least):
+                raise ValueError(f"{name} must be {'above' if above else 'at least'} {least}, "
+                                 f"got {value}")
+
     def validate(self):
-        """Raise ValueError at the first generic rule broken (the checks'
-        regime rules rely on them): the five value rules, then unknown keys,
-        non-integer sizes, a negative seed or operator_n below 2, and action-set
-        elements their own class rejects; else with every check's reason."""
-        for name, tol in self.tolerances.items():
-            if not tol > 0:
-                raise ValueError(f"tolerance {name!r} must be positive")
-        for name, cnt in self.probe_counts.items():
-            if cnt < 1:
-                raise ValueError(f"probe count {name!r} must be at least 1")
-        if not self.affine_set or not self.rational_set or not self.moebius_set:
-            raise ValueError("action sets must be non-empty")
-        if self.circle.n_samples % 2 != 0:
-            raise ValueError("circle n_samples must be even (quadrature pairing)")
-        if self.line.n < 8:
-            raise ValueError("line grid too small")
-        for name, given, known in (("tolerance", self.tolerances, _default_tolerances()),
-                                   ("probe count", self.probe_counts, _default_probe_counts())):
-            if unknown := sorted(set(given) - set(known)):
-                raise ValueError(f"unknown {name} {', '.join(map(repr, unknown))}")
-        sizes = {"rng_seed": self.rng_seed, "line.n": self.line.n, "circle.K": self.circle.K,
-                 "circle.n_samples": self.circle.n_samples, "operator_n": self.operator_n,
-                 **{f"probe count {k!r}": v for k, v in self.probe_counts.items()}}
-        for name, value in sizes.items():
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name, value, least in (("rng_seed", self.rng_seed, 0),
-                                   ("operator_n", self.operator_n, 2)):
-            if value < least:
-                raise ValueError(f"{name} must be at least {least}, got {value}")
+        """Raise ValueError at the first generic rule broken: a row of the field table (rng_seed,
+        line.n, line.x_min, line.x_max, circle.K, circle.n_samples, operator_n, each probe count,
+        each tolerance), then an empty action set or an element its own class rejects; else with
+        the reason of every check whose regime the config leaves (they rely on the rules above)."""
+        self._check_fields()
         for name, element_type in (("affine_set", AffineElement), ("rational_set", RationalScale),
                                    ("moebius_set", MoebiusElement)):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be non-empty")
             for element in getattr(self, name):
                 try:
                     element_type(*element)
@@ -237,7 +242,8 @@ class CheckRecord:
     note: str = ""
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        nan = self.measured is not None and math.isnan(self.measured)  # NaN is no JSON token
+        return {**asdict(self), "measured": None} if nan else asdict(self)
 
 
 @dataclass(frozen=True)
@@ -695,29 +701,24 @@ def _annihilator_outcomes(cfg: SuiteConfig) -> tuple:
         mags = 0.2 + 0.8 * rng.random(size)
         return CircleSignal(mags * np.exp(2j * np.pi * rng.random(size)))
 
-    zero_failures = 0
-    for _ in range(trials):
+    def zero_failed(_):
         fam = SignalFamily((covering_member(), covering_member()))
-        phi = CircleSignal(np.zeros(size))
-        if annihilator_witness(fam, phi) is not None:
-            zero_failures += 1
+        return annihilator_witness(fam, CircleSignal(np.zeros(size))) is not None
 
-    witness_failures = 0
-    for _ in range(trials):
+    def witness_failed(_):
         support = rng.choice(size, size=max(3, size // 4), replace=False)
         phi_coeffs = np.zeros(size, dtype=complex)
         phi_coeffs[support] = 1.0 + rng.random(support.size)
-        killer = covering_member()
-        killed = rng.choice(support, size=max(1, support.size // 2), replace=False)
-        killer_coeffs = np.array(killer.coeffs)
-        killer_coeffs[killed] = 0.0
+        killer_coeffs = np.array(covering_member().coeffs)
+        killer_coeffs[rng.choice(support, size=max(1, support.size // 2), replace=False)] = 0.0
         fam = SignalFamily((CircleSignal(killer_coeffs), covering_member()))
         k = annihilator_witness(fam, CircleSignal(phi_coeffs))
         # a witness must be an index where phi and some member are both nonzero
-        if (k is None or phi_coeffs[k + K] == 0.0
-                or all(abs(m.coeffs[k + K]) == 0.0 for m in fam.members)):
-            witness_failures += 1
-    return zero_failures, witness_failures
+        return (k is None or phi_coeffs[k + K] == 0.0
+                or all(abs(m.coeffs[k + K]) == 0.0 for m in fam.members))
+
+    # the zero trials draw first, then the witness trials
+    return sum(map(zero_failed, range(trials))), sum(map(witness_failed, range(trials)))
 
 
 def _circle_probe_samples(cfg: SuiteConfig, salt: int, count: int) -> CircleSamples:
@@ -922,18 +923,15 @@ def _check_perturbation_flags(cfg: SuiteConfig) -> int:
     K = cfg.circle.K
     basis = FourierBasis(K)
     rng = np.random.default_rng(_rng_seed(cfg, 33))
-    missed = 0
-    for _ in range(cfg.probe_counts["scalarity"]):
-        base = complex(rng.normal(), rng.normal())
-        diag = np.full(2 * K + 1, base, dtype=complex)
-        k0 = int(rng.integers(1, K // 2 + 1))
-        diag[k0 + K] += 1.0
-        report = rotation_commutant_analysis(
-            OperatorMatrix(basis, np.diag(diag)), _scalarity_scales()
-        )
-        if report.orbit_spread < 0.5:
-            missed += 1
-    return missed
+
+    def missed(_):
+        diag = np.full(2 * K + 1, complex(rng.normal(), rng.normal()), dtype=complex)
+        diag[int(rng.integers(1, K // 2 + 1)) + K] += 1.0
+        report = rotation_commutant_analysis(OperatorMatrix(basis, np.diag(diag)),
+                                             _scalarity_scales())
+        return report.orbit_spread < 0.5
+
+    return sum(map(missed, range(cfg.probe_counts["scalarity"])))
 
 
 def _m06_draw(cfg: SuiteConfig) -> _Draw:
@@ -1030,8 +1028,9 @@ def run_verify(target: str, config: Optional[SuiteConfig] = None) -> SuiteReport
             measured, note = [None] * len(check.records), f"error: {exc}"
         for (check_id, tol_key, anchor), m in zip(check.records, measured, strict=True):
             tol = cfg.tolerances[tol_key] if tol_key is not None else None
-            passed = m is not None and (tol is None or m <= tol)  # NaN <= tol is False
-            info = "reported, not asserted" if m is not None and tol is None else note
+            passed = m is not None and m <= (math.inf if tol is None else tol)  # False for NaN
+            info = (note if m is None else "measured NaN" if math.isnan(m)
+                    else "reported, not asserted" if tol is None else note)
             records.append(CheckRecord(check_id, anchor, m, tol, passed, info))
     records.sort(key=lambda r: r.check_id)
     return SuiteReport(

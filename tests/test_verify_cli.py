@@ -363,7 +363,7 @@ class TestCliVerify:
         ({"operator_n": 512.0}, "operator_n"),
         ({"operator_n": 0}, "operator_n"),
         ({"operator_n": -5}, "operator_n"),
-        ({"line": {"n": 0}}, "line grid too small"),
+        ({"line": {"n": 0}}, "line.n"),
         ({"probe_counts": {"circle": 2.5}}, "probe count 'circle'"),
         ({"rational_set": [[2, 4, 0.0]]}, "rational_set element [2, 4, 0.0]: q/p"),
         ({"affine_set": [[-1.0, 0.0]]}, "affine_set element [-1.0, 0.0]: scale a"),
@@ -378,6 +378,53 @@ def test_malformed_config_exits_one_naming_its_field(tmp_path, capsys, doc, fiel
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("usage error: invalid config: ") and field in out.err
+
+
+# every row of SuiteConfig's field table: its name in messages, the config
+# document that sets it, and whether it holds a real number (else an integer)
+FIELD_ROWS = [
+    ("rng_seed", lambda v: {"rng_seed": v}, False),
+    ("line.n", lambda v: {"line": {"n": v}}, False),
+    ("line.x_min", lambda v: {"line": {"x_min": v}}, True),
+    ("line.x_max", lambda v: {"line": {"x_max": v}}, True),
+    ("circle.K", lambda v: {"circle": {"K": v}}, False),
+    ("circle.n_samples", lambda v: {"circle": {"n_samples": v}}, False),
+    ("operator_n", lambda v: {"operator_n": v}, False),
+    *((f"probe count {k!r}", lambda v, k=k: {"probe_counts": {k: v}}, False)
+      for k in verify._default_probe_counts()),
+    *((f"tolerance {k!r}", lambda v, k=k: {"tolerances": {k: v}}, True)
+      for k in verify._default_tolerances()),
+]
+
+
+@pytest.mark.parametrize(
+    "field, doc",
+    [pytest.param(field, doc(value), id=f"{field}={value!r}")
+     for field, doc, real in FIELD_ROWS
+     for value in ("5", True, None, *([float("nan")] if real else []))],
+)
+def test_a_field_of_the_wrong_kind_is_rejected_naming_it(tmp_path, capsys, field, doc):
+    with pytest.raises(ValueError, match=re.escape(field)):
+        SuiteConfig.from_json_dict(doc)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["verify", "all", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: invalid config: ") and field in err
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"line": {"x_min": float("nan")}}, "line.x_min"),
+    ({"line": {"x_max": float("inf")}}, "line.x_max"),
+    ({"line": {"x_max": 10**400}}, "line.x_max"),  # no float holds it
+    ({"line": {"x_max": -50.0}}, "line.x_max"),
+    ({"circle": {"K": -3}}, "circle.K"),
+    ({"circle": {"n_samples": 0}}, "circle.n_samples"),
+    ({"circle": {"n_samples": 511}}, "circle.n_samples"),
+])
+def test_a_field_out_of_bounds_is_rejected_naming_it(doc, field):
+    with pytest.raises(ValueError, match=f"^{re.escape(field)} must be"):
+        SuiteConfig.from_json_dict(doc)
 
 
 def test_seed_override_is_validated(capsys):

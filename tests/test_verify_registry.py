@@ -122,16 +122,29 @@ def test_a_nan_leaf_anywhere_gives_nan():
 
 
 def test_a_nan_defect_fails_its_record(monkeypatch):
-    def nan_defect(cfg):
-        return [np.zeros(3), (0.0, np.array([1e-20, np.nan]))]
+    def nan_defects(cfg):
+        nan = [np.zeros(3), (0.0, np.array([1e-20, np.nan]))]
+        return nan, nan
 
-    record = ("x01-nan-defect", "parseval", "returns a NaN among its defects")
+    declared = (("x01-nan-defect", "parseval", "returns a NaN among its defects"),
+                ("x02-nan-reported", None, "returns a NaN among its defects (reported)"))
     monkeypatch.setattr(verify, "_REGISTRY",
-                        [*_REGISTRY, verify._Check("circle", nan_defect, (record,), None)])
-    records = {r.check_id: r for r in run_verify("circle", small_config()).records}
-    nan = records.pop("x01-nan-defect")
-    assert math.isnan(nan.measured) and nan.passed is False
+                        [*_REGISTRY, verify._Check("circle", nan_defects, declared, None)])
+    report = run_verify("circle", small_config())
+    records = {r.check_id: r for r in report.records}
+    for check_id in ("x01-nan-defect", "x02-nan-reported"):
+        nan = records.pop(check_id)
+        assert math.isnan(nan.measured) and nan.passed is False
+        assert nan.note == "measured NaN"
     assert all(r.passed for r in records.values())
+    # the report stays JSON: a NaN measured value is written as null
+    doc = json.loads(json.dumps(report.to_json_dict()),
+                     parse_constant=lambda token: pytest.fail(f"non-JSON token {token}"))
+    written = {r["check_id"]: r for r in doc["records"]}
+    assert written["x02-nan-reported"]["measured"] is None
+    assert written["x02-nan-reported"]["note"] == "measured NaN"
+    assert [r for r in doc["records"] if r["measured"] is not None] == [
+        r.to_json_dict() for r in records.values()]
 
 
 @pytest.mark.parametrize("rng_seed", [24])
