@@ -317,6 +317,14 @@ def _row_sq_norms(m: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", v, v)
 
 
+def _frobenius(m: np.ndarray) -> float:
+    """Frobenius norm of a complex matrix, summed in a fixed order.  Not
+    np.linalg.norm: on a complex matrix it sums through BLAS, whose threads
+    split the sum (so its last bits depend on the CPU count) and spin on the
+    CPUs of the verify suite's thread map."""
+    return math.sqrt(float(_row_sq_norms(np.ascontiguousarray(m)).sum()))
+
+
 def decompose_line_operator(T: OperatorMatrix) -> ScalarDecomposition:
     """Extract the lam*I + eta*H form of a line-basis operator.
 
@@ -364,9 +372,7 @@ def _decompose_blocks(tilde: np.ndarray, T: OperatorMatrix) -> ScalarDecompositi
     recon[zero] = k0
     _diagonal(tilde)[...] -= recon
     rows = _row_sq_norms(tilde)
-    # not np.linalg.norm: on a complex matrix it calls BLAS, whose spinning
-    # worker threads would take the CPUs of the verify suite's thread map
-    tnorm = math.sqrt(float(_row_sq_norms(np.ascontiguousarray(T.entries)).sum()))
+    tnorm = _frobenius(T.entries)
 
     def residual(mask):
         return 0.0 if tnorm == 0.0 else math.sqrt(float(rows[mask].sum())) / tnorm
@@ -585,15 +591,15 @@ def rotation_commutant_analysis(
     components = np.unique(label).size
 
     E = T.entries
-    tnorm = np.linalg.norm(E)
+    tnorm = _frobenius(E)
     if tnorm == 0.0:
         return RotationCommutantReport(0.0, 0.0, 0.0, components)
     ks = np.arange(-K, K + 1)
     rot_defect = 0.0
     for beta in rot_betas:
         d = np.exp(1j * ks * beta)
-        rot_defect = max(rot_defect, float(np.linalg.norm(E * d[None, :] - d[:, None] * E) / tnorm))
-    diagonal_defect = float(np.linalg.norm(E - np.diag(np.diagonal(E))) / tnorm)
+        rot_defect = max(rot_defect, _frobenius(E * d[None, :] - d[:, None] * E) / tnorm)
+    diagonal_defect = _frobenius(E - np.diag(np.diagonal(E))) / tnorm
 
     diag = np.diagonal(E)[K + 1 :]
     same = label[:, None] == label[None, :]

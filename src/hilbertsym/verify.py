@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import numbers
 import os
-import threading
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -71,6 +70,7 @@ from .symmetry import (
     decompose_line_operator,
     line_affine_action,
     rotation_commutant_analysis,
+    _frobenius,
     _scratch_scope,
     synthesize_commuting_operator,
 )
@@ -199,12 +199,16 @@ class SuiteConfig:
             if not (value > least if above else value >= least):
                 raise ValueError(f"{name} must be {'above' if above else 'at least'} {least}, "
                                  f"got {value}")
+        if math.isinf(self.line.x_max - self.line.x_min):
+            raise ValueError(f"line.x_max must be a finite width above line.x_min "
+                             f"{self.line.x_min}, got {self.line.x_max}")
 
     def validate(self):
         """Raise ValueError at the first generic rule broken: a row of the field table (rng_seed,
         line.n, line.x_min, line.x_max, circle.K, circle.n_samples, operator_n, each probe count,
         each tolerance), then an empty action set or an element its own class rejects; else with
-        the reason of every check whose regime the config leaves (they rely on the rules above)."""
+        the reason of every regime rule the config breaks, each distinct rule asked once, in
+        registry order (they rely on the rules above)."""
         self._check_fields()
         for name, element_type in (("affine_set", AffineElement), ("rational_set", RationalScale),
                                    ("moebius_set", MoebiusElement)):
@@ -215,7 +219,8 @@ class SuiteConfig:
                     element_type(*element)
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"{name} element {element!r}: {exc}") from None
-        reasons = [why for check in _REGISTRY if check.regime and (why := check.regime(self))]
+        regimes = dict.fromkeys(check.regime for check in _REGISTRY if check.regime)
+        reasons = [why for regime in regimes if (why := regime(self))]
         if reasons:
             raise ValueError("; ".join(reasons))
 
@@ -293,43 +298,18 @@ def _rng_seed(cfg: SuiteConfig, salt: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([cfg.rng_seed, salt])
 
 
-_POOL = None  # (pid, workers, executor) of the threads behind _map
-_POOL_LOCK = threading.Lock()
-
-
-def _cpu_count() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
-def _pool(workers: int):
-    """The executor of at least ``workers`` threads, created on first use
-    (and again in a forked child, which inherits no threads).  It persists so
-    that a ``_map`` call starts no thread: on 2 cores, a new executor per call
-    left warm ``run_verify("all")`` times unchanged and raised the median peak
-    RSS of its process by 0.2 MB (8 processes each)."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None or _POOL[0] != os.getpid() or _POOL[1] < workers:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _POOL = (os.getpid(), workers, ThreadPoolExecutor(workers, "hilbertsym-verify"))
-        return _POOL[2]
-
-
 def _map(fn: Callable, items) -> list:
     """``[fn(x) for x in items]``, for a sequence of items, with the items
     split over the CPUs in this process's affinity mask.
 
     Share s of the N shares takes items s, s + N, s + 2N, ...; the calling
-    thread runs share 0 and pool threads the others.  Results come back in
-    item order, and when items raise, the failure of the lowest-index one is
-    raised, as the serial loop would.  With one CPU (or one item) this is
-    the serial loop.  The gain rests on numpy's FFTs and array loops
-    releasing the GIL, so ``fn`` must not call BLAS: its spinning worker
-    threads would take the CPUs the shares run on.
+    thread runs share 0 and the threads of an executor opened for this call
+    the others.  Threads start only on submit, so one CPU (or one item)
+    starts none, and none outlives the call.  Results come back in item
+    order, and when items raise, the failure of the lowest-index one is
+    raised, as the serial loop would.  The gain rests on numpy's FFTs and
+    array loops releasing the GIL, so ``fn`` must not call BLAS: its spinning
+    worker threads would take the CPUs the shares run on.
 
     This is not ``ThreadPoolExecutor.map``, which gives the same results:
     there the calling thread only waits while N pool threads run, one more
@@ -337,9 +317,13 @@ def _map(fn: Callable, items) -> list:
     process running ``run_verify("all")`` from 63 MB to 70 MB (from 60 MB
     to 63.5 MB with glibc held to one malloc arena).
     """
-    shares = min(_cpu_count(), len(items))
-    if shares <= 1:
-        return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
+
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    shares = min(cpus, len(items)) or 1
     results = [None] * len(items)
 
     def run(share):
@@ -350,9 +334,9 @@ def _map(fn: Callable, items) -> list:
                 return i, exc
         return None
 
-    futures = [_pool(shares - 1).submit(run, s) for s in range(1, shares)]
-    failures = [run(0)] + [f.result() for f in futures]
-    failures = [f for f in failures if f is not None]
+    with ThreadPoolExecutor(shares, "hilbertsym-verify") as pool:
+        futures = [pool.submit(run, s) for s in range(1, shares)]
+        failures = [f for f in (run(0), *(future.result() for future in futures)) if f]
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
     return results
@@ -386,7 +370,8 @@ def _check(target: str, *records, regime=None):
     (check_id, tol_key, anchor) record per item it returns (a tuple of items for
     several), measured by ``_worst``.  A tol_key names an entry of the config's
     tolerances; None marks a record that is reported, not asserted.  ``regime(cfg)``
-    returns why ``validate()`` must reject ``cfg``, naming the checks it breaks, or None."""
+    returns why ``validate()`` must reject ``cfg``, naming the checks it breaks, or None;
+    checks drawing one packet family declare its one rule, which ``validate()`` asks once."""
 
     def register(fn):
         _REGISTRY.append(_Check(target, fn, records, regime))
@@ -420,54 +405,54 @@ def _names(checks) -> str:
     return " and ".join((", ".join(checks[:-1]), checks[-1])) if len(checks) > 1 else checks[0]
 
 
-def _reach_reason(cfg: SuiteConfig, packets: dict, eps: float, draw: _Draw,
-                  window: Optional[tuple] = None) -> Optional[str]:
-    """Why the line window or ``draw``'s band is too small for the Gaussian
-    packets of the ``packets`` ranges, or None.
+def _reach_reason(cfg: SuiteConfig, packets: dict, eps: float, *draws: _Draw) -> Optional[str]:
+    """Why the line window or a band of ``draws`` is too small for the
+    Gaussian packets of the ``packets`` ranges, or None.
 
     |f|^2 = exp(-(x - c)^2 / w^2) is below e of its peak beyond |x - c| =
     w sqrt(log(1/e)), and so is its share there (erfc(t) <= exp(-t^2));
     |f^|^2 = exp(-w^2 (xi - nu)^2) likewise beyond |xi - nu| = sqrt(log(1/e)) / w.
     Dilation by a scales c and w by a.  The window must hold the packets below
-    ``eps`` at the largest scale of the draws ``window`` (default: ``draw``)
-    up to the last sample of their coarsest grid.  ``draw``'s band must hold
-    them below ``eps`` at min(1/2, a_min), for make_probes' central half and
-    every dilate guard, and at a_min < 1 below min(ALIAS_GUARD_TOL, tol^2) too,
-    for the Nyquist bin that H zeroes and the dilated H f does not.
+    ``eps`` at the largest scale of all the draws up to the last sample of
+    their coarsest grid.  Each draw's band must hold them below ``eps`` at
+    min(1/2, a_min), for make_probes' central half and every dilate guard, and
+    at a_min < 1 below min(ALIAS_GUARD_TOL, tol^2) too, for the Nyquist bin
+    that H zeroes and the dilated H f does not.
     """
     x_min, x_max = cfg.line.x_min, cfg.line.x_max
     w, nu = min(packets["width"]), max(packets["modulation"])
-    reasons = []
-    if window := ((draw,) if window is None else window):
-        a_max = max(max(d.scales) for d in window)
-        reach = a_max * (max(abs(c) for c in packets["center"])
-                         + max(packets["width"]) * math.sqrt(math.log(1.0 / eps)))
-        if min(-x_min, x_max - (x_max - x_min) / min(d.n for d in window)) < reach:
-            reasons.append(
-                f"line window [{x_min:g}, {x_max:g}] is too narrow: "
-                f"{_names(sum((d.checks for d in window), ()))} need their packets, dilated "
-                f"by up to {a_max:g}, to keep below {eps:.0e} of their energy outside "
-                f"+-{reach:.4g}")
-    band = (draw.n // 2) * Grid1D.from_interval(x_min, x_max, draw.n).dxi
 
-    def least(e):  # the least scale of the band that holds the packets below e
+    def least(e, band):  # the least scale of ``band`` that holds the packets below e
         return (nu + math.sqrt(math.log(1.0 / e)) / w) / band
 
-    a = min(draw.scales)
-    rules = [(min(0.5, a), eps, draw.checks)]  # (scale, density, checks it breaks)
-    if a < 1.0:
-        rules.append((a, min(ALIAS_GUARD_TOL, draw.tol**2), draw.checks[:1]))
-    broken = [(s, e, checks) for s, e, checks in rules if s < least(e)]
-    for scale in sorted({s for s, _, _ in broken}):
-        e = min(e for s, e, _ in broken if s == scale)
-        checks = max((checks for s, _, checks in broken if s == scale), key=len)
-        what, verb = (f"affine scale a={a:g}", "dilate") if scale == a else (
-            f"the central half (a={scale:g}) of the band that make_probes keeps packets in", "draw")
+    a_max = max(max(d.scales) for d in draws)
+    reach = a_max * (max(abs(c) for c in packets["center"])
+                     + max(packets["width"]) * math.sqrt(math.log(1.0 / eps)))
+    reasons = []
+    if min(-x_min, x_max - (x_max - x_min) / min(d.n for d in draws)) < reach:
         reasons.append(
-            f"{what} is too small for {draw.field}={draw.n} on [{x_min:g}, {x_max:g}]: "
-            f"{_names(checks)} {verb}{'' if len(checks) > 1 else 's'} packets modulated up to "
-            f"{nu:g}, which only a >= {least(e):.4g} keeps below {e:.0e} of their peak energy "
-            f"density beyond the band |xi| <= a*{band:.4g}")
+            f"line window [{x_min:g}, {x_max:g}] is too narrow: "
+            f"{_names(sum((d.checks for d in draws), ()))} need their packets, dilated "
+            f"by up to {a_max:g}, to keep below {eps:.0e} of their energy outside "
+            f"+-{reach:.4g}")
+    for draw in draws:
+        band = (draw.n // 2) * Grid1D.from_interval(x_min, x_max, draw.n).dxi
+        a = min(draw.scales)
+        rules = [(min(0.5, a), eps, draw.checks)]  # (scale, density, checks it breaks)
+        if a < 1.0:
+            rules.append((a, min(ALIAS_GUARD_TOL, draw.tol**2), draw.checks[:1]))
+        broken = [(s, e, checks) for s, e, checks in rules if s < least(e, band)]
+        for scale in sorted({s for s, _, _ in broken}):
+            e = min(e for s, e, _ in broken if s == scale)
+            checks = max((checks for s, _, checks in broken if s == scale), key=len)
+            what, verb = (f"affine scale a={a:g}", "dilate") if scale == a else (
+                f"the central half (a={scale:g}) of the band that make_probes keeps packets in",
+                "draw")
+            reasons.append(
+                f"{what} is too small for {draw.field}={draw.n} on [{x_min:g}, {x_max:g}]: "
+                f"{_names(checks)} {verb}{'' if len(checks) > 1 else 's'} packets modulated up "
+                f"to {nu:g}, which only a >= {least(e, band):.4g} keeps below {e:.0e} of their "
+                f"peak energy density beyond the band |xi| <= a*{band:.4g}")
     return "; ".join(reasons) or None
 
 
@@ -482,10 +467,12 @@ def _a01_regime(cfg: SuiteConfig) -> Optional[str]:
     reach = _reach_reason(cfg, _A01_PACKETS, EDGE_DECAY_TOL**2, _Draw(
         ("a01-multiplier-vs-quadrature", "m01-line-parseval"), "line n", cfg.line.n, (1.0,), tol))
     dx = (cfg.line.x_max - cfg.line.x_min) / cfg.line.n
-    coarse = _A01_CUBIC * dx**3 > tol and (
+    # float ** raises past dx = 2**(1024/3); 16 dx^3 is inf from 2**341 on anyway
+    err = _A01_CUBIC * dx**3 if dx < 2.0**341 else math.inf
+    coarse = err > tol and (
         f"line grid spacing {dx:.4g} (n={cfg.line.n}) is too coarse: "
         f"a01-multiplier-vs-quadrature errs by up to {_A01_CUBIC:g}*dx^3 = "
-        f"{_A01_CUBIC * dx**3:.2g}, above its tolerance {tol:g}")
+        f"{err:.2g}, above its tolerance {tol:g}")
     return "; ".join(why for why in (reach, coarse) if why) or None
 
 
@@ -519,16 +506,18 @@ def _by_scale(affine_set) -> list:
     return list(shifts.items())
 
 
-def _a03_regime(cfg: SuiteConfig) -> Optional[str]:
-    a03 = _Draw(("a03-affine-commutation", "m03-rep-isometry"), "line n", cfg.line.n,
-                tuple(a for a, _ in cfg.affine_set), cfg.tolerances["affine_commutation"])
-    # the one window of the guarded packets is held here, for m06's draw too
-    return _reach_reason(cfg, _GUARDED, ALIAS_GUARD_TOL, a03, window=(a03, _m06_draw(cfg)))
+def _guarded_regime(cfg: SuiteConfig) -> Optional[str]:
+    """Reach rule of the guarded packets: a03, m03 on the line grid, m06 on the operator grid."""
+    line = _Draw(("a03-affine-commutation", "m03-rep-isometry"), "line n", cfg.line.n,
+                 tuple(a for a, _ in cfg.affine_set), cfg.tolerances["affine_commutation"])
+    engine = _Draw(("m06-engine-commutator-line",), "operator_n", cfg.operator_n,
+                   _ENGINE_SCALES, cfg.tolerances["engine_commutator_line"])
+    return _reach_reason(cfg, _GUARDED, ALIAS_GUARD_TOL, line, engine)
 
 
 @_check("line", ("a03-affine-commutation", "affine_commutation",
                  "scale and shift actions commute with the line transform"),
-        regime=_a03_regime)
+        regime=_guarded_regime)
 def _check_affine_commutation(cfg: SuiteConfig) -> list:
     f = _probes(cfg, "gaussian-packet", 13, cfg.probe_counts["line"], grid=cfg.line_grid(),
                 **_GUARDED)
@@ -582,7 +571,7 @@ def _check_hardy_identities(cfg: SuiteConfig) -> tuple:
 
 
 @_check("line", ("m03-rep-isometry", "rep_isometry",
-                 "the natural scale/shift action preserves the norm"))
+                 "the natural scale/shift action preserves the norm"), regime=_guarded_regime)
 def _check_rep_isometry(cfg: SuiteConfig) -> list:
     f = _probes(cfg, "gaussian-packet", 18, max(5, cfg.probe_counts["line"] // 2),
                 grid=cfg.line_grid(), **_GUARDED)
@@ -934,19 +923,9 @@ def _check_perturbation_flags(cfg: SuiteConfig) -> int:
     return sum(map(missed, range(cfg.probe_counts["scalarity"])))
 
 
-def _m06_draw(cfg: SuiteConfig) -> _Draw:
-    return _Draw(("m06-engine-commutator-line",), "operator_n", cfg.operator_n, _ENGINE_SCALES,
-                 cfg.tolerances["engine_commutator_line"])
-
-
-def _m06_regime(cfg: SuiteConfig) -> Optional[str]:
-    # a03's rule holds the window of every draw of the guarded packets
-    return _reach_reason(cfg, _GUARDED, ALIAS_GUARD_TOL, _m06_draw(cfg), window=())
-
-
 @_check("symmetry", ("m06-engine-commutator-line", "engine_commutator_line",
                      "matrix engine reproduces the line commutation bound"),
-        regime=_m06_regime)
+        regime=_guarded_regime)
 def _check_engine_commutator_line(cfg: SuiteConfig) -> float:
     grid = cfg.operator_grid()
     basis = LineBasis(grid.n, grid.x_min, grid.dx)
@@ -985,8 +964,8 @@ def _check_soundness(cfg: SuiteConfig) -> list:
         T = OperatorMatrix(basis, entries)
         dec = decompose_line_operator(T)
         recon = synthesize_commuting_operator(dec.lam, dec.eta, basis)
-        tnorm = np.linalg.norm(T.entries)
-        lhs = np.linalg.norm(T.entries - recon.entries)
+        tnorm = _frobenius(T.entries)
+        lhs = _frobenius(T.entries - recon.entries)
         rhs = tnorm * math.sqrt(
             dec.residual_plus**2 + dec.residual_minus**2 + dec.residual_zero**2
         )

@@ -1,7 +1,10 @@
 import json
 import os
 import re
+import subprocess
 import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,9 @@ from hilbertsym.verify import (
     _worst,
     run_verify,
 )
+
+
+SRC = str(Path(verify.__file__).resolve().parents[1])
 
 
 def small_circle_config(**over):
@@ -231,6 +237,26 @@ class TestThreadedMap:
         assert json.dumps(threaded.to_json_dict()) == json.dumps(serial.to_json_dict())
         assert threaded.to_csv_text() == serial.to_csv_text()
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity masks")
+    def test_one_cpu_cli_report_is_byte_identical(self):
+        # pinned before numpy loads, so its BLAS starts one thread too
+        cpu = {min(os.sched_getaffinity(0))}
+
+        def verify_all(**pin):
+            return subprocess.run([sys.executable, "-m", "hilbertsym.cli", "verify", "all"],
+                                  cwd=SRC, capture_output=True, text=True, check=True,
+                                  timeout=300, **pin).stdout
+
+        one_cpu = verify_all(preexec_fn=lambda: os.sched_setaffinity(0, cpu))
+        assert json.loads(one_cpu)["pass"] is True
+        assert verify_all() == one_cpu
+
+    def test_no_thread_outlives_a_run(self):
+        before = threading.active_count()
+        run_verify("all", SuiteConfig(probe_counts={"line": 4, "roundtrip": 5}))
+        assert threading.active_count() == before
+        assert [t for t in threading.enumerate() if t.name.startswith("hilbertsym-verify")] == []
+
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_check_error_names_the_lowest_failing_element(self, monkeypatch, cpus):
         # a=0.05 (item 1) and a=0.02 (item 2) both alias; with two CPUs they
@@ -369,6 +395,12 @@ class TestCliVerify:
         ({"affine_set": [[-1.0, 0.0]]}, "affine_set element [-1.0, 0.0]: scale a"),
         ({"tolerances": {"parsevl": 1e-12}}, "unknown tolerance 'parsevl'"),
         ({"probe_counts": {"lines": 4}}, "unknown probe count 'lines'"),
+        # 16*dx^3 overflows a float power here: rejected by a01's cubic rule, not an exit 4
+        ({"line": {"x_max": 1e120}}, "line grid spacing"),
+        ({"line": {"x_max": 1e300}}, "line grid spacing"),
+        ({"line": {"x_min": 1e300, "x_max": 1.0000001e300}}, "line grid spacing"),
+        # finite ends whose width is not
+        ({"line": {"x_min": -1e308, "x_max": 1e308}}, "line.x_max must be a finite width"),
     ],
 )
 def test_malformed_config_exits_one_naming_its_field(tmp_path, capsys, doc, field):

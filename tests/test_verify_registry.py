@@ -167,10 +167,11 @@ def test_measured_values_match_the_reference_snapshot(rng_seed):
 CHECK_ID = re.compile(r"\b[am]\d\d-[a-z-]+")
 REGISTERED = {check_id for check_id, _, _ in declared_records()}
 
-# a config change that each check's regime rejects (and no other check's)
+# a config change that each check's regime rejects (and no regime the check does not declare)
 OUT_OF_REGIME = {
     "a01-multiplier-vs-quadrature": {"line": LineGridConfig(n=1000)},
     "a03-affine-commutation": {"line": LineGridConfig(-20.0, 20.0, 2048)},
+    "m03-rep-isometry": {"affine_set": [(0.05, 0.0)]},
     "a06-semigroup-commutation": {"circle": CircleConfig(K=2)},
     "a09-perturbation-flagging": {"circle": CircleConfig(K=1), "rational_set": [(1, 2, 0.0)]},
     "a11-moebius-unitarity": {"circle": CircleConfig(K=16, n_samples=64)},
@@ -213,6 +214,18 @@ def test_several_broken_rules_are_all_named_in_registry_order():
         "needs q <= K; circle K=1 is too small: a09-perturbation-flagging perturbs one "
         "index in [1, K//2], so K must be at least 2"
     )
+
+
+def test_a_packet_family_shared_by_several_checks_is_judged_once():
+    # a03, m03 and m06 declare one rule: the window (too narrow for the
+    # guarded packets) and m06's band (operator_n too small) are each named once
+    with pytest.raises(ValueError) as exc:
+        SuiteConfig(line=LineGridConfig(-20.0, 20.0, 4096), operator_n=128)
+    window, band = str(exc.value).split("; ")
+    assert window.startswith("line window [-20, 20] is too narrow: a03-affine-commutation, "
+                             "m03-rep-isometry and m06-engine-commutator-line need")
+    assert band.startswith("affine scale a=0.5 is too small for operator_n=128 on [-20, 20]: "
+                           "m06-engine-commutator-line dilates")
 
 
 def test_generic_rules_are_checked_before_the_regime_rules():
