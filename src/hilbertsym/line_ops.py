@@ -3,7 +3,11 @@
 
 Conventions fixed here (and relied on by the symmetry engine):
 
-* The multiplier form uses -i*s with s = :func:`~.signals.sign_symbol` of
+* Operators act as multipliers of the grid DFT (``np.fft.fft``).  The
+  calibrated pair :func:`~.signals.dft`/:func:`~.signals.idft` is read by
+  Parseval, the intertwining defect and the half-line action; its per-bin
+  factors are reciprocal, so no multiplier needs it.
+* The Hilbert multiplier is -i*s with s = :func:`~.signals.sign_symbol` of
   the grid's signed indices: sgn(xi), zero on the mean bin and on the shared
   even-n extreme bin ("Nyquist").  That keeps the operator real-preserving
   and makes H^2 = -I hold exactly off those bins.
@@ -26,14 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import (
-    LineSignal,
-    LineSpectrum,
-    _frozen_complex_array,
-    dft,
-    idft,
-    sign_symbol,
-)
+from .signals import LineSignal, _frozen_complex_array, dft, sign_symbol
 
 __all__ = [
     "AffineElement",
@@ -119,10 +116,14 @@ def _carry(f: LineSignal, out: LineSignal, new=()) -> LineSignal:
     return LineSignal(out.grid, out.values, flags) if flags else out
 
 
+def _multiply(f: LineSignal, symbol, new=()) -> LineSignal:
+    """``f`` with ``symbol`` applied binwise to its grid DFT (wrap order)."""
+    return _carry(f, LineSignal(f.grid, np.fft.ifft(symbol * np.fft.fft(f.values))), new)
+
+
 def hilbert_multiplier(f: LineSignal) -> LineSignal:
     """Apply -i*sgn(xi) binwise on the spectrum (sgn(0) = 0, Nyquist bin 0)."""
-    s = dft(f)
-    return _carry(f, idft(s.with_values(-1j * sign_symbol(f.grid.signed_indices()) * s.values)))
+    return _multiply(f, -1j * sign_symbol(f.grid.signed_indices()))
 
 
 def _edge_test(v: np.ndarray) -> tuple:
@@ -167,10 +168,8 @@ def hardy_project(f: LineSignal, sign: str) -> LineSignal:
     """
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    s = dft(f)
     mult = sign_symbol(f.grid.signed_indices())
-    mask = 0.5 * (1.0 + mult) if sign == "+" else 0.5 * (1.0 - mult)
-    return _carry(f, idft(s.with_values(mask * s.values)))
+    return _multiply(f, 0.5 * (1.0 + mult) if sign == "+" else 0.5 * (1.0 - mult))
 
 
 @functools.lru_cache(maxsize=32)
@@ -202,23 +201,6 @@ def _chirp_z(x: np.ndarray, a: float, kmin: int) -> np.ndarray:
     return y[..., n - 1 : 2 * n - 1] * wk2
 
 
-def _semidiscrete_spectrum_scaled(f: LineSignal, a: float) -> np.ndarray:
-    """Sample the semidiscrete transform of f at the scaled grid frequencies
-    a*xi_k, in wrap order.  Bins with |a*k| beyond the representable band are
-    zeroed: the semidiscrete transform is periodic in frequency, so those
-    samples would be wrap-around artefacts rather than data."""
-    g = f.grid
-    n = g.n
-    ks = g.signed_indices()
-    kmin = int(ks.min())
-    sorted_vals = _chirp_z(f.values, a, kmin)
-    wrapped = np.roll(sorted_vals, kmin, axis=-1)
-    xi = g.frequencies()
-    s = (g.dx / math.sqrt(2.0 * math.pi)) * np.exp(-1j * a * xi * g.x_min) * wrapped
-    s[..., np.abs(a * ks) > n // 2] = 0.0
-    return s
-
-
 def _mass_fraction(energy: np.ndarray, mask: np.ndarray) -> float:
     """Largest row share of ``energy`` on the masked bins; zero rows count 0."""
     total = np.sum(energy, axis=-1)
@@ -229,16 +211,19 @@ def _mass_fraction(energy: np.ndarray, mask: np.ndarray) -> float:
 def _band_share(f: LineSignal, a: float) -> float:
     """Largest row share of the spectral energy of ``f`` beyond a*(n//2) bins
     from the mean: what a dilation by a < 1 pushes past the band."""
-    energy = np.abs(dft(f).values) ** 2
+    energy = np.abs(np.fft.fft(f.values)) ** 2
     return _mass_fraction(energy, np.abs(f.grid.signed_indices()) > a * (f.grid.n // 2))
 
 
 def dilate(f: LineSignal, a: float) -> LineSignal:
     """Unitary dilation (T_a f)(x) = a^(-1/2) f(x/a) by spectral resampling.
 
-    The output spectrum is a^(1/2) s(a*xi_k) with s the bandlimited
-    interpolant of the input spectrum.  Two guards make the error regime
-    explicit instead of silent wrap-around:
+    The output spectrum is a^(1/2) s(a*xi_k), s the bandlimited interpolant
+    of the input spectrum, sampled by a chirp z-transform of the samples and
+    zeroed where |a*k| passes the band (s is periodic there: wrap-around, not
+    data).  On the grid DFT, the calibration's ratio at a*xi_k and xi_k adds
+    exp(-i (a-1) xi_k x_min), so f dilates about x = 0 on any window.  Two
+    guards make the error regime explicit instead of silent wrap-around:
 
     * a < 1 stretches the spectrum; input energy at |xi| > a*xi_nyquist would
       land beyond the band.
@@ -271,13 +256,18 @@ def dilate(f: LineSignal, a: float) -> LineSignal:
                 f"outside the grid"
             )
 
-    spec = math.sqrt(a) * _semidiscrete_spectrum_scaled(f, a)
-    return _carry(f, idft(LineSpectrum(g, spec)))
+    ks = g.signed_indices()
+    kmin = int(ks.min())
+    spec = np.roll(_chirp_z(f.values, a, kmin), kmin, axis=-1)
+    spec *= math.sqrt(a) * np.exp(-1j * (a - 1.0) * g.frequencies() * g.x_min)
+    spec[..., np.abs(a * ks) > g.n // 2] = 0.0
+    return _carry(f, LineSignal(g, np.fft.ifft(spec)))
 
 
 def translate(f: LineSignal, b: float) -> LineSignal:
     """Shift (tau_b f)(x) = f(x - b) through the spectral phase ramp
-    exp(-i xi b).
+    exp(-i xi b), taken at b mod n*dx (its period on the grid) so that it
+    stays finite for any finite b.
 
     For b an integer multiple of dx this is exactly the circular index shift;
     b = 0 returns ``f`` itself.  Signals with an energy share above
@@ -292,8 +282,7 @@ def translate(f: LineSignal, b: float) -> LineSignal:
     x = g.positions()
     edge = x >= g.x_min + g.span - b if b > 0 else x < g.x_min - b
     new = ("edge-mass",) if _mass_fraction(np.abs(f.values) ** 2, edge) > EDGE_DECAY_TOL else ()
-    s = dft(f)
-    return _carry(f, idft(s.with_values(s.values * np.exp(-1j * g.frequencies() * b))), new)
+    return _multiply(f, np.exp(-1j * g.frequencies() * math.fmod(b, g.span)), new)
 
 
 def rep_natural(f: LineSignal, g: AffineElement) -> LineSignal:

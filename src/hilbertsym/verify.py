@@ -405,6 +405,11 @@ def _names(checks) -> str:
     return " and ".join((", ".join(checks[:-1]), checks[-1])) if len(checks) > 1 else checks[0]
 
 
+def _num(x: float) -> str:
+    """``x`` as ``:g`` prints it when that reads back as ``x``, else its repr."""
+    return f"{x:g}" if float(f"{x:g}") == x else repr(float(x))
+
+
 def _reach_reason(cfg: SuiteConfig, packets: dict, eps: float, *draws: _Draw) -> Optional[str]:
     """Why the line window or a band of ``draws`` is too small for the
     Gaussian packets of the ``packets`` ranges, or None.
@@ -420,6 +425,7 @@ def _reach_reason(cfg: SuiteConfig, packets: dict, eps: float, *draws: _Draw) ->
     that H zeroes and the dilated H f does not.
     """
     x_min, x_max = cfg.line.x_min, cfg.line.x_max
+    window = f"[{_num(x_min)}, {_num(x_max)}]"
     w, nu = min(packets["width"]), max(packets["modulation"])
 
     def least(e, band):  # the least scale of ``band`` that holds the packets below e
@@ -431,9 +437,9 @@ def _reach_reason(cfg: SuiteConfig, packets: dict, eps: float, *draws: _Draw) ->
     reasons = []
     if min(-x_min, x_max - (x_max - x_min) / min(d.n for d in draws)) < reach:
         reasons.append(
-            f"line window [{x_min:g}, {x_max:g}] is too narrow: "
+            f"line window {window} is too narrow: "
             f"{_names(sum((d.checks for d in draws), ()))} need their packets, dilated "
-            f"by up to {a_max:g}, to keep below {eps:.0e} of their energy outside "
+            f"by up to {_num(a_max)}, to keep below {eps:.0e} of their energy outside "
             f"+-{reach:.4g}")
     for draw in draws:
         band = (draw.n // 2) * Grid1D.from_interval(x_min, x_max, draw.n).dxi
@@ -445,11 +451,11 @@ def _reach_reason(cfg: SuiteConfig, packets: dict, eps: float, *draws: _Draw) ->
         for scale in sorted({s for s, _, _ in broken}):
             e = min(e for s, e, _ in broken if s == scale)
             checks = max((checks for s, _, checks in broken if s == scale), key=len)
-            what, verb = (f"affine scale a={a:g}", "dilate") if scale == a else (
+            what, verb = (f"affine scale a={_num(a)}", "dilate") if scale == a else (
                 f"the central half (a={scale:g}) of the band that make_probes keeps packets in",
                 "draw")
             reasons.append(
-                f"{what} is too small for {draw.field}={draw.n} on [{x_min:g}, {x_max:g}]: "
+                f"{what} is too small for {draw.field}={draw.n} on {window}: "
                 f"{_names(checks)} {verb}{'' if len(checks) > 1 else 's'} packets modulated up "
                 f"to {nu:g}, which only a >= {least(e, band):.4g} keeps below {e:.0e} of their "
                 f"peak energy density beyond the band |xi| <= a*{band:.4g}")
@@ -472,7 +478,7 @@ def _a01_regime(cfg: SuiteConfig) -> Optional[str]:
     coarse = err > tol and (
         f"line grid spacing {dx:.4g} (n={cfg.line.n}) is too coarse: "
         f"a01-multiplier-vs-quadrature errs by up to {_A01_CUBIC:g}*dx^3 = "
-        f"{err:.2g}, above its tolerance {tol:g}")
+        f"{err:.2g}, above its tolerance {_num(tol)}")
     return "; ".join(why for why in (reach, coarse) if why) or None
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,8 @@ from hilbertsym import (
     rep_natural,
     translate,
 )
-from hilbertsym.signals import stack_signals
+from hilbertsym.line_ops import _chirp_z
+from hilbertsym.signals import LineSpectrum, sign_symbol, stack_signals
 from hilbertsym.verify import _GUARDED
 
 from conftest import rel_err
@@ -186,6 +189,15 @@ class TestDilate:
         out = dilate(f, 2.0)
         expected = (2.0**-0.5) * np.exp(-(x**2) / 8.0)
         assert np.max(np.abs(out.values - expected)) <= 1e-8
+
+    @pytest.mark.parametrize("a", [2.0, 0.5])
+    def test_gaussian_closed_form_off_centre_window(self, a):
+        # dilation is about x = 0, not about the centre of the window
+        grid = Grid1D.from_interval(-30.0, 130.0, 8192)
+        x = grid.positions()
+        f = LineSignal(grid, np.exp(-((x - 20.0) ** 2) / 2.0))
+        expected = a**-0.5 * np.exp(-((x / a - 20.0) ** 2) / 2.0)
+        assert np.max(np.abs(dilate(f, a).values - expected)) <= 1e-8
 
     @pytest.mark.parametrize("a", [0.5, 2.0, 3.0])
     def test_isometry(self, a, grid):
@@ -558,3 +570,50 @@ def test_thresholds_are_module_constants_not_keywords(packets):
     # the identity shortcuts hand back the input itself
     f = LineSignal(packets[0].grid, packets[0].values, ("edge-decay",))
     assert translate(f, 0.0) is f and dilate(f, 1.0) is f
+
+
+# --- grid-DFT multipliers against the calibrated transform pair
+
+
+def off_centre_batch(n):
+    """Three packets on a window not centred on 0, held by dilate's guards
+    at every a in [0.5, 4]."""
+    grid = Grid1D.from_interval(-12.0, 20.0, n)
+    x = grid.positions()
+    return LineSignal(grid, np.stack([
+        np.exp(-(((x - c) / w) ** 2) / 2.0 + 1j * nu * x)
+        for c, w, nu in ((0.5, 0.5, 0.0), (1.0, 0.6, 1.5), (1.5, 0.45, -1.0))
+    ]))
+
+
+def assert_rows_close(out, expected, peak, tol):
+    assert np.all(np.max(np.abs(out - expected), axis=-1) <= tol * peak)
+
+
+@pytest.mark.parametrize("n", [255, 256])
+@pytest.mark.parametrize("op, symbol", [
+    (hilbert_multiplier, lambda g: -1j * sign_symbol(g.signed_indices())),
+    (lambda f: hardy_project(f, "+"), lambda g: 0.5 * (1.0 + sign_symbol(g.signed_indices()))),
+    (lambda f: hardy_project(f, "-"), lambda g: 0.5 * (1.0 - sign_symbol(g.signed_indices()))),
+    (lambda f: translate(f, 0.7), lambda g: np.exp(-1j * g.frequencies() * 0.7)),
+], ids=["hilbert", "hardy+", "hardy-", "translate"])
+def test_multipliers_equal_the_calibrated_pair(n, op, symbol):
+    f = off_centre_batch(n)
+    s = dft(f)
+    expected = idft(s.with_values(symbol(f.grid) * s.values)).values
+    assert_rows_close(op(f).values, expected, np.max(np.abs(f.values), axis=-1), 1e-14)
+
+
+@pytest.mark.parametrize("n", [255, 256])
+@pytest.mark.parametrize("a", [0.5, 1.3, 2.0, 4.0])
+def test_dilate_equals_the_calibrated_resampled_spectrum(n, a):
+    # the calibrated semidiscrete spectrum at a*xi_k, band-limited, then idft
+    f = off_centre_batch(n)
+    g = f.grid
+    ks = g.signed_indices()
+    kmin = int(ks.min())
+    wrapped = np.roll(_chirp_z(f.values, a, kmin), kmin, axis=-1)
+    s = (g.dx / math.sqrt(2.0 * math.pi)) * np.exp(-1j * a * g.frequencies() * g.x_min) * wrapped
+    s[..., np.abs(a * ks) > n // 2] = 0.0
+    expected = idft(LineSpectrum(g, math.sqrt(a) * s)).values
+    assert_rows_close(dilate(f, a).values, expected, np.max(np.abs(f.values), axis=-1), 1e-13)

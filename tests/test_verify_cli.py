@@ -335,6 +335,11 @@ class TestAffineCommutationByScale:
         report = run_verify("line", cfg)
         assert [r.check_id for r in report.records if not r.passed] == []
 
+    def test_shifts_far_beyond_the_window_run_clean(self):
+        # translate's phase ramp is periodic in b, so a huge shift keeps it finite
+        report = run_verify("line", SuiteConfig(affine_set=[(2.0, 1e307), (0.5, -1e307)]))
+        assert [r.check_id for r in report.records if not r.passed] == []
+
 
 class TestCliVerify:
     def test_verify_circle_exit_zero_and_outputs(self, tmp_path, capsys):
@@ -399,6 +404,11 @@ class TestCliVerify:
         ({"line": {"x_max": 1e120}}, "line grid spacing"),
         ({"line": {"x_max": 1e300}}, "line grid spacing"),
         ({"line": {"x_min": 1e300, "x_max": 1.0000001e300}}, "line grid spacing"),
+        # config values that :g would round are printed in full
+        ({"line": {"x_min": 1e300, "x_max": 1.0000001e300}},
+         "line window [1e+300, 1.0000001e+300] is too narrow"),
+        ({"tolerances": {"multiplier_vs_quadrature": 1.0000001e-12}},
+         "above its tolerance 1.0000001e-12"),
         # finite ends whose width is not
         ({"line": {"x_min": -1e308, "x_max": 1e308}}, "line.x_max must be a finite width"),
     ],
@@ -546,14 +556,15 @@ class TestCliApply:
         assert result.coeff(2) == 3.0
         assert np.count_nonzero(result.coeffs) == 1
 
-    def test_translate_echoes_warnings(self, tmp_path, capsys):
+    @pytest.mark.parametrize("b", ["5.0", "1e308"])
+    def test_translate_echoes_warnings(self, tmp_path, capsys, b):
         g = Grid1D.from_interval(-40.0, 40.0, 256)
         x = g.positions()
         f = LineSignal(g, np.exp(-((x - 38.0) ** 2) / 2.0))
         inp = tmp_path / "f.json"
         out = tmp_path / "out.json"
         save_signal(f, inp)
-        assert main(["apply", "translate", "--in", str(inp), "--out", str(out), "--b", "5.0"]) == 0
+        assert main(["apply", "translate", "--in", str(inp), "--out", str(out), "--b", b]) == 0
         echo = json.loads(capsys.readouterr().out)
         assert "edge-mass" in echo["warnings"]
 

@@ -251,9 +251,10 @@ def test_validate_names_no_check():
     rng_seed=st.integers(0, 2**32 - 1),
     # a loosened a01 tolerance lets coarse line grids past a01's cubic rule
     a01_tol=st.sampled_from([None, 0.1, 0.15, 0.2]),
-    # affine sets whose smallest scale leaves the band rule at 1/2 to make_probes
+    # affine sets whose smallest scale leaves the band rule at 1/2 to make_probes,
+    # one of them with shifts far beyond any window
     affine_set=st.sampled_from([None, [(2.0, 0.0)], [(1.0, 0.0)], [(0.9, 0.0), (2.0, 0.25)],
-                                [(0.6, 0.0), (4.0, -0.5)]]),
+                                [(0.6, 0.0), (4.0, -0.5)], [(2.0, 1e307), (0.5, -1e307)]]),
 )
 def test_a_config_is_rejected_naming_a_check_or_its_report_passes(
     half_window, n, K, n_samples, operator_n, rng_seed, a01_tol, affine_set
