@@ -15,9 +15,7 @@ the operator truly lies in the commutant.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -246,45 +244,6 @@ class ScalarDecomposition:
         }
 
 
-_SCRATCH = {}  # thread ident -> flat complex buffer, while a scope is open
-_SCRATCH_DEPTH = 0  # open scopes, nested ones counted
-_SCRATCH_LOCK = threading.Lock()
-
-
-@contextlib.contextmanager
-def _scratch_scope():
-    """Let :func:`_scratch` reuse one buffer per thread until the outermost
-    scope exits, which drops them all."""
-    global _SCRATCH_DEPTH
-    with _SCRATCH_LOCK:
-        _SCRATCH_DEPTH += 1
-    try:
-        yield
-    finally:
-        with _SCRATCH_LOCK:
-            _SCRATCH_DEPTH -= 1
-            if _SCRATCH_DEPTH == 0:
-                _SCRATCH.clear()
-
-
-def _scratch(n: int, padded: bool = False) -> np.ndarray:
-    """An (n, n) complex array of undefined content: C-contiguous, or with
-    ``padded`` rows n + 1 values apart (the [:, :n] view of an (n, n + 1)
-    array), so that a transform along axis 0 does not map every element of
-    a column to the same cache set when n is a power of two.  Inside a
-    :func:`_scratch_scope` both are views of this thread's buffer (sized for
-    the padded form on first use, so each call overwrites the last one's
-    result); outside, fresh arrays."""
-    cols = n + 1 if padded else n
-    if not _SCRATCH_DEPTH:
-        return np.empty((n, cols), dtype=complex)[:, :n]
-    key = threading.get_ident()
-    buf = _SCRATCH.get(key)
-    if buf is None or buf.size < n * (n + 1):
-        buf = _SCRATCH[key] = np.empty(n * (n + 1), dtype=complex)
-    return buf[: n * cols].reshape(n, cols)[:, :n]
-
-
 def _diagonal(m: np.ndarray) -> np.ndarray:
     """Writable view of the diagonal of a square array, whatever its row
     stride (``reshape(-1)`` of a padded array would be a copy)."""
@@ -292,9 +251,10 @@ def _diagonal(m: np.ndarray) -> np.ndarray:
 
 
 def _spectral_matrix(T: OperatorMatrix) -> np.ndarray:
-    """T in the basis where the sign symbol is diagonal, as a padded array
-    from :func:`_scratch`: inside a scope it is this thread's buffer, so a
-    thread must not hold two results at once.
+    """T in the basis where the sign symbol is diagonal, as a fresh (n, n)
+    array with rows n + 1 values apart (the [:, :n] view of an (n, n + 1)
+    array), so that the transform along axis 0 does not map every element of
+    a column to the same cache set when n is a power of two.
 
     On the line that is the conjugation by the unitary DFT; the calibration
     prefactor of the public transform is a constant-modulus diagonal and
@@ -302,7 +262,8 @@ def _spectral_matrix(T: OperatorMatrix) -> np.ndarray:
     Frobenius norms).  Both transforms write into the result.  On the circle
     the coefficient basis already is that basis.
     """
-    out = _scratch(T.dim, padded=True)
+    n = T.dim
+    out = np.empty((n, n + 1), dtype=complex)[:, :n]
     if isinstance(T.basis, FourierBasis):
         np.copyto(out, T.entries)
         return out
@@ -407,12 +368,11 @@ def _conjugation_defect(T: OperatorMatrix, tnorm: float) -> float:
 
 def _antisymmetry_defect(E: np.ndarray, tnorm: float) -> float:
     """||E^H + E||_F / tnorm, from M = conj(E) + E^T (whose transpose is
-    E^H + E) in a :func:`_scratch` array, built 64 rows at a time so that E^T
-    is read in cache-sized strips rather than one strided column per element.
-    M has the memory order of ``E.conj()``, so its norm is the same float as
-    that of ``E.conj().T + E`` built in one pass.  M is contiguous, not
-    padded: ``np.linalg.norm`` would copy a padded array to ravel it."""
-    m = _scratch(E.shape[0])
+    E^H + E), built 64 rows at a time so that E^T is read in cache-sized
+    strips rather than one strided column per element.  M has the memory
+    order of ``E.conj()``, so its norm is the same float as that of
+    ``E.conj().T + E`` built in one pass."""
+    m = np.empty_like(E)
     for r in range(0, E.shape[0], 64):
         np.conjugate(E[r : r + 64], out=m[r : r + 64])
         m[r : r + 64] += E[:, r : r + 64].T

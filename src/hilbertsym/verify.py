@@ -14,6 +14,7 @@ circle_ops).
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import os
@@ -71,7 +72,6 @@ from .symmetry import (
     line_affine_action,
     rotation_commutant_analysis,
     _frobenius,
-    _scratch_scope,
     synthesize_commuting_operator,
 )
 
@@ -663,10 +663,14 @@ def _a06_regime(cfg: SuiteConfig) -> Optional[str]:
 def _check_semigroup_commutation(cfg: SuiteConfig) -> list:
     K = cfg.circle.K
 
+    @functools.cache  # the seed and degree of a batch do not depend on beta
+    def batch(q, p):
+        return _probes(cfg, "trig-poly", 24 + 7 * q + 13 * p, 5, K=K, degree=max(1, K // (p * q)))
+
     def defects(element):
         q, p, beta = element
         r = RationalScale(q, p, beta)
-        c = _probes(cfg, "trig-poly", 24 + 7 * q + 13 * p, 5, K=K, degree=max(1, K // (p * q)))
+        c = batch(q, p)
         lhs = semigroup_act(circular_hilbert(c), r, k_out=K)
         rhs = circular_hilbert(semigroup_act(c, r, k_out=K))
         # composition law: pi(q/p, beta) = pi(q, 0) after pi(1/p, beta)
@@ -992,10 +996,6 @@ def run_verify(target: str, config: Optional[SuiteConfig] = None) -> SuiteReport
     timestamp.  Check failures (including tripped guards inside a check)
     become failed records rather than exceptions; a check that raises fails
     every record it declares, with the same note.
-
-    Each check runs in its own scratch scope of the symmetry engine: its
-    dense spectral matrices reuse one buffer per thread, and the buffers are
-    reused only within that check and dropped when it returns or raises.
     """
     if target not in TARGETS:
         raise ValueError(f"unknown verify target {target!r}; expected one of {TARGETS}")
@@ -1005,8 +1005,7 @@ def run_verify(target: str, config: Optional[SuiteConfig] = None) -> SuiteReport
         if target not in ("all", check.target):
             continue
         try:
-            with _scratch_scope():
-                values = check.fn(cfg)
+            values = check.fn(cfg)
             measured = [_worst(v) for v in (values if len(check.records) > 1 else (values,))]
             note = ""
         except Exception as exc:  # noqa: BLE001 - failed checks become records

@@ -1,4 +1,3 @@
-import contextlib
 import math
 import threading
 import tracemalloc
@@ -455,16 +454,14 @@ def test_classifier_allocates_no_gram_matrix(basis):
     # the certified path holds one n x n complex array (the spectral matrix)
     # at a time; the Gram product would take three
     T = synthesize_commuting_operator(0.0, 1.0, basis)
-    for scope in (contextlib.nullcontext, symmetry._scratch_scope):
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            with scope():
-                assert classify_pm_hilbert(T).verdict == "plus-H"
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * basis.dim**2 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert classify_pm_hilbert(T).verdict == "plus-H"
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * basis.dim**2 * np.dtype(complex).itemsize
 
 
 @pytest.mark.parametrize("basis", [LineBasis(100, -40.0, 0.8), LBASIS, FourierBasis(40)], ids=repr)
@@ -490,30 +487,31 @@ class TestPaddedSpectralMatrix:
         E = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         return OperatorMatrix(LineBasis(n, -40.0, 80.0 / n), E)
 
-    @pytest.mark.parametrize("scope", [contextlib.nullcontext, symmetry._scratch_scope])
     @pytest.mark.parametrize("n", [255, 256, 512, 1024])
-    def test_equals_the_two_transforms_bit_for_bit(self, n, scope):
+    def test_equals_the_two_transforms_bit_for_bit(self, n):
         T = self.operator(n)
         ref = np.fft.fft(np.fft.ifft(T.entries, axis=1), axis=0)
-        with scope():
-            W = _spectral_matrix(T)
-            assert W.strides[0] == (n + 1) * W.itemsize
-            assert np.array_equal(W.view(float), ref.view(float))
+        W = _spectral_matrix(T)
+        assert W.strides[0] == (n + 1) * W.itemsize
+        assert np.array_equal(W.view(float), ref.view(float))
 
-    @pytest.mark.parametrize("scope", [contextlib.nullcontext, symmetry._scratch_scope])
-    def test_decomposition_edits_the_diagonal_in_place(self, scope):
+    def test_the_circle_copy_is_padded_too(self):
+        T = h_circle()
+        W = _spectral_matrix(T)
+        assert W.strides[0] == (T.dim + 1) * W.itemsize
+        assert np.array_equal(W.view(float), T.entries.view(float))
+
+    def test_decomposition_edits_the_diagonal_in_place(self):
         T = self.operator(N_OP)
-        with scope():
-            W = _spectral_matrix(T)
-            before = np.diagonal(W).copy()
-            assert np.shares_memory(symmetry._diagonal(W), W)
-            dec = _decompose_blocks(W, T)
+        W = _spectral_matrix(T)
+        before = np.diagonal(W).copy()
+        assert np.shares_memory(symmetry._diagonal(W), W)
+        dec = _decompose_blocks(W, T)
         s = sign_symbol(LBASIS.signed_indices())
         recon = np.where(s > 0, dec.k1, np.where(s < 0, dec.k2, dec.lam))
         assert np.array_equal(np.diagonal(W), before - recon)
 
-    @pytest.mark.parametrize("scope", [contextlib.nullcontext, symmetry._scratch_scope])
-    def test_a_refuted_certificate_restores_the_buffer(self, scope, monkeypatch):
+    def test_a_refuted_certificate_restores_the_buffer(self, monkeypatch):
         # a random operator passes the column gap test, and its residual
         # refutes the bound, so the diagonal is edited and then restored
         T = self.operator(N_OP)
@@ -526,31 +524,36 @@ class TestPaddedSpectralMatrix:
             return dec
 
         monkeypatch.setattr(symmetry, "_decompose_blocks", spy)
-        with scope():
-            W = _spectral_matrix(T)
-            saved = W.copy()
-            tnorm = float(np.linalg.norm(T.entries))
-            assert symmetry._certified_decomposition(W, T, tnorm, 1e-8) is None
-            assert len(edited) == 1 and not np.array_equal(edited[0], np.diagonal(saved))
-            assert np.array_equal(W.view(float), saved.view(float))
+        W = _spectral_matrix(T)
+        saved = W.copy()
+        tnorm = float(np.linalg.norm(T.entries))
+        assert symmetry._certified_decomposition(W, T, tnorm, 1e-8) is None
+        assert len(edited) == 1 and not np.array_equal(edited[0], np.diagonal(saved))
+        assert np.array_equal(W.view(float), saved.view(float))
 
     def test_a_certified_decomposition_leaves_the_residual(self):
         T = h_line()
-        with symmetry._scratch_scope():
-            W = _spectral_matrix(T)
-            assert abs(np.diagonal(W)).max() > 0.5  # the +-i of H
-            tnorm = float(np.linalg.norm(T.entries))
-            assert symmetry._certified_decomposition(W, T, tnorm, 1e-8) is not None
-            assert abs(np.diagonal(W)).max() < 1e-12
+        W = _spectral_matrix(T)
+        assert abs(np.diagonal(W)).max() > 0.5  # the +-i of H
+        tnorm = float(np.linalg.norm(T.entries))
+        assert symmetry._certified_decomposition(W, T, tnorm, 1e-8) is not None
+        assert abs(np.diagonal(W)).max() < 1e-12
 
 
-class TestScratchScope:
-    # a spectral matrix at N_OP takes N_OP^2 complex values
+class TestEngineMemory:
+    # the engine keeps no array between calls; a spectral matrix at N_OP
+    # takes N_OP^2 complex values
     SIZE = N_OP**2 * np.dtype(complex).itemsize
 
-    def operators(self):
-        return [synthesize_commuting_operator(lam, eta, LBASIS)
+    @staticmethod
+    def operators(basis=LBASIS):
+        return [synthesize_commuting_operator(lam, eta, basis)
                 for lam, eta in ((0.3, 0.7j), (-1.0 + 0.5j, 2.0), (0.0, 1.0))]
+
+    @staticmethod
+    def decompose(T):
+        line = isinstance(T.basis, LineBasis)
+        return (decompose_line_operator if line else decompose_circle_operator)(T)
 
     @staticmethod
     def traced(fn):
@@ -564,35 +567,19 @@ class TestScratchScope:
             tracemalloc.stop()
         return peak - base, end - base
 
-    def test_a_second_decomposition_in_a_scope_reuses_the_buffer(self):
-        T = self.operators()[0]
-        with symmetry._scratch_scope():
-            decompose_line_operator(T)  # grows this thread's buffer
-            peak, _ = self.traced(lambda: decompose_line_operator(T))
-        assert peak < 0.5 * self.SIZE
+    @pytest.mark.parametrize("basis", [LBASIS, FourierBasis((N_OP - 1) // 2)], ids=repr)
+    def test_no_memory_is_kept_after_a_decomposition(self, basis):
+        T = self.operators(basis)[0]
+        peak, end = self.traced(lambda: self.decompose(T))
+        assert peak > 0.9 * self.SIZE and end < 0.1 * self.SIZE
 
-    def test_buffers_are_dropped_when_the_scope_exits(self):
-        T = self.operators()[0]
-
-        def scoped():
-            with symmetry._scratch_scope():
-                with symmetry._scratch_scope():  # nested: the outer exit drops them
-                    decompose_line_operator(T)
-                assert symmetry._SCRATCH
-                decompose_line_operator(T)
-
-        peak, end = self.traced(scoped)
-        assert peak > self.SIZE and end < 0.1 * self.SIZE
-        assert symmetry._SCRATCH == {} and symmetry._SCRATCH_DEPTH == 0
-
-    def test_buffers_are_dropped_when_a_check_raises(self, monkeypatch):
+    def test_no_memory_is_kept_after_a_check_raises(self, monkeypatch):
         from hilbertsym import verify
 
         T = self.operators()[0]
 
         def failing(cfg):
             decompose_line_operator(T)
-            assert symmetry._SCRATCH  # run_verify opened a scope around the check
             raise RuntimeError("after a decomposition")
 
         record = ("x01-failing", "soundness", "raises after a decomposition")
@@ -604,36 +591,36 @@ class TestScratchScope:
         (rec,) = report[0].records
         assert not rec.passed and rec.note == "error: after a decomposition"
         assert end < 0.1 * self.SIZE
-        assert symmetry._SCRATCH == {} and symmetry._SCRATCH_DEPTH == 0
 
-    def test_no_buffer_is_kept_outside_a_scope(self):
-        T = self.operators()[0]
+    @pytest.mark.parametrize("basis", [LBASIS, FBASIS], ids=repr)
+    def test_spectral_matrices_are_fresh_arrays(self, basis):
+        # the decomposition edits its spectral matrix in place
+        T = self.operators(basis)[0]
         first = _spectral_matrix(T)
         assert not np.shares_memory(first, _spectral_matrix(T))
-        _, end = self.traced(lambda: decompose_line_operator(T))
-        assert end < 0.1 * self.SIZE
-        assert symmetry._SCRATCH == {}
+        assert not np.shares_memory(first, T.entries)
 
-    def test_threads_in_one_scope_get_their_own_buffers(self):
-        ops = self.operators()
-        serial = [decompose_line_operator(T) for T in ops]
+    @pytest.mark.parametrize("basis", [LBASIS, FBASIS], ids=repr)
+    def test_concurrent_decompositions_match_the_serial_ones(self, basis):
+        ops = self.operators(basis)
+        serial = [self.decompose(T) for T in ops]
         fresh = [_spectral_matrix(T) for T in ops[:2]]
         barrier = threading.Barrier(2, timeout=60)
         held, decs = [None, None], [None, None]
 
         def work(i):
             held[i] = _spectral_matrix(ops[i])
-            barrier.wait()  # both threads hold their buffer at once
-            assert np.array_equal(held[i], fresh[i])
-            decs[i] = [decompose_line_operator(T) for T in ops]
+            barrier.wait()  # both threads hold a spectral matrix at once
+            decs[i] = [self.decompose(T) for T in ops]
 
-        with symmetry._scratch_scope():
-            threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
         assert not np.shares_memory(held[0], held[1])
+        for h, f in zip(held, fresh):
+            assert np.array_equal(h.view(float), f.view(float))
         assert decs[0] == serial and decs[1] == serial
 
 

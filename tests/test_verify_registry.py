@@ -87,6 +87,24 @@ def test_annihilator_outcomes_run_once_per_suite(monkeypatch):
     assert len(calls) == 2 * cfg.probe_counts["annihilator"]
 
 
+def test_semigroup_commutation_draws_one_batch_per_scale(monkeypatch):
+    # a06's seed and degree depend on (q, p) only, so the elements that differ
+    # in beta alone share a batch
+    salts = []
+    probes = verify._probes
+
+    def counted(cfg, kind, salt, *args, **params):
+        salts.append(salt)
+        return probes(cfg, kind, salt, *args, **params)
+
+    monkeypatch.setattr(verify, "_probes", counted)
+    cfg = SuiteConfig()
+    defects = verify._check_semigroup_commutation(cfg)
+    scales = {(q, p) for q, p, _ in cfg.rational_set}
+    assert len(defects) == len(cfg.rational_set) > len(scales)
+    assert sorted(salts) == sorted(24 + 7 * q + 13 * p for q, p in scales)
+
+
 # --- the one reduction of every record's defects
 
 
