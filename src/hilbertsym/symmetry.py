@@ -16,7 +16,7 @@ the operator truly lies in the commutant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -92,10 +92,14 @@ Basis = Union[LineBasis, FourierBasis]
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense complex matrix acting on a declared truncated basis."""
+    """Dense complex matrix acting on a declared truncated basis.
+
+    ``frobenius_norm`` is ||entries||_F, summed once at construction by
+    :func:`_frobenius`; it is inf when the sum of squares overflows."""
 
     basis: Basis
     entries: np.ndarray
+    frobenius_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.array(self.entries, dtype=complex)
@@ -105,10 +109,12 @@ class OperatorMatrix:
             raise ValueError(
                 f"dimension {arr.shape[0]} inconsistent with basis dim {self.basis.dim}"
             )
-        if not np.isfinite(arr.ravel("K").view(float)).all():  # faster than on complex
+        norm = _frobenius(arr)  # finite only if every entry is; inf may be overflow
+        if not math.isfinite(norm) and not np.isfinite(arr.ravel("K").view(float)).all():
             raise ValueError("operator entries must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "frobenius_norm", norm)
 
     @property
     def dim(self) -> int:
@@ -333,7 +339,7 @@ def _decompose_blocks(tilde: np.ndarray, T: OperatorMatrix) -> ScalarDecompositi
     recon[zero] = k0
     _diagonal(tilde)[...] -= recon
     rows = _row_sq_norms(tilde)
-    tnorm = _frobenius(T.entries)
+    tnorm = T.frobenius_norm
 
     def residual(mask):
         return 0.0 if tnorm == 0.0 else math.sqrt(float(rows[mask].sum())) / tnorm
@@ -359,11 +365,13 @@ class HilbertClassification:
 def _conjugation_defect(T: OperatorMatrix, tnorm: float) -> float:
     """Deviation from commuting with the real structure (conjugation of
     samples on the line; c_{-k} -> conj(c_k) pairing on coefficients),
-    relative to tnorm = ||T||_F > 0."""
+    relative to tnorm = ||T||_F > 0.  On the line that is ||Im T||_F, read
+    through the float view of the entries."""
     E = T.entries
     if isinstance(T.basis, LineBasis):
-        return float(np.linalg.norm(E.imag) / tnorm)
-    return float(np.linalg.norm(np.conj(E[::-1, ::-1]) - E) / tnorm)
+        im = E.ravel("K").view(float)[1::2]
+        return math.sqrt(float(np.einsum("i,i->", im, im))) / tnorm
+    return _frobenius(np.conj(E[::-1, ::-1]) - E) / tnorm
 
 
 def _antisymmetry_defect(E: np.ndarray, tnorm: float) -> float:
@@ -379,74 +387,85 @@ def _antisymmetry_defect(E: np.ndarray, tnorm: float) -> float:
     return float(np.linalg.norm(m) / tnorm)
 
 
-def _certified_decomposition(work: np.ndarray, T: OperatorMatrix, tnorm: float, tol: float):
-    """The decomposition of T, when it proves that the Gram test of
-    :func:`classify_pm_hilbert` passes; otherwise None, with ``work`` (W,
-    the :func:`_spectral_matrix` of T) left bitwise as it was.
+def _certify(work: np.ndarray, T: OperatorMatrix, tnorm: float, tol: float):
+    """Decompose T from ``work`` (W, the :func:`_spectral_matrix` of T) and
+    report which of the tests (ii) and (iii) of :func:`classify_pm_hilbert`
+    the decomposition proves to pass: (dec, anti_symmetric, isometric).
 
-    The bound of that docstring holds because W_K = D_K + R_K, with D the
+    dec is None on a degenerate basis, with W untouched.  Otherwise
+    ``work`` is left holding R when (iii) is certified and W again, bitwise,
+    when it is not, for the exact Gram test.
+
+    Both bounds of that docstring hold because W_K = D_K + R_K, with D the
     diagonal of block scalars :func:`_decompose_blocks` fits (d_j = k1, k2
     or the zero-block value on row j) and R = W - D, whose norm the
-    residuals give.  The exact test computes W_K^H W_K with an error of at
+    residuals give.  W, R and the residuals carry errors of about n eps
+    ||W||_F, and the exact Gram test computes W_K^H W_K with an error of at
     most about n eps ||W||_F^2 (entrywise bounds of a product summed in any
-    order), so 4 n eps ||W||_F^2 / sqrt(m) is added to the bound before it
-    is held to tol/2.  With no squared column norm in [tol/2, 2 tol], the
-    keep-sets of the two tests agree despite roundoff.
+    order), so 4 n eps ||W||_F and 4 n eps ||W||_F^2 / sqrt(m) are added to
+    the two bounds before they are held to tol/2.  With no squared column
+    norm in [tol/2, 2 tol], the keep-sets of the two Gram tests agree
+    despite roundoff.
     """
     n = T.dim
     s = sign_symbol(T.basis.signed_indices())
     blocks = (s > 0, s < 0, s == 0)
     if not (blocks[0].any() and blocks[1].any()):
-        return None  # degenerate basis: the exact path refutes it or raises, as before
-    v = work.view(float).reshape(n, n, 2)
-    col = np.einsum("ijk,ijk->j", v, v)
-    keep = col > tol
-    m = np.count_nonzero(keep)
-    if m == 0 or np.any((col >= tol / 2) & (col <= 2 * tol)):
-        return None
+        return None, False, False  # the exact path refutes it or raises, as before
+    v = work.view(float)
+    col = np.einsum("ij,ij->j", v, v)
+    col = col[0::2] + col[1::2]
     saved = np.diagonal(work).copy()
     dec = _decompose_blocks(work, T)  # leaves R in work
-    zero_value = dec.lam if dec.space == "line" else dec.k0
-    scalars = [
-        (abs(k), np.count_nonzero(keep & mask))
-        for k, mask in zip((dec.k1, dec.k2, zero_value), blocks)
-    ]
+    d = (dec.k1, dec.k2, dec.lam if dec.space == "line" else dec.k0)  # one per block
     r = tnorm * math.hypot(dec.residual_plus, dec.residual_minus, dec.residual_zero)
-    diag_part = math.sqrt(sum(c * (a * a - 1.0) ** 2 for a, c in scalars))
-    d_max = max(a for a, c in scalars if c)
-    roundoff = 4.0 * n * np.finfo(float).eps * tnorm**2
-    if (diag_part + 2.0 * d_max * r + r * r + roundoff) / math.sqrt(m) <= tol / 2:
-        return dec
-    _diagonal(work)[...] = saved  # W again, bitwise
-    return None
+    eps_n = 4.0 * n * np.finfo(float).eps * tnorm
+    re_d = math.sqrt(sum(np.count_nonzero(mask) * z.real * z.real for z, mask in zip(d, blocks)))
+    anti_symmetric = 2.0 * (re_d + r) + eps_n <= tol / 2 * tnorm
+
+    keep = col > tol
+    m = np.count_nonzero(keep)
+    isometric = False
+    if m and not np.any((col >= tol / 2) & (col <= 2 * tol)):
+        scalars = [(abs(z), np.count_nonzero(keep & mask)) for z, mask in zip(d, blocks)]
+        diag_part = math.sqrt(sum(c * (a * a - 1.0) * (a * a - 1.0) for a, c in scalars))
+        d_max = max(a for a, c in scalars if c)
+        bound = diag_part + 2.0 * d_max * r + r * r + eps_n * tnorm
+        isometric = bound / math.sqrt(m) <= tol / 2
+    if not isometric:
+        _diagonal(work)[...] = saved  # W again, bitwise
+    return dec, anti_symmetric, isometric
 
 
 def classify_pm_hilbert(T: OperatorMatrix, tol: float = 1e-8) -> HilbertClassification:
     """Decide whether T is the Hilbert transform, its negative, or neither.
 
     Checks, in order and each to ``tol``: (i) real (conjugation-equivariant),
-    (ii) anti-symmetric, (iii) norm-preserving on the orthocomplement of its
-    kernel block.  A candidate passing all three is decomposed; the verdict
-    follows the sign of Im(k1) (k1 = -i means plus-H) provided the scalar
-    residuals are small.  The first failed property is returned as the
-    reason.
+    (ii) anti-symmetric, ||T^H + T||_F <= tol ||T||_F, (iii) norm-preserving
+    on the orthocomplement of its kernel block: the Gram defect
+    ||W_K^H W_K - I||_F / sqrt(m), for W the operator in the frequency basis
+    and K the m columns with squared norm above ``tol``.  A candidate
+    passing all three is decomposed; the verdict follows the sign of Im(k1)
+    (k1 = -i means plus-H) provided the scalar residuals are small.  The
+    first failed property is returned as the reason.
 
-    Test (iii) asks that the Gram defect ||W_K^H W_K - I||_F / sqrt(m) be at
-    most ``tol``, for W the operator in the frequency basis and K the m
-    columns with squared norm above ``tol``.  It is first certified from the
-    block decomposition W = D + R (D the diagonal of block scalars d_j):
+    (ii) and (iii) are first certified from one block decomposition
+    W = D + R (D the diagonal of block scalars d_j), made after the
+    O(n^2 log n) change of basis:
 
+        ||T^H + T||_F = ||W^H + W||_F <= 2 sqrt(sum_j Re(d_j)^2) + 2 ||R||_F,
         defect <= [sqrt(sum_K (|d_j|^2 - 1)^2) + 2 max_K |d_j| ||R||_F
-                   + ||R||_F^2] / sqrt(m),
+                   + ||R||_F^2] / sqrt(m).
 
-    which costs O(n^2) after the O(n^2 log n) change of basis.  When that
-    bound (with a roundoff allowance for the exact product) is at most
-    tol/2 and no squared column norm lies in [tol/2, 2 tol], the test
-    passes and the Gram matrix is never formed.  Otherwise the exact O(n^3)
-    test runs on W^H W.  Either way, verdicts and reasons are the same.
+    A test whose bound (with a roundoff allowance) is at most tol/2, and for
+    (iii) no squared column norm in [tol/2, 2 tol], passes; otherwise the
+    exact test runs (an O(n^2) pass over T^H + T, the O(n^3) product
+    W^H W).  As ||T^H + T||_F >= 2 ||Re diag T||, operators such as I or
+    diag(x) go straight to the exact test (ii), with no change of basis.
+    Either way, verdicts and reasons are the same.
     """
     E = T.entries
-    tnorm = np.linalg.norm(E)
+    tnorm = T.frobenius_norm
     if tnorm == 0.0:
         return HilbertClassification("neither", "operator is zero")
 
@@ -454,15 +473,18 @@ def classify_pm_hilbert(T: OperatorMatrix, tol: float = 1e-8) -> HilbertClassifi
     if d > tol:
         return HilbertClassification("neither", f"not a real operator (defect {d:.2e})")
 
-    d = _antisymmetry_defect(E, tnorm)
-    if d > tol:
-        return HilbertClassification("neither", f"not anti-symmetric (defect {d:.2e})")
-
-    # the kernel block (mean/Nyquist-type modes) is axis-aligned in the
-    # frequency basis, so run the Gram test there
-    work = _spectral_matrix(T)
-    dec = _certified_decomposition(work, T, tnorm, tol)
-    if dec is None:
+    work, dec, anti_symmetric, isometric = None, None, False, False
+    if np.hypot.reduce(np.diagonal(E).real) <= tol * tnorm:
+        work = _spectral_matrix(T)
+        dec, anti_symmetric, isometric = _certify(work, T, tnorm, tol)
+    if not anti_symmetric:
+        d = _antisymmetry_defect(E, tnorm)
+        if d > tol:
+            return HilbertClassification("neither", f"not anti-symmetric (defect {d:.2e})")
+    if not isometric:
+        # the kernel block (mean/Nyquist-type modes) is axis-aligned in the
+        # frequency basis, so run the Gram test there
+        work = _spectral_matrix(T) if work is None else work
         gram = work.conj().T @ work
         g_diag = np.abs(np.diagonal(gram))
         keep = g_diag > tol
@@ -475,7 +497,7 @@ def classify_pm_hilbert(T: OperatorMatrix, tol: float = 1e-8) -> HilbertClassifi
             return HilbertClassification(
                 "neither", f"not norm-preserving off the kernel block (defect {d:.2e})"
             )
-        # the decomposition consumes the spectral matrix built above
+    if dec is None:  # not decomposed yet; a degenerate basis raises here
         dec = _decompose_blocks(work, T)
 
     scalar_res = max(dec.residual_plus, dec.residual_minus)
@@ -551,7 +573,7 @@ def rotation_commutant_analysis(
     components = np.unique(label).size
 
     E = T.entries
-    tnorm = _frobenius(E)
+    tnorm = T.frobenius_norm
     if tnorm == 0.0:
         return RotationCommutantReport(0.0, 0.0, 0.0, components)
     ks = np.arange(-K, K + 1)

@@ -974,7 +974,7 @@ def _check_soundness(cfg: SuiteConfig) -> list:
         T = OperatorMatrix(basis, entries)
         dec = decompose_line_operator(T)
         recon = synthesize_commuting_operator(dec.lam, dec.eta, basis)
-        tnorm = _frobenius(T.entries)
+        tnorm = T.frobenius_norm
         lhs = _frobenius(T.entries - recon.entries)
         rhs = tnorm * math.sqrt(
             dec.residual_plus**2 + dec.residual_minus**2 + dec.residual_zero**2

@@ -45,3 +45,11 @@ def test_sweep_measures_interpolation_at_a_non_integer_scale(sweep_rows):
 
 def test_decompose_demo_runs():
     assert "recovered" in _run("decompose_demo.py")
+
+
+def test_engine_layers_prints_one_row_per_size():
+    lines = _run("engine_layers.py", "--sizes", "64", "96", "--repeat", "1").splitlines()
+    assert lines[0].split()[:5] == ["n", "synthesize", "decompose", "classify", "commutator"]
+    rows = [line.split() for line in lines[1:]]
+    assert [row[0] for row in rows] == ["64", "96"]
+    assert all(len(row) == 5 and all(float(t) > 0.0 for t in row[1:]) for row in rows)

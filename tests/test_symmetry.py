@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import threading
 import tracemalloc
@@ -99,6 +100,31 @@ class TestOperatorMatrix:
         assert T.dim == 1
         with pytest.raises(ValueError, match="degenerate basis"):
             decompose_circle_operator(T)
+
+    @pytest.mark.parametrize("layout", [np.asarray, np.asfortranarray], ids=["C", "F"])
+    def test_the_stored_norm_is_the_fixed_order_sum(self, layout):
+        rng = np.random.default_rng(3)
+        E = layout(rng.normal(size=(65, 65)) + 1j * rng.normal(size=(65, 65)))
+        T = OperatorMatrix(FBASIS, E)
+        assert T.frobenius_norm.hex() == symmetry._frobenius(T.entries).hex()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf),
+                                     complex(1, np.nan)])
+    def test_non_finite_entries_are_rejected(self, bad):
+        E = np.ones((65, 65), dtype=complex)
+        E[3, 7] = bad
+        with pytest.raises(ValueError, match="^operator entries must be finite$"):
+            OperatorMatrix(FBASIS, E)
+
+    def test_finite_entries_whose_squares_overflow_are_accepted(self):
+        T = OperatorMatrix(FBASIS, np.full((65, 65), 1e200))
+        assert T.frobenius_norm == np.inf
+
+    def test_the_norm_field_is_not_compared_or_shown(self):
+        T = h_circle()
+        assert repr(T) == f"OperatorMatrix(basis={T.basis!r}, entries={T.entries!r})"
+        assert [f.name for f in dataclasses.fields(T) if f.compare] == ["basis", "entries"]
+        assert T == T
 
     def test_apply_mismatch(self):
         T = h_circle()
@@ -387,9 +413,10 @@ def real_rotation(basis):
     return out
 
 
-def real_antisymmetric(basis, seed=7):
+def real_antisymmetric(basis, seed=7, sign=-1.0):
     """A random anti-symmetric operator that is real in the basis's sense,
-    scaled to ||A||_F = sqrt(dim), the norm of an isometry."""
+    scaled to ||A||_F = sqrt(dim), the norm of an isometry; with sign=+1,
+    a symmetric (Hermitian) one."""
     rng = np.random.default_rng(seed)
     n = basis.dim
     if isinstance(basis, LineBasis):
@@ -397,7 +424,7 @@ def real_antisymmetric(basis, seed=7):
     else:  # conj(A[::-1, ::-1]) = A: real on the samples
         b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         a = b + np.conj(b[::-1, ::-1])
-    a = a - a.conj().T
+    a = a + sign * a.conj().T
     return a * (math.sqrt(n) / np.linalg.norm(a))
 
 
@@ -405,20 +432,56 @@ ORACLE_BASES = [LineBasis(n, -40.0, 80.0 / n) for n in (16, 64, 256)] + [
     FourierBasis(K) for K in (4, 32)
 ]
 # straddles the default tol = 1e-8 of every stage the perturbation reaches
-EPSILONS = (1e-12, 1e-10, 1e-9, 3e-9, 1e-8, 3e-8, 1e-6)
+EPSILONS = (1e-12, 1e-10, 1e-9, 3e-9, 6e-9, 1e-8, 3e-8, 1e-6)
+
+
+def zero_diagonal(a):
+    a = a.copy()
+    np.fill_diagonal(a, 0.0)
+    return a
 
 
 @pytest.mark.parametrize("basis", ORACLE_BASES, ids=repr)
-@pytest.mark.parametrize("case", ["H", "-H", "2H", "2J", "J"] + [f"H+{e:g}A" for e in EPSILONS])
+@pytest.mark.parametrize(
+    "case",
+    ["H", "-H", "2H", "2J", "J", "I"]
+    + [f"H+{e:g}{kind}" for kind in ("A", "S", "Z", "I", "iA") for e in EPSILONS],
+)
 def test_classifier_matches_exact_gram_oracle(basis, case):
+    # H + eps*A stays real and anti-symmetric; H + eps*S (S real symmetric)
+    # breaks anti-symmetry, and so do Z (S with a zero diagonal: on the
+    # circle only R sees it) and I (only the block scalars see it);
+    # H + i*eps*A breaks realness; each by about eps
     h = synthesize_commuting_operator(0.0, 1.0, basis).entries
     j = real_rotation(basis)
     if case.startswith("H+"):
-        entries = h + float(case[2:-1]) * real_antisymmetric(basis)
+        eps = case[2:].rstrip("AiSZI")
+        perturbation = {
+            "A": real_antisymmetric(basis),
+            "S": real_antisymmetric(basis, sign=1.0),
+            "Z": zero_diagonal(real_antisymmetric(basis, sign=1.0)),
+            "I": np.eye(basis.dim),
+            "iA": 1j * real_antisymmetric(basis),
+        }[case[2 + len(eps):]]
+        entries = h + float(eps) * perturbation
     else:
-        entries = {"H": h, "-H": -h, "2H": 2 * h, "2J": 2 * j, "J": j}[case]
+        entries = {"H": h, "-H": -h, "2H": 2 * h, "2J": 2 * j, "J": j,
+                   "I": np.eye(basis.dim)}[case]
     T = OperatorMatrix(basis, entries)
     assert classify_pm_hilbert(T) == gram_first_classifier(T)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("basis", [LineBasis(16, -40.0, 5.0), FourierBasis(4)], ids=repr)
+@pytest.mark.parametrize("scale", [1e100, 1e100j, 1e160, 1e200, 1e200j])
+def test_an_operator_whose_norm_overflows_matches_the_oracle(basis, scale):
+    # from 1e100 the Gram bound's (|d|^2 - 1)^2 overflows, from about 1e154
+    # ||T||_F is inf: no bound may raise, and each test reads as it always has
+    h = synthesize_commuting_operator(0.0, 1.0, basis).entries
+    z = zero_diagonal(real_antisymmetric(basis, sign=1.0))
+    for entries in (h, h + z, h + 1e-6 * z, np.eye(basis.dim)):
+        T = OperatorMatrix(basis, scale * entries)
+        assert classify_pm_hilbert(T) == gram_first_classifier(T)
 
 
 def test_degenerate_basis_takes_the_exact_path():
@@ -435,18 +498,72 @@ def test_degenerate_basis_takes_the_exact_path():
 @pytest.mark.parametrize("basis", [LineBasis(256, -40.0, 80.0 / 256), FourierBasis(32)], ids=repr)
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_certificate_decides_pm_hilbert(monkeypatch, basis, sign):
-    # +-H pass the isometry test on the O(n^2) certificate, not the Gram product
+    # +-H pass the anti-symmetry and isometry tests on the certificates of
+    # one decomposition, not the strip pass or the Gram product
     certified = []
-    real = symmetry._certified_decomposition
+    real = symmetry._certify
 
     def spy(*args):
         certified.append(real(*args))
         return certified[-1]
 
-    monkeypatch.setattr(symmetry, "_certified_decomposition", spy)
+    monkeypatch.setattr(symmetry, "_certify", spy)
     out = classify_pm_hilbert(synthesize_commuting_operator(0.0, sign, basis))
     assert out.verdict == ("plus-H" if sign > 0 else "minus-H")
-    assert len(certified) == 1 and certified[0] is not None
+    assert len(certified) == 1
+    dec, anti_symmetric, isometric = certified[0]
+    assert dec is not None and anti_symmetric and isometric
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_pm_hilbert_at_n_1024_takes_no_exact_pass(monkeypatch, sign):
+    # neither the strip pass of (ii) nor a BLAS norm of an n x n array
+    basis = LineBasis(1024, -40.0, 80.0 / 1024)
+    T = synthesize_commuting_operator(0.0, sign, basis)
+    norm_shapes = []
+    real_norm = np.linalg.norm
+
+    def norm(x, *args, **kwargs):
+        norm_shapes.append(np.shape(x))
+        return real_norm(x, *args, **kwargs)
+
+    def exact(*args):
+        raise AssertionError("the exact anti-symmetry test ran")
+
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    monkeypatch.setattr(symmetry, "_antisymmetry_defect", exact)
+    out = classify_pm_hilbert(T)
+    assert out.verdict == ("plus-H" if sign > 0 else "minus-H")
+    assert not [shape for shape in norm_shapes if len(shape) == 2]
+
+
+@pytest.mark.parametrize("case", ["I", "diag(x)"])
+def test_a_real_diagonal_goes_straight_to_the_exact_test(monkeypatch, case):
+    # ||T^H + T||_F >= 2 ||Re diag T||: no change of basis for I or diag(x)
+    def no_fft(op):
+        raise AssertionError("the spectral matrix was built")
+
+    monkeypatch.setattr(symmetry, "_spectral_matrix", no_fft)
+    diag = np.ones(N_OP) if case == "I" else LBASIS.grid().positions()
+    out = classify_pm_hilbert(OperatorMatrix(LBASIS, np.diag(diag.astype(complex))))
+    assert out.verdict == "neither" and out.reason.startswith("not anti-symmetric (defect 2.00")
+
+
+def test_pm_hilbert_allocates_no_second_n_by_n_array(monkeypatch):
+    # the spectral matrix, built before tracing starts, is the classifier's
+    # only n x n array: everything else it allocates is O(n)
+    basis = LineBasis(1024, -40.0, 80.0 / 1024)
+    T = synthesize_commuting_operator(0.0, 1.0, basis)
+    W = _spectral_matrix(T)
+    monkeypatch.setattr(symmetry, "_spectral_matrix", lambda op: W)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert classify_pm_hilbert(T).verdict == "plus-H"
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * basis.dim**2 * np.dtype(complex).itemsize
 
 
 @pytest.mark.parametrize("basis", [LineBasis(512, -40.0, 80.0 / 512), FourierBasis(128)], ids=repr)
@@ -526,8 +643,8 @@ class TestPaddedSpectralMatrix:
         monkeypatch.setattr(symmetry, "_decompose_blocks", spy)
         W = _spectral_matrix(T)
         saved = W.copy()
-        tnorm = float(np.linalg.norm(T.entries))
-        assert symmetry._certified_decomposition(W, T, tnorm, 1e-8) is None
+        dec, anti_symmetric, isometric = symmetry._certify(W, T, T.frobenius_norm, 1e-8)
+        assert dec is not None and not anti_symmetric and not isometric
         assert len(edited) == 1 and not np.array_equal(edited[0], np.diagonal(saved))
         assert np.array_equal(W.view(float), saved.view(float))
 
@@ -535,8 +652,8 @@ class TestPaddedSpectralMatrix:
         T = h_line()
         W = _spectral_matrix(T)
         assert abs(np.diagonal(W)).max() > 0.5  # the +-i of H
-        tnorm = float(np.linalg.norm(T.entries))
-        assert symmetry._certified_decomposition(W, T, tnorm, 1e-8) is not None
+        dec, anti_symmetric, isometric = symmetry._certify(W, T, T.frobenius_norm, 1e-8)
+        assert anti_symmetric and isometric
         assert abs(np.diagonal(W)).max() < 1e-12
 
 
