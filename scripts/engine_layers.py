@@ -2,7 +2,10 @@
 """Time the dense-engine layers in this one process: the minimum over
 ``--repeat`` calls, in milliseconds, of synthesize_commuting_operator,
 decompose_line_operator, classify_pm_hilbert (on H) and commutator_defect
-(H against two probes) for each line operator size.
+(H against two probes) for each line operator size.  After the timing loop,
+one tracemalloc pass calls each layer once more and prints its traced peak
+allocation in MB (numpy arrays included; memory held before the call is not
+counted).
 
 The commutator actions are translations (b = 0, 3.5 dx, 7 dx), so every
 size runs the same engine work: the dilations of the size-ladder benchmark
@@ -16,6 +19,7 @@ Example:
 
 import argparse
 import time
+import tracemalloc
 
 from hilbertsym import (
     AffineElement,
@@ -38,14 +42,31 @@ def best_ms(fn, repeat):
     return 1e3 * min(times)
 
 
+def peak_mb(calls):
+    """Traced peak allocation of each call, in MB, in one tracemalloc pass."""
+    peaks = []
+    tracemalloc.start()
+    try:
+        for fn in calls:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            peaks.append((tracemalloc.get_traced_memory()[1] - base) / 2**20)
+    finally:
+        tracemalloc.stop()
+    return peaks
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sizes", type=int, nargs="+", default=[256, 512, 1024])
     ap.add_argument("--repeat", type=int, default=5)
     args = ap.parse_args()
 
-    print(f"{'n':>6} {'synthesize':>11} {'decompose':>11} {'classify':>11} {'commutator':>11}"
-          "   (ms, min of {})".format(args.repeat))
+    layers = ("synthesize", "decompose", "classify", "commutator")
+    print(f"{'n':>6} " + " ".join(f"{name:>11}" for name in layers)
+          + " " + " ".join(f"{name + '_MB':>13}" for name in layers)
+          + f"   (ms, min of {args.repeat}; MB, traced peak of one call)")
     for n in args.sizes:
         basis = LineBasis(n, -40.0, 80.0 / n)
         lam, eta = 0.3 - 0.2j, 1.0 + 0.5j
@@ -53,13 +74,15 @@ def main():
         h_mat = synthesize_commuting_operator(0.0, 1.0, basis)
         probes = make_probes("random-bandlimited", seed=0, count=2, grid=basis.grid())
         actions = [line_affine_action(AffineElement(1.0, b * basis.dx)) for b in (0.0, 3.5, 7.0)]
-        row = (
-            best_ms(lambda: synthesize_commuting_operator(lam, eta, basis), args.repeat),
-            best_ms(lambda: decompose_line_operator(T), args.repeat),
-            best_ms(lambda: classify_pm_hilbert(h_mat), args.repeat),
-            best_ms(lambda: commutator_defect(h_mat, actions, probes), args.repeat),
+        calls = (
+            lambda: synthesize_commuting_operator(lam, eta, basis),
+            lambda: decompose_line_operator(T),
+            lambda: classify_pm_hilbert(h_mat),
+            lambda: commutator_defect(h_mat, actions, probes),
         )
-        print(f"{n:6d} " + " ".join(f"{t:11.3f}" for t in row))
+        times = [best_ms(fn, args.repeat) for fn in calls]
+        print(f"{n:6d} " + " ".join(f"{t:11.3f}" for t in times)
+              + " " + " ".join(f"{mb:13.3f}" for mb in peak_mb(calls)))
 
 
 if __name__ == "__main__":

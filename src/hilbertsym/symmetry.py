@@ -95,7 +95,8 @@ class OperatorMatrix:
     """Dense complex matrix acting on a declared truncated basis.
 
     ``frobenius_norm`` is ||entries||_F, summed once at construction by
-    :func:`_frobenius`; it is inf when the sum of squares overflows."""
+    :func:`_frobenius`; it is inf only when the norm exceeds the float
+    range."""
 
     basis: Basis
     entries: np.ndarray
@@ -109,7 +110,7 @@ class OperatorMatrix:
             raise ValueError(
                 f"dimension {arr.shape[0]} inconsistent with basis dim {self.basis.dim}"
             )
-        norm = _frobenius(arr)  # finite only if every entry is; inf may be overflow
+        norm = _frobenius(arr)  # finite only if every entry is; inf may be a huge norm
         if not math.isfinite(norm) and not np.isfinite(arr.ravel("K").view(float)).all():
             raise ValueError("operator entries must be finite")
         arr.setflags(write=False)
@@ -256,6 +257,14 @@ def _diagonal(m: np.ndarray) -> np.ndarray:
     return np.einsum("ii->i", m)
 
 
+def _circulant(col: np.ndarray) -> np.ndarray:
+    """Read-only view of the circulant C[j, l] = col[(j - l) mod n]: with
+    p = (col[1:], col), that is p[n-1-l+j], the transposed reversed sliding
+    windows of p."""
+    p = np.concatenate((col[1:], col))
+    return np.lib.stride_tricks.sliding_window_view(p, col.size)[::-1].T
+
+
 def _spectral_matrix(T: OperatorMatrix) -> np.ndarray:
     """T in the basis where the sign symbol is diagonal, as a fresh (n, n)
     array with rows n + 1 values apart (the [:, :n] view of an (n, n + 1)
@@ -288,8 +297,16 @@ def _frobenius(m: np.ndarray) -> float:
     """Frobenius norm of a complex matrix, summed in a fixed order.  Not
     np.linalg.norm: on a complex matrix it sums through BLAS, whose threads
     split the sum (so its last bits depend on the CPU count) and spin on the
-    CPUs of the verify suite's thread map."""
-    return math.sqrt(float(_row_sq_norms(np.ascontiguousarray(m)).sum()))
+    CPUs of the verify suite's thread map.  A sum of squares that overflows
+    is taken again with m scaled by an exact power of two, so the norm is
+    finite whenever it is representable."""
+    m = np.ascontiguousarray(m)
+    sq = float(_row_sq_norms(m).sum())
+    if sq != math.inf:
+        return math.sqrt(sq)
+    v = m.view(float)
+    k = math.frexp(float(np.abs(v).max()))[1] - 1  # 2^k <= max |part| < 2^(k+1)
+    return math.sqrt(float(_row_sq_norms(v * 2.0**-k).sum())) * 2.0**k
 
 
 def decompose_line_operator(T: OperatorMatrix) -> ScalarDecomposition:
@@ -366,11 +383,13 @@ def _conjugation_defect(T: OperatorMatrix, tnorm: float) -> float:
     """Deviation from commuting with the real structure (conjugation of
     samples on the line; c_{-k} -> conj(c_k) pairing on coefficients),
     relative to tnorm = ||T||_F > 0.  On the line that is ||Im T||_F, read
-    through the float view of the entries."""
+    through the float view of the entries (by :func:`_frobenius` when that
+    sum of squares overflows)."""
     E = T.entries
     if isinstance(T.basis, LineBasis):
         im = E.ravel("K").view(float)[1::2]
-        return math.sqrt(float(np.einsum("i,i->", im, im))) / tnorm
+        norm = math.sqrt(float(np.einsum("i,i->", im, im)))
+        return (_frobenius(E.imag) if norm == math.inf else norm) / tnorm
     return _frobenius(np.conj(E[::-1, ::-1]) - E) / tnorm
 
 
@@ -379,126 +398,145 @@ def _antisymmetry_defect(E: np.ndarray, tnorm: float) -> float:
     E^H + E), built 64 rows at a time so that E^T is read in cache-sized
     strips rather than one strided column per element.  M has the memory
     order of ``E.conj()``, so its norm is the same float as that of
-    ``E.conj().T + E`` built in one pass."""
+    ``E.conj().T + E`` built in one pass (taken again by :func:`_frobenius`
+    when its sum of squares overflows)."""
     m = np.empty_like(E)
     for r in range(0, E.shape[0], 64):
         np.conjugate(E[r : r + 64], out=m[r : r + 64])
         m[r : r + 64] += E[:, r : r + 64].T
-    return float(np.linalg.norm(m) / tnorm)
+    norm = np.linalg.norm(m)
+    return float((_frobenius(m) if norm == math.inf else norm) / tnorm)
 
 
-def _certify(work: np.ndarray, T: OperatorMatrix, tnorm: float, tol: float):
-    """Decompose T from ``work`` (W, the :func:`_spectral_matrix` of T) and
-    report which of the tests (ii) and (iii) of :func:`classify_pm_hilbert`
-    the decomposition proves to pass: (dec, anti_symmetric, isometric).
+def _pm_hilbert_certificate(T: OperatorMatrix, tol: float) -> Optional[HilbertClassification]:
+    """plus-H or minus-H when rho = ||T - sH||_F, the distance from T to sH
+    for s = +-1 the sign of Re<H e_0, T e_0>, proves that T passes every test
+    of :func:`classify_pm_hilbert`; None when it does not.
 
-    dec is None on a degenerate basis, with W untouched.  Otherwise
-    ``work`` is left holding R when (iii) is certified and W again, bitwise,
-    when it is not, for the exact Gram test.
+    No change of basis is made.  On the line, rho is summed over strips of
+    T minus a view of the circulant H, of n/16 rows (at most 64) so that the
+    scratch stays below a tenth of an n x n array; a strip that takes the
+    sum past what (ii) allows ends the pass.  On the circle, where H is the
+    diagonal -i sgn k, it is read from the off-diagonal entries of T in
+    place and its diagonal minus sH.  With W and R the frequency-basis forms
+    of T and E = T - sH, W = sD + R for D = diag(-i sgn k), so |d_j| = 1 on
+    the m sign rows and 0 elsewhere, and ||R||_F = rho.  With r = rho +
+    4 n eps ||T||_F (the roundoff of W and rho) each test is held to tol/2:
 
-    Both bounds of that docstring hold because W_K = D_K + R_K, with D the
-    diagonal of block scalars :func:`_decompose_blocks` fits (d_j = k1, k2
-    or the zero-block value on row j) and R = W - D, whose norm the
-    residuals give.  W, R and the residuals carry errors of about n eps
-    ||W||_F, and the exact Gram test computes W_K^H W_K with an error of at
-    most about n eps ||W||_F^2 (entrywise bounds of a product summed in any
-    order), so 4 n eps ||W||_F and 4 n eps ||W||_F^2 / sqrt(m) are added to
-    the two bounds before they are held to tol/2.  With no squared column
-    norm in [tol/2, 2 tol], the keep-sets of the two Gram tests agree
-    despite roundoff.
+    * (i), (ii): the conjugation defect and ||T^H + T||_F are at most
+      a + 2r, where a = ||H^H + H||_F + ||Im H||_F is O(n) for a circulant
+      and 0 on the circle.  This also bounds the scalar residuals, which
+      are at most r / ||T||_F.
+    * (iii): a column of a sign block has norm at least 1 - r, and any other
+      column at most r.  So with (1 - r)^2 > 2 tol and r^2 < tol/2 the Gram
+      test keeps exactly the sign blocks, and its defect is at most
+      (2r + r^2 + 4 n eps ||T||_F^2) / sqrt(m), the last term being the
+      roundoff of the product.
+    * the block scalars k1, k2 are within r of -is, is: r <= 1e-6.
     """
-    n = T.dim
+    n, E, tnorm = T.dim, T.entries, T.frobenius_norm
     s = sign_symbol(T.basis.signed_indices())
-    blocks = (s > 0, s < 0, s == 0)
-    if not (blocks[0].any() and blocks[1].any()):
-        return None, False, False  # the exact path refutes it or raises, as before
-    v = work.view(float)
-    col = np.einsum("ij,ij->j", v, v)
-    col = col[0::2] + col[1::2]
-    saved = np.diagonal(work).copy()
-    dec = _decompose_blocks(work, T)  # leaves R in work
-    d = (dec.k1, dec.k2, dec.lam if dec.space == "line" else dec.k0)  # one per block
-    r = tnorm * math.hypot(dec.residual_plus, dec.residual_minus, dec.residual_zero)
-    eps_n = 4.0 * n * np.finfo(float).eps * tnorm
-    re_d = math.sqrt(sum(np.count_nonzero(mask) * z.real * z.real for z, mask in zip(d, blocks)))
-    anti_symmetric = 2.0 * (re_d + r) + eps_n <= tol / 2 * tnorm
-
-    keep = col > tol
-    m = np.count_nonzero(keep)
-    isometric = False
-    if m and not np.any((col >= tol / 2) & (col <= 2 * tol)):
-        scalars = [(abs(z), np.count_nonzero(keep & mask)) for z, mask in zip(d, blocks)]
-        diag_part = math.sqrt(sum(c * (a * a - 1.0) * (a * a - 1.0) for a, c in scalars))
-        d_max = max(a for a, c in scalars if c)
-        bound = diag_part + 2.0 * d_max * r + r * r + eps_n * tnorm
-        isometric = bound / math.sqrt(m) <= tol / 2
-    if not isometric:
-        _diagonal(work)[...] = saved  # W again, bitwise
-    return dec, anti_symmetric, isometric
+    m = np.count_nonzero(s)
+    if not m:
+        return None  # no sign blocks: the exact path decides
+    d = -1j * s  # the symbol of H
+    if isinstance(T.basis, FourierBasis):  # H = diag(d): nothing to stream
+        sign = 1.0 if (np.conj(d[0]) * E[0, 0]).real >= 0.0 else -1.0
+        # the off-diagonal entries lie between the diagonal ones, n + 1
+        # apart in the flat entries of either memory order
+        off = E.ravel("K")[1:].reshape(n - 1, n + 1)[:, :n]
+        diag = np.diagonal(E) - sign * d
+        sq = float(_row_sq_norms(off).sum()) + float(np.vdot(diag, diag).real)
+        a = 0.0
+    else:
+        h = np.fft.ifft(d)
+        H = _circulant(h)
+        # H^H + H is the circulant of h + conj(h[-j mod n])
+        a = math.sqrt(n) * float(
+            np.linalg.norm(h + np.conj(np.roll(h[::-1], 1))) + np.linalg.norm(h.imag)
+        )
+        sign = 1.0 if np.vdot(h, E[:, 0]).real >= 0.0 else -1.0
+        most = tol / 4 * tnorm  # (ii) needs rho <= tol/4 ||T||_F
+        most *= most
+        step = max(1, min(64, n // 16))
+        strip = np.empty((step, n), dtype=complex)
+        sq = 0.0
+        for j in range(0, n, step):
+            rows = slice(j, min(j + step, n))
+            out = strip[: rows.stop - j]
+            np.copyto(out, H[rows])  # a ufunc would first copy the overlapping view
+            (np.subtract if sign > 0 else np.add)(E[rows], out, out=out)
+            sq += float(_row_sq_norms(out).sum())
+            if not sq <= most:  # also ends on NaN
+                return None
+    rho = math.sqrt(sq)
+    if not (math.isfinite(rho) and math.isfinite(tnorm)):
+        return None
+    eps_n = 4.0 * n * math.ulp(1.0) * tnorm
+    r = rho + eps_n
+    if (
+        2.0 * r + a <= tol / 2 * tnorm
+        and r * r < tol / 2
+        and (1.0 - r) * (1.0 - r) > 2 * tol
+        and (2.0 * r + r * r + eps_n * tnorm) / math.sqrt(m) <= tol / 2
+        and r <= 1e-6
+    ):
+        return HilbertClassification("plus-H" if sign > 0 else "minus-H")
+    return None
 
 
 def classify_pm_hilbert(T: OperatorMatrix, tol: float = 1e-8) -> HilbertClassification:
     """Decide whether T is the Hilbert transform, its negative, or neither.
 
-    Checks, in order and each to ``tol``: (i) real (conjugation-equivariant),
-    (ii) anti-symmetric, ||T^H + T||_F <= tol ||T||_F, (iii) norm-preserving
-    on the orthocomplement of its kernel block: the Gram defect
+    Checks, in order and each to ``tol`` (a number >= 0, else ValueError):
+    (i) real (conjugation-equivariant), (ii) anti-symmetric,
+    ||T^H + T||_F <= tol ||T||_F, (iii) norm-preserving on the
+    orthocomplement of its kernel block: the Gram defect
     ||W_K^H W_K - I||_F / sqrt(m), for W the operator in the frequency basis
     and K the m columns with squared norm above ``tol``.  A candidate
     passing all three is decomposed; the verdict follows the sign of Im(k1)
     (k1 = -i means plus-H) provided the scalar residuals are small.  The
     first failed property is returned as the reason.
 
-    (ii) and (iii) are first certified from one block decomposition
-    W = D + R (D the diagonal of block scalars d_j), made after the
-    O(n^2 log n) change of basis:
-
-        ||T^H + T||_F = ||W^H + W||_F <= 2 sqrt(sum_j Re(d_j)^2) + 2 ||R||_F,
-        defect <= [sqrt(sum_K (|d_j|^2 - 1)^2) + 2 max_K |d_j| ||R||_F
-                   + ||R||_F^2] / sqrt(m).
-
-    A test whose bound (with a roundoff allowance) is at most tol/2, and for
-    (iii) no squared column norm in [tol/2, 2 tol], passes; otherwise the
-    exact test runs (an O(n^2) pass over T^H + T, the O(n^3) product
-    W^H W).  As ||T^H + T||_F >= 2 ||Re diag T||, operators such as I or
-    diag(x) go straight to the exact test (ii), with no change of basis.
-    Either way, verdicts and reasons are the same.
+    +-H pass on one O(n^2) pass, with no change of basis and at most 64 n
+    values of scratch: their distance rho = ||T - sH||_F to the nearer of
+    +-H bounds every test (:func:`_pm_hilbert_certificate`).  Anything else
+    takes the exact tests: a pass over Im T, an O(n^2) pass over T^H + T,
+    the O(n^2 log n) change of basis, the O(n^3) product W^H W and the
+    decomposition.  Either way, verdicts and reasons are the same.
     """
+    if not tol >= 0.0:  # also rejects NaN
+        raise ValueError(f"tol must be a non-negative number, got {tol!r}")
     E = T.entries
     tnorm = T.frobenius_norm
     if tnorm == 0.0:
         return HilbertClassification("neither", "operator is zero")
+    certified = _pm_hilbert_certificate(T, tol)
+    if certified is not None:
+        return certified
 
     d = _conjugation_defect(T, tnorm)
     if d > tol:
         return HilbertClassification("neither", f"not a real operator (defect {d:.2e})")
-
-    work, dec, anti_symmetric, isometric = None, None, False, False
-    if np.hypot.reduce(np.diagonal(E).real) <= tol * tnorm:
-        work = _spectral_matrix(T)
-        dec, anti_symmetric, isometric = _certify(work, T, tnorm, tol)
-    if not anti_symmetric:
-        d = _antisymmetry_defect(E, tnorm)
-        if d > tol:
-            return HilbertClassification("neither", f"not anti-symmetric (defect {d:.2e})")
-    if not isometric:
-        # the kernel block (mean/Nyquist-type modes) is axis-aligned in the
-        # frequency basis, so run the Gram test there
-        work = _spectral_matrix(T) if work is None else work
-        gram = work.conj().T @ work
-        g_diag = np.abs(np.diagonal(gram))
-        keep = g_diag > tol
-        if not np.any(keep):
-            return HilbertClassification("neither", "kernel exhausts the space")
-        sub = gram if keep.all() else gram[np.ix_(keep, keep)]
-        _diagonal(sub)[...] -= 1.0  # minus the identity, in place
-        d = float(np.linalg.norm(sub) / math.sqrt(sub.shape[0]))
-        if d > tol:
-            return HilbertClassification(
-                "neither", f"not norm-preserving off the kernel block (defect {d:.2e})"
-            )
-    if dec is None:  # not decomposed yet; a degenerate basis raises here
-        dec = _decompose_blocks(work, T)
+    d = _antisymmetry_defect(E, tnorm)
+    if d > tol:
+        return HilbertClassification("neither", f"not anti-symmetric (defect {d:.2e})")
+    # the kernel block (mean/Nyquist-type modes) is axis-aligned in the
+    # frequency basis, so run the Gram test there
+    work = _spectral_matrix(T)
+    gram = work.conj().T @ work
+    g_diag = np.abs(np.diagonal(gram))
+    keep = g_diag > tol
+    if not np.any(keep):
+        return HilbertClassification("neither", "kernel exhausts the space")
+    sub = gram if keep.all() else gram[np.ix_(keep, keep)]
+    _diagonal(sub)[...] -= 1.0  # minus the identity, in place
+    d = float(np.linalg.norm(sub) / math.sqrt(sub.shape[0]))
+    if d > tol:
+        return HilbertClassification(
+            "neither", f"not norm-preserving off the kernel block (defect {d:.2e})"
+        )
+    dec = _decompose_blocks(work, T)  # a degenerate basis raises here
 
     scalar_res = max(dec.residual_plus, dec.residual_minus)
     if scalar_res > tol:
@@ -598,10 +636,5 @@ def synthesize_commuting_operator(lam: complex, eta: complex, basis: Basis) -> O
     symbol = lam + eta * (-1j) * sign_symbol(basis.signed_indices())
     if isinstance(basis, FourierBasis):
         return OperatorMatrix(basis, np.diag(symbol))
-    # F^-1 diag(symbol) F is the circulant T[j, l] = h[(j - l) mod n] of the
-    # single column h = ifft(symbol); with p = (h[1:], h), that is
-    # p[n-1-l+j], the transposed reversed sliding windows of p.
-    h = np.fft.ifft(symbol)
-    p = np.concatenate((h[1:], h))
-    windows = np.lib.stride_tricks.sliding_window_view(p, basis.n)
-    return OperatorMatrix(basis, windows[::-1].T)
+    # F^-1 diag(symbol) F is the circulant of the single column ifft(symbol)
+    return OperatorMatrix(basis, _circulant(np.fft.ifft(symbol)))
