@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Time the dense-engine layers in this one process: the minimum over
 ``--repeat`` calls, in milliseconds, of synthesize_commuting_operator,
-decompose_line_operator, classify_pm_hilbert (on H) and commutator_defect
-(H against two probes) for each line operator size.  After the timing loop,
+decompose_line_operator, classify_pm_hilbert on H (decided by its distance
+to +-H) and on I (by the exact tests, the path of the verify suite's
+non-Hilbert cases; I fails at anti-symmetry) and commutator_defect (H
+against two probes) for each line operator size.  After the timing loop,
 one tracemalloc pass calls each layer once more and prints its traced peak
 allocation in MB (numpy arrays included; memory held before the call is not
 counted).
@@ -63,7 +65,7 @@ def main():
     ap.add_argument("--repeat", type=int, default=5)
     args = ap.parse_args()
 
-    layers = ("synthesize", "decompose", "classify", "commutator")
+    layers = ("synthesize", "decompose", "classify", "classify_I", "commutator")
     print(f"{'n':>6} " + " ".join(f"{name:>11}" for name in layers)
           + " " + " ".join(f"{name + '_MB':>13}" for name in layers)
           + f"   (ms, min of {args.repeat}; MB, traced peak of one call)")
@@ -72,12 +74,14 @@ def main():
         lam, eta = 0.3 - 0.2j, 1.0 + 0.5j
         T = synthesize_commuting_operator(lam, eta, basis)
         h_mat = synthesize_commuting_operator(0.0, 1.0, basis)
+        ident = synthesize_commuting_operator(1.0, 0.0, basis)
         probes = make_probes("random-bandlimited", seed=0, count=2, grid=basis.grid())
         actions = [line_affine_action(AffineElement(1.0, b * basis.dx)) for b in (0.0, 3.5, 7.0)]
         calls = (
             lambda: synthesize_commuting_operator(lam, eta, basis),
             lambda: decompose_line_operator(T),
             lambda: classify_pm_hilbert(h_mat),
+            lambda: classify_pm_hilbert(ident),
             lambda: commutator_defect(h_mat, actions, probes),
         )
         times = [best_ms(fn, args.repeat) for fn in calls]

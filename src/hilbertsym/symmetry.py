@@ -287,26 +287,32 @@ def _spectral_matrix(T: OperatorMatrix) -> np.ndarray:
 
 
 def _row_sq_norms(m: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norm of each row of a complex matrix with
-    contiguous rows, read through its float view without a temporary."""
+    """Squared Frobenius norm of each row of a real matrix, or a complex one
+    with contiguous rows, read through its float view without a temporary."""
     v = m.view(float)
     return np.einsum("ij,ij->i", v, v)
 
 
-def _frobenius(m: np.ndarray) -> float:
-    """Frobenius norm of a complex matrix, summed in a fixed order.  Not
-    np.linalg.norm: on a complex matrix it sums through BLAS, whose threads
-    split the sum (so its last bits depend on the CPU count) and spin on the
-    CPUs of the verify suite's thread map.  A sum of squares that overflows
-    is taken again with m scaled by an exact power of two, so the norm is
-    finite whenever it is representable."""
-    m = np.ascontiguousarray(m)
-    sq = float(_row_sq_norms(m).sum())
-    if sq != math.inf:
-        return math.sqrt(sq)
+def _scaled_row_sq_norms(m: np.ndarray) -> tuple:
+    """(rows, c): the :func:`_row_sq_norms` of m / c, for c = 1 unless their
+    fixed-order sum overflows, and then the power of two c <= max |part| < 2c.
+    Dividing by c is exact: a sum that is finite at c = 1 is the same float
+    over c^2 at any c, and its square root the same float over c."""
+    rows = _row_sq_norms(m)
+    if float(rows.sum()) != math.inf:
+        return rows, 1.0
     v = m.view(float)
-    k = math.frexp(float(np.abs(v).max()))[1] - 1  # 2^k <= max |part| < 2^(k+1)
-    return math.sqrt(float(_row_sq_norms(v * 2.0**-k).sum())) * 2.0**k
+    c = 2.0 ** (math.frexp(float(np.abs(v).max()))[1] - 1)
+    return _row_sq_norms(v / c), c
+
+
+def _frobenius(m: np.ndarray) -> float:
+    """Frobenius norm of a matrix from its :func:`_scaled_row_sq_norms`, so
+    finite whenever representable.  Not np.linalg.norm, which sums a complex
+    matrix through BLAS, whose threads split the sum (its last bits depend
+    on the CPU count) and spin on the CPUs of the verify suite's thread map."""
+    rows, c = _scaled_row_sq_norms(np.ascontiguousarray(m))
+    return math.sqrt(float(rows.sum())) * c
 
 
 def decompose_line_operator(T: OperatorMatrix) -> ScalarDecomposition:
@@ -339,7 +345,8 @@ def _decompose_blocks(tilde: np.ndarray, T: OperatorMatrix) -> ScalarDecompositi
 
     Consumes ``tilde``: the reconstruction is subtracted from its diagonal in
     place, so its rows become the defect rows, whose squared norms are taken
-    once and summed per block.
+    once by :func:`_scaled_row_sq_norms` and summed per block.  A residual is
+    relative to ||T||_F; it is NaN when ||T||_F is not representable.
     """
     s = sign_symbol(T.basis.signed_indices())
     plus, minus, zero = s > 0, s < 0, s == 0
@@ -350,13 +357,9 @@ def _decompose_blocks(tilde: np.ndarray, T: OperatorMatrix) -> ScalarDecompositi
     k2 = complex(diag[minus].mean())
     line = isinstance(T.basis, LineBasis)
     k0 = (k2 + k1) / 2.0 if line else complex(diag[zero].mean())
-    recon = np.empty(T.dim, dtype=complex)
-    recon[plus] = k1
-    recon[minus] = k2
-    recon[zero] = k0
-    _diagonal(tilde)[...] -= recon
-    rows = _row_sq_norms(tilde)
-    tnorm = T.frobenius_norm
+    _diagonal(tilde)[...] -= np.where(plus, k1, np.where(minus, k2, k0))
+    rows, c = _scaled_row_sq_norms(tilde)
+    tnorm = T.frobenius_norm / c if T.frobenius_norm < math.inf else math.nan
 
     def residual(mask):
         return 0.0 if tnorm == 0.0 else math.sqrt(float(rows[mask].sum())) / tnorm
@@ -382,30 +385,21 @@ class HilbertClassification:
 def _conjugation_defect(T: OperatorMatrix, tnorm: float) -> float:
     """Deviation from commuting with the real structure (conjugation of
     samples on the line; c_{-k} -> conj(c_k) pairing on coefficients),
-    relative to tnorm = ||T||_F > 0.  On the line that is ||Im T||_F, read
-    through the float view of the entries (by :func:`_frobenius` when that
-    sum of squares overflows)."""
+    relative to tnorm = ||T||_F > 0.  On the line that is ||Im T||_F."""
     E = T.entries
-    if isinstance(T.basis, LineBasis):
-        im = E.ravel("K").view(float)[1::2]
-        norm = math.sqrt(float(np.einsum("i,i->", im, im)))
-        return (_frobenius(E.imag) if norm == math.inf else norm) / tnorm
-    return _frobenius(np.conj(E[::-1, ::-1]) - E) / tnorm
+    m = E.imag if isinstance(T.basis, LineBasis) else np.conj(E[::-1, ::-1]) - E
+    return _frobenius(m) / tnorm
 
 
 def _antisymmetry_defect(E: np.ndarray, tnorm: float) -> float:
-    """||E^H + E||_F / tnorm, from M = conj(E) + E^T (whose transpose is
-    E^H + E), built 64 rows at a time so that E^T is read in cache-sized
-    strips rather than one strided column per element.  M has the memory
-    order of ``E.conj()``, so its norm is the same float as that of
-    ``E.conj().T + E`` built in one pass (taken again by :func:`_frobenius`
-    when its sum of squares overflows)."""
-    m = np.empty_like(E)
-    for r in range(0, E.shape[0], 64):
-        np.conjugate(E[r : r + 64], out=m[r : r + 64])
-        m[r : r + 64] += E[:, r : r + 64].T
-    norm = np.linalg.norm(m)
-    return float((_frobenius(m) if norm == math.inf else norm) / tnorm)
+    """||E^H + E||_F / tnorm, built in one C-order n x n array (a copy, which
+    unlike a ufunc on two memory orders takes no buffer).  F-order entries
+    are read as E^T, whose matrix is the exact conjugate: the same float."""
+    E = E.T if E.flags.f_contiguous else E
+    m = E.T.copy()
+    np.conjugate(m, out=m)
+    m += E
+    return _frobenius(m) / tnorm
 
 
 def _pm_hilbert_certificate(T: OperatorMatrix, tol: float) -> Optional[HilbertClassification]:
@@ -501,13 +495,14 @@ def classify_pm_hilbert(T: OperatorMatrix, tol: float = 1e-8) -> HilbertClassifi
     +-H pass on one O(n^2) pass, with no change of basis and at most 64 n
     values of scratch: their distance rho = ||T - sH||_F to the nearer of
     +-H bounds every test (:func:`_pm_hilbert_certificate`).  Anything else
-    takes the exact tests: a pass over Im T, an O(n^2) pass over T^H + T,
+    takes the exact tests: ||Im T||_F, ||T^H + T||_F from one n x n array,
     the O(n^2 log n) change of basis, the O(n^3) product W^H W and the
-    decomposition.  Either way, verdicts and reasons are the same.
+    decomposition.  Each norm is a fixed-order row sum, finite whenever
+    representable (:func:`_frobenius`), and a NaN defect fails its test.
+    Either way, verdicts and reasons are the same.
     """
     if not tol >= 0.0:  # also rejects NaN
         raise ValueError(f"tol must be a non-negative number, got {tol!r}")
-    E = T.entries
     tnorm = T.frobenius_norm
     if tnorm == 0.0:
         return HilbertClassification("neither", "operator is zero")
@@ -516,10 +511,10 @@ def classify_pm_hilbert(T: OperatorMatrix, tol: float = 1e-8) -> HilbertClassifi
         return certified
 
     d = _conjugation_defect(T, tnorm)
-    if d > tol:
+    if not d <= tol:
         return HilbertClassification("neither", f"not a real operator (defect {d:.2e})")
-    d = _antisymmetry_defect(E, tnorm)
-    if d > tol:
+    d = _antisymmetry_defect(T.entries, tnorm)
+    if not d <= tol:
         return HilbertClassification("neither", f"not anti-symmetric (defect {d:.2e})")
     # the kernel block (mean/Nyquist-type modes) is axis-aligned in the
     # frequency basis, so run the Gram test there
@@ -531,15 +526,15 @@ def classify_pm_hilbert(T: OperatorMatrix, tol: float = 1e-8) -> HilbertClassifi
         return HilbertClassification("neither", "kernel exhausts the space")
     sub = gram if keep.all() else gram[np.ix_(keep, keep)]
     _diagonal(sub)[...] -= 1.0  # minus the identity, in place
-    d = float(np.linalg.norm(sub) / math.sqrt(sub.shape[0]))
-    if d > tol:
+    d = _frobenius(sub) / math.sqrt(sub.shape[0])
+    if not d <= tol:
         return HilbertClassification(
             "neither", f"not norm-preserving off the kernel block (defect {d:.2e})"
         )
     dec = _decompose_blocks(work, T)  # a degenerate basis raises here
 
     scalar_res = max(dec.residual_plus, dec.residual_minus)
-    if scalar_res > tol:
+    if not scalar_res <= tol:
         return HilbertClassification(
             "neither", f"not scalar on the frequency blocks (residual {scalar_res:.2e})"
         )

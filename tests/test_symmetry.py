@@ -295,6 +295,31 @@ class TestCircleDecomposition:
             )
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+@pytest.mark.parametrize("basis", [LineBasis(16, -40.0, 5.0), LineBasis(256, -40.0, 80.0 / 256),
+                                   FourierBasis(4)], ids=repr)
+def test_residuals_whose_sums_of_squares_overflow_are_relative(basis, scale):
+    # the defect rows are summed apart from ||T||_F and overflow with it;
+    # they are taken at a power-of-two scale as ||T||_F is, so the relative
+    # residuals are those of the unit-scale operator (1e200*(0.3I + 0.7H)
+    # on the line read max_residual inf while they were not)
+    line = isinstance(basis, LineBasis)
+    E = (synthesize_commuting_operator(0.3, 0.7, basis) if line else random_operator(basis)).entries
+    decompose = decompose_line_operator if line else decompose_circle_operator
+    unit, big = (decompose(OperatorMatrix(basis, c * E)) for c in (1.0, scale))
+    for name in ("residual_plus", "residual_minus", "residual_zero"):
+        assert abs(getattr(big, name) - getattr(unit, name)) <= 1e-15
+
+
+def test_residuals_relative_to_an_unrepresentable_norm_are_nan():
+    # ||T||_F = 65 * 3e306 exceeds the float range, so no residual relative
+    # to it is known; a residual of 0 would pass any tolerance
+    T = OperatorMatrix(FBASIS, np.full((65, 65), 3e306))
+    assert T.frobenius_norm == np.inf
+    dec = decompose_circle_operator(T)
+    assert all(map(math.isnan, (dec.residual_plus, dec.residual_minus, dec.residual_zero)))
+
+
 class TestClassifier:
     def test_plus_and_minus_hilbert_line(self):
         assert classify_pm_hilbert(h_line()).verdict == "plus-H"
@@ -386,20 +411,20 @@ class TestClassifier:
 def gram_first_classifier(T, tol=1e-8):
     """The classifier with every exact test always run (before any
     certificate was added), as the oracle for the certified one.  It reads
-    ||T||_F from T, and takes a norm whose sum of squares overflows again at
-    a power-of-two scale, as the classifier does."""
+    ||T||_F from T, takes a norm whose sum of squares overflows again at a
+    power-of-two scale, and fails a NaN defect, as the classifier does."""
     E = T.entries
     tnorm = T.frobenius_norm
     if tnorm == 0.0:
         return HilbertClassification("neither", "operator is zero")
     d = _conjugation_defect(T, tnorm)
-    if d > tol:
+    if not d <= tol:
         return HilbertClassification("neither", f"not a real operator (defect {d:.2e})")
     herm = E.conj().T
     herm += E
     norm = np.linalg.norm(herm)
     d = float((symmetry._frobenius(herm) if norm == np.inf else norm) / tnorm)
-    if d > tol:
+    if not d <= tol:
         return HilbertClassification("neither", f"not anti-symmetric (defect {d:.2e})")
     work = _spectral_matrix(T)
     gram = work.conj().T @ work
@@ -409,14 +434,14 @@ def gram_first_classifier(T, tol=1e-8):
         return HilbertClassification("neither", "kernel exhausts the space")
     sub = gram if keep.all() else gram[np.ix_(keep, keep)]
     sub.reshape(-1)[:: sub.shape[0] + 1] -= 1.0
-    d = float(np.linalg.norm(sub) / math.sqrt(sub.shape[0]))
-    if d > tol:
+    d = symmetry._frobenius(sub) / math.sqrt(sub.shape[0])
+    if not d <= tol:
         return HilbertClassification(
             "neither", f"not norm-preserving off the kernel block (defect {d:.2e})"
         )
     dec = _decompose_blocks(work, T)
     scalar_res = max(dec.residual_plus, dec.residual_minus)
-    if scalar_res > tol:
+    if not scalar_res <= tol:
         return HilbertClassification(
             "neither", f"not scalar on the frequency blocks (residual {scalar_res:.2e})"
         )
@@ -547,26 +572,34 @@ def test_an_operator_whose_norm_overflows_matches_the_oracle(basis, scale):
     # from 1e100 the Gram defect overflows, from about 1e154 the sums of
     # squares of ||T||_F and of the defects of (i) and (ii) do; those are
     # taken again at a power-of-two scale, so (i) and (ii) fail as they do
-    # on the operator scaled to modulus 1, and scaled-up H fails later
+    # on the operator scaled to modulus 1, and scaled-up H fails the Gram
+    # test, whose product W^H W holds inf - inf = NaN from about 1e154
     h = synthesize_commuting_operator(0.0, 1.0, basis).entries
     z = zero_diagonal(real_antisymmetric(basis, sign=1.0))
+    outs = []
     for entries in (h, h + z, h + 1e-6 * z, np.eye(basis.dim)):
         T = OperatorMatrix(basis, scale * entries)
-        out = classify_pm_hilbert(T)
-        assert out == gram_first_classifier(T)
+        outs.append(classify_pm_hilbert(T))
+        assert outs[-1] == gram_first_classifier(T)
         unit = classify_pm_hilbert(OperatorMatrix(basis, scale / abs(scale) * entries))
         if unit.verdict == "neither":
-            assert out == unit
+            assert outs[-1] == unit
         else:
-            assert out.verdict == "neither"
-            assert not out.reason.startswith(("not a real", "not anti-symmetric"))
-    # I at each scale, pinned: before ||T||_F was kept finite, 1e200j*I read
-    # "block scalars (0+1e+200j, 0+1e+200j) are not -/+ i"
-    real = isinstance(scale, float)
-    want = ("not anti-symmetric (defect 2.00e+00)" if real else
-            "not a real operator (defect {})".format(
-                "1.00e+00" if isinstance(basis, LineBasis) else "2.00e+00"))
-    assert out == HilbertClassification("neither", want)
+            assert outs[-1].verdict == "neither"
+            assert not outs[-1].reason.startswith(("not a real", "not anti-symmetric"))
+    # H and I at each scale, pinned: while a NaN defect passed its test,
+    # 1e160*H and 1e200*H passed the Gram test and read "block scalars (...)
+    # are not -/+ i" or "not scalar on the frequency blocks (residual inf)",
+    # and 1e100*H read "(defect inf)"; before ||T||_F was kept finite,
+    # 1e200j*I read "block scalars (0+1e+200j, 0+1e+200j) are not -/+ i"
+    gram = "not norm-preserving off the kernel block (defect {})"
+    unreal = "not a real operator (defect {})".format(
+        "1.00e+00" if isinstance(basis, LineBasis) else "2.00e+00")
+    want_h = {1e100: gram.format("1.00e+200"), 1e160: gram.format("nan"),
+              1e200: gram.format("nan")}.get(scale, unreal)
+    want_i = "not anti-symmetric (defect 2.00e+00)" if isinstance(scale, float) else unreal
+    assert outs[0] == HilbertClassification("neither", want_h)
+    assert outs[-1] == HilbertClassification("neither", want_i)
 
 
 def test_degenerate_basis_takes_the_exact_path():
@@ -594,9 +627,9 @@ def pm_hilbert(basis, case):
 @pytest.mark.parametrize("basis", CERTIFIED_BASES, ids=repr)
 @pytest.mark.parametrize("case", ["H", "-H", "negated H"])
 def test_pm_hilbert_is_certified_in_the_sample_basis(monkeypatch, basis, case):
-    # +-H pass on their distance to +-H alone: no realness pass, no strip
-    # pass over T^H + T, no change of basis, and less than a tenth of an
-    # n x n array allocated
+    # +-H pass on their distance to +-H alone: no realness pass, no pass
+    # over T^H + T, no change of basis, and less than a tenth of an n x n
+    # array allocated
     T = pm_hilbert(basis, case)
 
     def exact(*args):
@@ -648,14 +681,15 @@ def test_synthesized_pm_hilbert_is_at_distance_zero(monkeypatch, n, case):
 
 def test_the_distance_pass_stops_at_the_first_strip_past_the_bound(monkeypatch):
     # I is at distance about ||I||_F from +-H: its first strip already
-    # rules out (ii), so the pass ends there and the exact test reads it
+    # rules out (ii), so the pass ends there and the exact test reads it;
+    # the exact tests reduce whole n x n matrices
     T = synthesize_commuting_operator(1.0, 0.0, LBASIS)
     calls = []
     real = symmetry._row_sq_norms
     monkeypatch.setattr(symmetry, "_row_sq_norms", lambda m: calls.append(m.shape) or real(m))
     out = classify_pm_hilbert(T)
     assert out.reason == "not anti-symmetric (defect 2.00e+00)"
-    assert calls == [(N_OP // 16, N_OP)]
+    assert [shape for shape in calls if shape[0] < N_OP] == [(N_OP // 16, N_OP)]
 
 
 @pytest.mark.parametrize("delta, certified", [(1e-9, True), (2.4e-9, True), (2.5e-9, False),
@@ -674,7 +708,7 @@ def test_the_certificate_holds_anti_symmetry_to_half_tol(monkeypatch, delta, cer
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_pm_hilbert_at_n_1024_takes_no_exact_pass(monkeypatch, sign):
-    # neither the strip pass of (ii) nor a BLAS norm of an n x n array
+    # neither the exact pass of (ii) nor a BLAS norm of an n x n array
     basis = LineBasis(1024, -40.0, 80.0 / 1024)
     T = synthesize_commuting_operator(0.0, sign, basis)
     norm_shapes = []
@@ -706,17 +740,51 @@ def test_a_real_diagonal_goes_straight_to_the_exact_test(monkeypatch, case):
     assert out.verdict == "neither" and out.reason.startswith("not anti-symmetric (defect 2.00")
 
 
-@pytest.mark.parametrize("basis", [LineBasis(100, -40.0, 0.8), LBASIS, FourierBasis(40)], ids=repr)
-def test_antisymmetry_defect_is_the_unblocked_norm(basis):
+@pytest.mark.parametrize("basis", [LBASIS, FourierBasis(128)], ids=repr)
+def test_the_engine_takes_no_whole_matrix_blas_norm(monkeypatch, basis):
+    # every matrix norm of the exact tests, the decompositions and the
+    # rotation analysis is a fixed-order row sum; BLAS norms take vectors
+    # or rows only
+    whole = []
+    real_norm = np.linalg.norm
+
+    def norm(x, ord=None, axis=None, keepdims=False):
+        if axis is None and np.ndim(x) == 2:
+            whole.append(np.shape(x))
+        return real_norm(x, ord, axis, keepdims)
+
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    line = isinstance(basis, LineBasis)
+    x = basis.grid().positions() if line else basis.signed_indices()
+    h = synthesize_commuting_operator(0.0, 1.0, basis).entries
+    verdicts = []
+    for entries in (np.eye(basis.dim), np.diag(x), real_rotation(basis), 2 * h):
+        T = OperatorMatrix(basis, entries)
+        verdicts.append(classify_pm_hilbert(T).verdict)
+        (decompose_line_operator if line else decompose_circle_operator)(T)
+        if not line:
+            rotation_commutant_analysis(T, _scalarity_scales())
+    assert verdicts == ["neither"] * 4 and not whole
+
+
+@pytest.mark.parametrize("layout", [np.asarray, np.asfortranarray], ids=["C", "F"])
+@pytest.mark.parametrize("basis", [LBASIS, FourierBasis(128)], ids=repr)
+def test_the_antisymmetry_defect_takes_one_matrix(basis, layout):
+    # E^H + E is the one n x n temporary for either memory order of E, and
+    # its norm is the same float for both
     rng = np.random.default_rng(4)
     shape = (basis.dim, basis.dim)
-    for E in (synthesize_commuting_operator(0.0, 1.0, basis).entries,
-              rng.normal(size=shape) + 1j * rng.normal(size=shape)):
-        tnorm = np.linalg.norm(E)
-        herm = E.conj().T
-        herm += E
-        oracle = float(np.linalg.norm(herm) / tnorm)
-        assert symmetry._antisymmetry_defect(E, tnorm).hex() == oracle.hex()
+    E = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    entries = layout(E)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        d = symmetry._antisymmetry_defect(entries, 1.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * basis.dim**2 * np.dtype(complex).itemsize
+    assert d.hex() == symmetry._frobenius(E.conj().T + E).hex()
 
 
 class TestPaddedSpectralMatrix:

@@ -602,6 +602,22 @@ class TestCliDecompose:
         doc = json.loads(capsys.readouterr().out)
         assert max(doc["residuals"]["plus"], doc["residuals"]["minus"]) > 1e-3
 
+    def test_residuals_whose_squares_overflow_are_finite(self, tmp_path, capsys):
+        # the defect rows of 1e200*(0.3I + 0.7H) square past the float range;
+        # taken at a power-of-two scale, no residual reads Infinity or NaN
+        basis = LineBasis(16, -2.0, 0.25)
+        op = synthesize_commuting_operator(0.3, 0.7, basis)
+        path = tmp_path / "big.json"
+        save_operator(OperatorMatrix(basis, 1e200 * op.entries), path)
+        assert main(["decompose", "--in", str(path), "--space", "line"]) == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} in the decomposition")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert doc["lambda"][0] == pytest.approx(0.3e200, rel=1e-12)
+        assert max(doc["residuals"]["plus"], doc["residuals"]["minus"]) <= 1e-15
+
     @pytest.mark.parametrize("tol", ["nan", "-1e-10", "-inf"])
     def test_tolerance_must_be_a_non_negative_number(self, tmp_path, capsys, tol):
         path = tmp_path / "i.json"
