@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Time the dense-engine layers in this one process: the minimum over
 ``--repeat`` calls, in milliseconds, of synthesize_commuting_operator,
-decompose_line_operator, classify_pm_hilbert on H (decided by its distance
-to +-H) and on I (by the exact tests, the path of the verify suite's
-non-Hilbert cases; I fails at anti-symmetry) and commutator_defect (H
-against two probes) for each line operator size.  After the timing loop,
-one tracemalloc pass calls each layer once more and prints its traced peak
-allocation in MB (numpy arrays included; memory held before the call is not
-counted).
+decompose_line_operator on lam*I + eta*H (a circulant, read from its
+symbol) and, as decompose_dense, on that operator with one entry moved by
+one ulp (not a circulant, so conjugated by the DFT in full),
+classify_pm_hilbert on H (decided by its distance to +-H) and on I (by the
+exact tests, the path of the verify suite's non-Hilbert cases; I fails at
+anti-symmetry) and commutator_defect (H against two probes) for each line
+operator size.  After the timing loop, one tracemalloc pass calls each
+layer once more and prints its traced peak allocation in MB (numpy arrays
+included; memory held before the call is not counted).
 
 The commutator actions are translations (b = 0, 3.5 dx, 7 dx), so every
 size runs the same engine work: the dilations of the size-ladder benchmark
@@ -23,9 +25,12 @@ import argparse
 import time
 import tracemalloc
 
+import numpy as np
+
 from hilbertsym import (
     AffineElement,
     LineBasis,
+    OperatorMatrix,
     classify_pm_hilbert,
     commutator_defect,
     decompose_line_operator,
@@ -65,14 +70,18 @@ def main():
     ap.add_argument("--repeat", type=int, default=5)
     args = ap.parse_args()
 
-    layers = ("synthesize", "decompose", "classify", "classify_I", "commutator")
-    print(f"{'n':>6} " + " ".join(f"{name:>11}" for name in layers)
-          + " " + " ".join(f"{name + '_MB':>13}" for name in layers)
+    layers = ("synthesize", "decompose", "decompose_dense", "classify", "classify_I",
+              "commutator")
+    print(f"{'n':>6} " + " ".join(f"{name:>15}" for name in layers)
+          + " " + " ".join(f"{name + '_MB':>18}" for name in layers)
           + f"   (ms, min of {args.repeat}; MB, traced peak of one call)")
     for n in args.sizes:
         basis = LineBasis(n, -40.0, 80.0 / n)
         lam, eta = 0.3 - 0.2j, 1.0 + 0.5j
         T = synthesize_commuting_operator(lam, eta, basis)
+        off = T.entries.copy()
+        off[1, 0] = complex(np.nextafter(off[1, 0].real, np.inf), off[1, 0].imag)
+        T_off = OperatorMatrix(basis, off)
         h_mat = synthesize_commuting_operator(0.0, 1.0, basis)
         ident = synthesize_commuting_operator(1.0, 0.0, basis)
         probes = make_probes("random-bandlimited", seed=0, count=2, grid=basis.grid())
@@ -80,13 +89,14 @@ def main():
         calls = (
             lambda: synthesize_commuting_operator(lam, eta, basis),
             lambda: decompose_line_operator(T),
+            lambda: decompose_line_operator(T_off),
             lambda: classify_pm_hilbert(h_mat),
             lambda: classify_pm_hilbert(ident),
             lambda: commutator_defect(h_mat, actions, probes),
         )
         times = [best_ms(fn, args.repeat) for fn in calls]
-        print(f"{n:6d} " + " ".join(f"{t:11.3f}" for t in times)
-              + " " + " ".join(f"{mb:13.3f}" for mb in peak_mb(calls)))
+        print(f"{n:6d} " + " ".join(f"{t:15.3f}" for t in times)
+              + " " + " ".join(f"{mb:18.3f}" for mb in peak_mb(calls)))
 
 
 if __name__ == "__main__":

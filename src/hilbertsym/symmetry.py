@@ -232,8 +232,14 @@ class ScalarDecomposition:
         return max(parts)
 
     def to_json_dict(self) -> dict:
+        """The fields as strict JSON: a non-finite float (a residual relative
+        to an unrepresentable ||T||_F, say) is null, as in the verify report."""
+
+        def num(x):
+            return None if x is None or not math.isfinite(x) else float(x)
+
         def c2(z):
-            return None if z is None else [float(np.real(z)), float(np.imag(z))]
+            return None if z is None else [num(np.real(z)), num(np.imag(z))]
 
         return {
             "space": self.space,
@@ -244,9 +250,9 @@ class ScalarDecomposition:
             "eta": c2(self.eta),
             "omega": c2(self.omega),
             "residuals": {
-                "plus": self.residual_plus,
-                "minus": self.residual_minus,
-                "zero": self.residual_zero,
+                "plus": num(self.residual_plus),
+                "minus": num(self.residual_minus),
+                "zero": num(self.residual_zero),
             },
         }
 
@@ -308,10 +314,13 @@ def _scaled_row_sq_norms(m: np.ndarray) -> tuple:
 
 def _frobenius(m: np.ndarray) -> float:
     """Frobenius norm of a matrix from its :func:`_scaled_row_sq_norms`, so
-    finite whenever representable.  Not np.linalg.norm, which sums a complex
+    finite whenever representable; only a complex matrix whose rows are not
+    contiguous is copied first.  Not np.linalg.norm, which sums a complex
     matrix through BLAS, whose threads split the sum (its last bits depend
     on the CPU count) and spin on the CPUs of the verify suite's thread map."""
-    rows, c = _scaled_row_sq_norms(np.ascontiguousarray(m))
+    if m.dtype.kind == "c" and m.strides[-1] != m.itemsize:
+        m = np.ascontiguousarray(m)  # its float view needs contiguous rows
+    rows, c = _scaled_row_sq_norms(m)
     return math.sqrt(float(rows.sum())) * c
 
 
@@ -320,10 +329,20 @@ def decompose_line_operator(T: OperatorMatrix) -> ScalarDecomposition:
 
     No commutation is assumed; the residuals quantify how far the operator
     is from the scalar-on-Hardy-blocks shape that commuting with the full
-    scale/shift action forces.
+    scale/shift action forces.  An operator that commutes with the grid
+    shift (a circulant, as every synthesized lam*I + eta*H is) is a Fourier
+    multiplier, F T F^-1 = diag(fft(c)) for its first column c: its scalars
+    and residuals are read from that n-point transform, with no n x n change
+    of basis.  The test is exact equality with the circulant of c, its first
+    row first, so most other operators are turned away in O(n); those are
+    conjugated by the DFT in full.
     """
     if not isinstance(T.basis, LineBasis):
         raise ValueError("line decomposition needs an operator on a line basis")
+    E = T.entries
+    C = _circulant(E[:, 0])
+    if np.array_equal(E[0], C[0]) and np.array_equal(E, C):
+        return _decompose_blocks(np.fft.fft(E[:, 0]), T)
     return _decompose_blocks(_spectral_matrix(T), T)
 
 
@@ -336,7 +355,8 @@ def decompose_circle_operator(T: OperatorMatrix) -> ScalarDecomposition:
 
 
 def _decompose_blocks(tilde: np.ndarray, T: OperatorMatrix) -> ScalarDecomposition:
-    """Block scalars of T from ``tilde``, its :func:`_spectral_matrix`.
+    """Block scalars of T from ``tilde``: its :func:`_spectral_matrix`, or,
+    for a line multiplier, its diagonal (:func:`decompose_line_operator`).
 
     The blocks are s > 0, s < 0 and s == 0 for the sign symbol s of the
     basis.  The two spaces differ only in the zero block's value: on the
@@ -344,7 +364,8 @@ def _decompose_blocks(tilde: np.ndarray, T: OperatorMatrix) -> ScalarDecompositi
     lam; on the circle (k = 0) it is the free third scalar.
 
     Consumes ``tilde``: the reconstruction is subtracted from its diagonal in
-    place, so its rows become the defect rows, whose squared norms are taken
+    place, so its rows become the defect rows (for a 1-D symbol, the rows of
+    one entry each, |symbol_j - sigma_j|), whose squared norms are taken
     once by :func:`_scaled_row_sq_norms` and summed per block.  A residual is
     relative to ||T||_F; it is NaN when ||T||_F is not representable.
     """
@@ -352,13 +373,13 @@ def _decompose_blocks(tilde: np.ndarray, T: OperatorMatrix) -> ScalarDecompositi
     plus, minus, zero = s > 0, s < 0, s == 0
     if not (plus.any() and minus.any()):
         raise ValueError(f"degenerate basis: no nontrivial frequency blocks at dim={T.dim}")
-    diag = np.diagonal(tilde)
+    diag = _diagonal(tilde) if tilde.ndim == 2 else tilde
     k1 = complex(diag[plus].mean())
     k2 = complex(diag[minus].mean())
     line = isinstance(T.basis, LineBasis)
     k0 = (k2 + k1) / 2.0 if line else complex(diag[zero].mean())
-    _diagonal(tilde)[...] -= np.where(plus, k1, np.where(minus, k2, k0))
-    rows, c = _scaled_row_sq_norms(tilde)
+    diag -= np.where(plus, k1, np.where(minus, k2, k0))
+    rows, c = _scaled_row_sq_norms(tilde.reshape(T.dim, -1))
     tnorm = T.frobenius_norm / c if T.frobenius_norm < math.inf else math.nan
 
     def residual(mask):

@@ -302,13 +302,16 @@ def test_residuals_whose_sums_of_squares_overflow_are_relative(basis, scale):
     # the defect rows are summed apart from ||T||_F and overflow with it;
     # they are taken at a power-of-two scale as ||T||_F is, so the relative
     # residuals are those of the unit-scale operator (1e200*(0.3I + 0.7H)
-    # on the line read max_residual inf while they were not)
+    # on the line read max_residual inf while they were not); on the line
+    # both for the circulant, read from its symbol, and for it nudged by
+    # one ulp after scaling, which takes the dense path
     line = isinstance(basis, LineBasis)
     E = (synthesize_commuting_operator(0.3, 0.7, basis) if line else random_operator(basis)).entries
     decompose = decompose_line_operator if line else decompose_circle_operator
-    unit, big = (decompose(OperatorMatrix(basis, c * E)) for c in (1.0, scale))
-    for name in ("residual_plus", "residual_minus", "residual_zero"):
-        assert abs(getattr(big, name) - getattr(unit, name)) <= 1e-15
+    for edit in (np.asarray, nudged) if line else (np.asarray,):
+        unit, big = (decompose(OperatorMatrix(basis, edit(c * E))) for c in (1.0, scale))
+        for name in ("residual_plus", "residual_minus", "residual_zero"):
+            assert abs(getattr(big, name) - getattr(unit, name)) <= 1e-15
 
 
 def test_residuals_relative_to_an_unrepresentable_norm_are_nan():
@@ -318,6 +321,80 @@ def test_residuals_relative_to_an_unrepresentable_norm_are_nan():
     assert T.frobenius_norm == np.inf
     dec = decompose_circle_operator(T)
     assert all(map(math.isnan, (dec.residual_plus, dec.residual_minus, dec.residual_zero)))
+
+
+def nudged(E):
+    """A copy of E, in its memory order, with entry (1, 0) moved by one ulp:
+    on the line it no longer commutes with the grid shift, so its
+    decomposition takes the dense path, and its first row still matches."""
+    E = np.array(E, dtype=complex)
+    E[1, 0] = complex(np.nextafter(E[1, 0].real, np.inf), E[1, 0].imag)
+    return E
+
+
+DECOMPOSITION_BASES = [LineBasis(n, -40.0, 80.0 / n) for n in (3, 16, 255, 256, 512, 1024)]
+
+
+def decomposition_cases(basis):
+    """The operators of the line decomposition tests above on ``basis``: H,
+    I, 3P+ + 5P-, lam*I + eta*H for random scalars (each a multiplier), then
+    a random operator."""
+    ident = synthesize_commuting_operator(1.0, 0.0, basis).entries
+    h = synthesize_commuting_operator(0.0, 1.0, basis).entries
+    rng = np.random.default_rng(11)
+    lam, eta = complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
+    return [h, ident, 3.0 * (0.5 * ident + 0.5j * h) + 5.0 * (0.5 * ident - 0.5j * h),
+            synthesize_commuting_operator(lam, eta, basis).entries, random_operator(basis).entries]
+
+
+def assert_decompositions_agree(a, b):
+    for name in ("k1", "k2", "lam", "eta", "residual_plus", "residual_minus", "residual_zero"):
+        assert abs(getattr(a, name) - getattr(b, name)) <= 1e-15, name
+
+
+@pytest.fixture
+def spectral_calls(monkeypatch):
+    """The operators the spectral matrix is built for, in call order."""
+    calls = []
+    real = symmetry._spectral_matrix
+    monkeypatch.setattr(symmetry, "_spectral_matrix", lambda op: calls.append(op) or real(op))
+    return calls
+
+
+@pytest.mark.parametrize("layout", [np.asarray, np.asfortranarray], ids=["C", "F"])
+@pytest.mark.parametrize("basis", DECOMPOSITION_BASES, ids=repr)
+def test_the_multiplier_path_matches_the_dense_one(spectral_calls, basis, layout):
+    # a circulant is read from its symbol, any other operator from its
+    # spectral matrix; the reference is the block decomposition of the
+    # spectral matrix (the circle has only that path)
+    cases = decomposition_cases(basis)
+    for k, E in enumerate(cases):
+        T = OperatorMatrix(basis, layout(E))
+        spectral_calls.clear()
+        fast = decompose_line_operator(T)
+        assert len(spectral_calls) == (k == len(cases) - 1)
+        assert_decompositions_agree(fast, _decompose_blocks(_spectral_matrix(T), T))
+
+
+@pytest.mark.parametrize("basis", DECOMPOSITION_BASES, ids=repr)
+def test_an_operator_one_ulp_off_takes_the_dense_path(spectral_calls, basis):
+    for E in decomposition_cases(basis)[:-1]:
+        spectral_calls.clear()
+        fast = decompose_line_operator(OperatorMatrix(basis, E))
+        assert not spectral_calls
+        dense = decompose_line_operator(OperatorMatrix(basis, nudged(E)))
+        assert len(spectral_calls) == 1
+        assert_decompositions_agree(fast, dense)
+
+
+def test_a_degenerate_basis_is_refused_on_either_path(spectral_calls):
+    T = OperatorMatrix(LineBasis(2, 0.0, 1.0), np.eye(2))
+    with pytest.raises(ValueError, match="degenerate basis") as fast:
+        decompose_line_operator(T)
+    assert not spectral_calls
+    with pytest.raises(ValueError) as dense:
+        _decompose_blocks(_spectral_matrix(T), T)
+    assert str(dense.value) == str(fast.value)
 
 
 class TestClassifier:
@@ -694,16 +771,13 @@ def test_the_distance_pass_stops_at_the_first_strip_past_the_bound(monkeypatch):
 
 @pytest.mark.parametrize("delta, certified", [(1e-9, True), (2.4e-9, True), (2.5e-9, False),
                                               (3e-9, False)])
-def test_the_certificate_holds_anti_symmetry_to_half_tol(monkeypatch, delta, certified):
+def test_the_certificate_holds_anti_symmetry_to_half_tol(spectral_calls, delta, certified):
     # (1 + delta)H is at distance delta ||H||_F from H, and (ii) is held to
     # 2 delta <= tol/2 (less the roundoff allowance); past that the exact
     # path runs and finds the Gram defect 2 delta + delta^2 below tol
     T = OperatorMatrix(LBASIS, (1.0 + delta) * h_line().entries)
-    ran = []
-    real = symmetry._spectral_matrix
-    monkeypatch.setattr(symmetry, "_spectral_matrix", lambda op: ran.append(op) or real(op))
     assert classify_pm_hilbert(T).verdict == "plus-H"
-    assert bool(ran) is not certified
+    assert bool(spectral_calls) is not certified
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -787,6 +861,24 @@ def test_the_antisymmetry_defect_takes_one_matrix(basis, layout):
     assert d.hex() == symmetry._frobenius(E.conj().T + E).hex()
 
 
+@pytest.mark.parametrize("layout", [np.asarray, np.asfortranarray], ids=["C", "F"])
+def test_the_conjugation_defect_reads_im_t_in_place(layout):
+    # (i) on the line is ||Im T||_F, summed from the strided float view of
+    # the entries: the float of a contiguous copy of Im T, without the copy
+    rng = np.random.default_rng(4)
+    E = rng.normal(size=(N_OP, N_OP)) + 1j * rng.normal(size=(N_OP, N_OP))
+    T = OperatorMatrix(LBASIS, layout(E))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        d = _conjugation_defect(T, 1.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * N_OP**2 * np.dtype(float).itemsize
+    assert d.hex() == symmetry._frobenius(np.ascontiguousarray(E.imag)).hex()
+
+
 class TestPaddedSpectralMatrix:
     # the spectral matrix is the [:, :n] view of an (n, n + 1) array, so its
     # rows do not sit a power of two apart; every edit must reach that array
@@ -851,9 +943,17 @@ class TestEngineMemory:
 
     @pytest.mark.parametrize("basis", [LBASIS, FourierBasis((N_OP - 1) // 2)], ids=repr)
     def test_no_memory_is_kept_after_a_decomposition(self, basis):
-        T = self.operators(basis)[0]
+        # on the line, one ulp off a multiplier takes the dense path, with
+        # its spectral matrix; the circle always does
+        T = OperatorMatrix(basis, nudged(self.operators(basis)[0].entries))
         peak, end = self.traced(lambda: self.decompose(T))
         assert peak > 0.9 * self.SIZE and end < 0.1 * self.SIZE
+
+    def test_a_multiplier_is_decomposed_without_an_n_by_n_complex_array(self):
+        # the equality pass takes n^2 bools, a sixteenth of the spectral matrix
+        T = self.operators(LBASIS)[0]
+        peak, end = self.traced(lambda: self.decompose(T))
+        assert peak < 0.25 * self.SIZE and end < 0.1 * self.SIZE
 
     def test_no_memory_is_kept_after_a_check_raises(self, monkeypatch):
         from hilbertsym import verify

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from hilbertsym import verify
-from hilbertsym import AffineElement, CircleSignal, Grid1D, LineBasis, LineSignal, OperatorMatrix
+from hilbertsym import (
+    AffineElement, CircleSignal, FourierBasis, Grid1D, LineBasis, LineSignal, OperatorMatrix,
+)
 from hilbertsym.cli import main
 from hilbertsym.line_ops import hilbert_multiplier, rep_natural
 from hilbertsym.sigio import load_signal, save_operator, save_signal
@@ -617,6 +619,21 @@ class TestCliDecompose:
         doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
         assert doc["lambda"][0] == pytest.approx(0.3e200, rel=1e-12)
         assert max(doc["residuals"]["plus"], doc["residuals"]["minus"]) <= 1e-15
+
+    def test_residuals_relative_to_an_unrepresentable_norm_are_null(self, tmp_path, capsys):
+        # ||T||_F = 65 * 3e306 exceeds the float range, so no relative
+        # residual is known: each is written as null, not as a bare NaN, and
+        # the operator still fails the tolerance
+        path = tmp_path / "huge.json"
+        save_operator(OperatorMatrix(FourierBasis(32), np.full((65, 65), 3e306)), path)
+        assert main(["decompose", "--in", str(path), "--space", "circle"]) == 3
+
+        def refuse(name):
+            raise ValueError(f"{name} in the decomposition")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert doc["residuals"] == {"plus": None, "minus": None, "zero": None}
+        assert doc["lambda"] == [3e306, 0.0]
 
     @pytest.mark.parametrize("tol", ["nan", "-1e-10", "-inf"])
     def test_tolerance_must_be_a_non_negative_number(self, tmp_path, capsys, tol):
