@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Time the dense-engine layers in this one process: the minimum over
+"""Time the engine layers in this one process: the minimum over
 ``--repeat`` calls, in milliseconds, of synthesize_commuting_operator,
-decompose_line_operator on lam*I + eta*H (a circulant, read from its
-symbol) and, as decompose_dense, on that operator with one entry moved by
+decompose_line_operator on the synthesized lam*I + eta*H (read from the
+symbol it keeps), as decompose_copy on its dense copy (a circulant, read
+from the FFT of its first column, the path of a saved and loaded
+operator) and, as decompose_dense, on that copy with one entry moved by
 one ulp (not a circulant, so conjugated by the DFT in full),
-classify_pm_hilbert on H (decided by its distance to +-H) and on I (by the
-exact tests, the path of the verify suite's non-Hilbert cases; I fails at
-anti-symmetry) and commutator_defect (H against two probes) for each line
-operator size.  After the timing loop, one tracemalloc pass calls each
+classify_pm_hilbert on the synthesized H (decided by its symbol's
+distance to +-H) and on I (by the exact tests, the path of the verify
+suite's non-Hilbert cases; I fails at anti-symmetry) and commutator_defect
+(the synthesized H against two probes) for each line operator size.  After the timing loop, one tracemalloc pass calls each
 layer once more and prints its traced peak allocation in MB (numpy arrays
 included; memory held before the call is not counted).
 
@@ -70,8 +72,8 @@ def main():
     ap.add_argument("--repeat", type=int, default=5)
     args = ap.parse_args()
 
-    layers = ("synthesize", "decompose", "decompose_dense", "classify", "classify_I",
-              "commutator")
+    layers = ("synthesize", "decompose", "decompose_copy", "decompose_dense", "classify",
+              "classify_I", "commutator")
     print(f"{'n':>6} " + " ".join(f"{name:>15}" for name in layers)
           + " " + " ".join(f"{name + '_MB':>18}" for name in layers)
           + f"   (ms, min of {args.repeat}; MB, traced peak of one call)")
@@ -79,6 +81,7 @@ def main():
         basis = LineBasis(n, -40.0, 80.0 / n)
         lam, eta = 0.3 - 0.2j, 1.0 + 0.5j
         T = synthesize_commuting_operator(lam, eta, basis)
+        T_copy = OperatorMatrix(basis, T.entries)
         off = T.entries.copy()
         off[1, 0] = complex(np.nextafter(off[1, 0].real, np.inf), off[1, 0].imag)
         T_off = OperatorMatrix(basis, off)
@@ -89,6 +92,7 @@ def main():
         calls = (
             lambda: synthesize_commuting_operator(lam, eta, basis),
             lambda: decompose_line_operator(T),
+            lambda: decompose_line_operator(T_copy),
             lambda: decompose_line_operator(T_off),
             lambda: classify_pm_hilbert(h_mat),
             lambda: classify_pm_hilbert(ident),

@@ -92,15 +92,45 @@ Basis = Union[LineBasis, FourierBasis]
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense complex matrix acting on a declared truncated basis.
+    """Complex matrix acting on a declared truncated basis; ``entries`` is a
+    read-only array.
 
     ``frobenius_norm`` is ||entries||_F, summed once at construction by
     :func:`_frobenius`; it is inf only when the norm exceeds the float
-    range."""
+    range.
+
+    An operator built by :func:`synthesize_commuting_operator` is a Fourier
+    multiplier and keeps its spectral symbol (wrap order on the line, the
+    diagonal on the circle) in ``_symbol``, which decomposition, the +-H
+    classifier and :func:`apply_operator` read in place of the matrix: on
+    the line its entries are the O(n)-memory circulant view of
+    ifft(symbol), and its norm is ||symbol||_2 (Parseval).  Every other
+    operator has ``_symbol`` None and its entries are copied."""
 
     basis: Basis
     entries: np.ndarray
     frobenius_norm: float = field(init=False, repr=False, compare=False)
+    _symbol: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def _multiplier(cls, basis: Basis, symbol: np.ndarray) -> "OperatorMatrix":
+        """The multiplier with this symbol, built without the copy and the
+        n^2 norm of ``__post_init__``; its entries are finite exactly when
+        ``col``, the first column (line) or diagonal (circle), is."""
+        col = np.fft.ifft(symbol) if isinstance(basis, LineBasis) else symbol
+        if not np.isfinite(col.view(float)).all():
+            raise ValueError("operator entries must be finite")
+        entries = np.diag(symbol) if col is symbol else _circulant(col)
+        entries.setflags(write=False)
+        symbol.setflags(write=False)
+        # on the circle the same float as the diagonal matrix's norm: the
+        # same row norms, summed in the same order
+        norm = _frobenius(symbol.reshape(-1, 1))
+        T = object.__new__(cls)
+        for name, value in zip(("basis", "entries", "frobenius_norm", "_symbol"),
+                               (basis, entries, norm, symbol)):
+            object.__setattr__(T, name, value)
+        return T
 
     def __post_init__(self):
         arr = np.array(self.entries, dtype=complex)
@@ -124,16 +154,27 @@ class OperatorMatrix:
 
 def apply_operator(T: OperatorMatrix, sig):
     """Apply the matrix to a signal living on the matching basis, along the
-    last axis (each row of a (P, n) batch separately)."""
+    last axis (each row of a (P, n) batch separately).
+
+    A synthesized multiplier is applied through its symbol, with no matrix
+    product: ifft(symbol * fft(x)) on the line, symbol * c on the circle."""
     if isinstance(sig, LineSignal):
         if not isinstance(T.basis, LineBasis) or T.basis.grid() != sig.grid:
             raise ValueError("operator basis does not match the signal grid")
-        return LineSignal(sig.grid, sig.values @ T.entries.T)
+        return LineSignal(sig.grid, _apply(T, sig.values))
     if isinstance(sig, CircleSignal):
         if not isinstance(T.basis, FourierBasis) or T.basis.K != sig.K:
             raise ValueError("operator basis does not match the signal truncation")
-        return CircleSignal(sig.coeffs @ T.entries.T)
+        return CircleSignal(_apply(T, sig.coeffs))
     raise ValueError(f"unsupported signal type {type(sig).__name__}")
+
+
+def _apply(T: OperatorMatrix, v: np.ndarray) -> np.ndarray:
+    if T._symbol is None:
+        return v @ T.entries.T
+    if isinstance(T.basis, FourierBasis):
+        return v * T._symbol
+    return np.fft.ifft(T._symbol * np.fft.fft(v))
 
 
 def line_affine_action(g: AffineElement):
@@ -329,16 +370,19 @@ def decompose_line_operator(T: OperatorMatrix) -> ScalarDecomposition:
 
     No commutation is assumed; the residuals quantify how far the operator
     is from the scalar-on-Hardy-blocks shape that commuting with the full
-    scale/shift action forces.  An operator that commutes with the grid
-    shift (a circulant, as every synthesized lam*I + eta*H is) is a Fourier
-    multiplier, F T F^-1 = diag(fft(c)) for its first column c: its scalars
-    and residuals are read from that n-point transform, with no n x n change
-    of basis.  The test is exact equality with the circulant of c, its first
-    row first, so most other operators are turned away in O(n); those are
-    conjugated by the DFT in full.
+    scale/shift action forces.  A synthesized lam*I + eta*H is read from the
+    symbol it keeps.  Any other operator that commutes with the grid shift
+    (a circulant, a saved and loaded multiplier, say) is a Fourier
+    multiplier too, F T F^-1 = diag(fft(c)) for its first column c: its
+    scalars and residuals are read from that n-point transform, with no
+    n x n change of basis.  The test is exact equality with the circulant
+    of c, its first row first, so most other operators are turned away in
+    O(n); those are conjugated by the DFT in full.
     """
     if not isinstance(T.basis, LineBasis):
         raise ValueError("line decomposition needs an operator on a line basis")
+    if T._symbol is not None:
+        return _decompose_blocks(T._symbol.copy(), T)
     E = T.entries
     C = _circulant(E[:, 0])
     if np.array_equal(E[0], C[0]) and np.array_equal(E, C):
@@ -348,15 +392,18 @@ def decompose_line_operator(T: OperatorMatrix) -> ScalarDecomposition:
 
 def decompose_circle_operator(T: OperatorMatrix) -> ScalarDecomposition:
     """Extract the three block scalars (on k >= 1, k = 0, k <= -1) of a
-    circle-basis operator, reported as (lam, eta, omega) in that order."""
+    circle-basis operator, reported as (lam, eta, omega) in that order; a
+    synthesized one from the diagonal it keeps."""
     if not isinstance(T.basis, FourierBasis):
         raise ValueError("circle decomposition needs an operator on a fourier basis")
+    if T._symbol is not None:
+        return _decompose_blocks(T._symbol.copy(), T)
     return _decompose_blocks(_spectral_matrix(T), T)
 
 
 def _decompose_blocks(tilde: np.ndarray, T: OperatorMatrix) -> ScalarDecomposition:
     """Block scalars of T from ``tilde``: its :func:`_spectral_matrix`, or,
-    for a line multiplier, its diagonal (:func:`decompose_line_operator`).
+    for a multiplier, its symbol (:func:`decompose_line_operator`).
 
     The blocks are s > 0, s < 0 and s == 0 for the sign symbol s of the
     basis.  The two spaces differ only in the zero block's value: on the
@@ -425,10 +472,12 @@ def _antisymmetry_defect(E: np.ndarray, tnorm: float) -> float:
 
 def _pm_hilbert_certificate(T: OperatorMatrix, tol: float) -> Optional[HilbertClassification]:
     """plus-H or minus-H when rho = ||T - sH||_F, the distance from T to sH
-    for s = +-1 the sign of Re<H e_0, T e_0>, proves that T passes every test
-    of :func:`classify_pm_hilbert`; None when it does not.
+    for s = +-1 the sign of Re<H e_0, T e_0> (of Re<d, sigma> for a T that
+    keeps its symbol sigma, d = -i sgn being H's), proves that T passes
+    every test of :func:`classify_pm_hilbert`; None when it does not.
 
-    No change of basis is made.  On the line, rho is summed over strips of
+    No change of basis is made.  For a synthesized T, rho = ||sigma - sd||_2
+    (by Parseval on the line), in O(n).  Otherwise, on the line, rho is summed over strips of
     T minus a view of the circulant H, of n/16 rows (at most 64) so that the
     scratch stays below a tenth of an n x n array; a strip that takes the
     sum past what (ii) allows ends the pass.  On the circle, where H is the
@@ -455,21 +504,26 @@ def _pm_hilbert_certificate(T: OperatorMatrix, tol: float) -> Optional[HilbertCl
     if not m:
         return None  # no sign blocks: the exact path decides
     d = -1j * s  # the symbol of H
-    if isinstance(T.basis, FourierBasis):  # H = diag(d): nothing to stream
+    line = isinstance(T.basis, LineBasis)
+    a = 0.0  # ||H^H + H||_F + ||Im H||_F, 0 for H = diag(d) on the circle
+    if line:
+        h = np.fft.ifft(d)
+        # H^H + H is the circulant of h + conj(h[-j mod n])
+        a = math.sqrt(n) * float(
+            np.linalg.norm(h + np.conj(np.roll(h[::-1], 1))) + np.linalg.norm(h.imag)
+        )
+    if T._symbol is not None:
+        sign = 1.0 if np.vdot(d, T._symbol).real >= 0.0 else -1.0
+        sq = float(_row_sq_norms((T._symbol - sign * d).reshape(-1, 1)).sum())
+    elif not line:  # H = diag(d): nothing to stream
         sign = 1.0 if (np.conj(d[0]) * E[0, 0]).real >= 0.0 else -1.0
         # the off-diagonal entries lie between the diagonal ones, n + 1
         # apart in the flat entries of either memory order
         off = E.ravel("K")[1:].reshape(n - 1, n + 1)[:, :n]
         diag = np.diagonal(E) - sign * d
         sq = float(_row_sq_norms(off).sum()) + float(np.vdot(diag, diag).real)
-        a = 0.0
     else:
-        h = np.fft.ifft(d)
         H = _circulant(h)
-        # H^H + H is the circulant of h + conj(h[-j mod n])
-        a = math.sqrt(n) * float(
-            np.linalg.norm(h + np.conj(np.roll(h[::-1], 1))) + np.linalg.norm(h.imag)
-        )
         sign = 1.0 if np.vdot(h, E[:, 0]).real >= 0.0 else -1.0
         most = tol / 4 * tnorm  # (ii) needs rho <= tol/4 ||T||_F
         most *= most
@@ -645,12 +699,12 @@ def rotation_commutant_analysis(
 
 def synthesize_commuting_operator(lam: complex, eta: complex, basis: Basis) -> OperatorMatrix:
     """Construct lam*I + eta*H on the given basis (H being the multiplier
-    Hilbert transform of that basis); the line decomposition recovers
-    (lam, eta) exactly up to roundoff."""
+    Hilbert transform of that basis) from its symbol lam - i eta sgn, which
+    the operator keeps: its entries are the circulant view of
+    ifft(symbol) on the line and diag(symbol) on the circle, and the
+    decompositions recover (lam, eta) from the symbol exactly up to
+    roundoff."""
     if not isinstance(basis, (LineBasis, FourierBasis)):
         raise ValueError(f"unsupported basis {basis!r}")
     symbol = lam + eta * (-1j) * sign_symbol(basis.signed_indices())
-    if isinstance(basis, FourierBasis):
-        return OperatorMatrix(basis, np.diag(symbol))
-    # F^-1 diag(symbol) F is the circulant of the single column ifft(symbol)
-    return OperatorMatrix(basis, _circulant(np.fft.ifft(symbol)))
+    return OperatorMatrix._multiplier(basis, symbol)

@@ -53,6 +53,7 @@ from .signals import (
     CircleSamples,
     CircleSignal,
     Grid1D,
+    LineSignal,
     circle_coeffs_from_samples,
     circle_samples_from_coeffs,
     dft,
@@ -823,12 +824,29 @@ def _check_decomposition_roundtrip(cfg: SuiteConfig) -> list:
         for _ in range(cfg.probe_counts["roundtrip"])
     ]
 
-    def roundtrip(draw):
-        lam, eta = draw
-        dec = decompose_line_operator(synthesize_commuting_operator(lam, eta, basis))
+    def from_multiplier(lam, eta, basis):
+        # lam*I + eta*M, M the matrix of hilbert_multiplier (its values on
+        # the identity batch, transposed): a dense operator, decomposed from
+        # its entries, where a synthesized one is read from its own symbol.
+        # A quarter of the identity at a time keeps the scratch below the
+        # n x n matrix it fills.
+        n, step = basis.n, -(-basis.n // 4)
+        m = np.empty((n, n), dtype=complex)
+        for j in range(0, n, step):
+            rows = LineSignal(basis.grid(), np.eye(min(step, n - j), n, j))
+            m[:, j : j + step] = eta * hilbert_multiplier(rows).values.T
+        m[np.diag_indices(n)] += lam
+        return OperatorMatrix(basis, m)
+
+    def roundtrip(item):
+        (lam, eta), make = item
+        dec = decompose_line_operator(make(lam, eta, basis))
         return abs(dec.lam - lam), abs(dec.eta - eta), dec.max_residual
 
-    return _map(roundtrip, draws)
+    # one dense operator per suite: building one per draw costs more than
+    # the rest of the check
+    items = [(draw, synthesize_commuting_operator) for draw in draws]
+    return _map(roundtrip, [(draws[0], from_multiplier), *items])
 
 
 @_check("symmetry", ("a07-hilbert-classifier", "classifier_verdicts",

@@ -49,13 +49,17 @@ def test_decompose_demo_runs():
 
 def test_engine_layers_prints_one_row_per_size():
     lines = _run("engine_layers.py", "--sizes", "64", "96", "--repeat", "1").splitlines()
-    layers = ["synthesize", "decompose", "decompose_dense", "classify", "classify_I",
-              "commutator"]
-    assert lines[0].split()[:13] == ["n", *layers, *[name + "_MB" for name in layers]]
+    layers = ["synthesize", "decompose", "decompose_copy", "decompose_dense", "classify",
+              "classify_I", "commutator"]
+    assert lines[0].split()[:15] == ["n", *layers, *[name + "_MB" for name in layers]]
     rows = [line.split() for line in lines[1:]]
     assert [row[0] for row in rows] == ["64", "96"]
-    # each layer's time in ms, then its traced peak in MB; synthesis
-    # builds an n x n complex matrix, 0.14 MB at n = 96
-    assert all(len(row) == 13 and all(float(t) > 0.0 for t in row[1:]) for row in rows)
-    synth_mb = [float(row[7]) for row in rows]
-    assert synth_mb[1] > synth_mb[0] and synth_mb[1] >= 96**2 * 16 / 2**20
+    # each layer's time in ms, then its traced peak in MB; synthesis keeps
+    # the n-value symbol, under a quarter of one n x n complex matrix (0.14
+    # MB at n = 96), while the dense copy's circulant test compares n^2
+    # entries
+    assert all(len(row) == 15 and all(float(t) > 0.0 for t in row[1:]) for row in rows)
+    synth_mb = [float(row[8]) for row in rows]
+    copy_mb = [float(row[10]) for row in rows]
+    assert synth_mb[1] > synth_mb[0] and synth_mb[1] < 96**2 * 16 / 4 / 2**20
+    assert copy_mb[1] > copy_mb[0] and copy_mb[1] >= 96**2 / 2**20

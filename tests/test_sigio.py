@@ -239,6 +239,15 @@ def test_save_operator_peak_memory_is_a_few_file_sizes(tmp_path, line_commutant)
     assert peak < 4 * path.stat().st_size
 
 
+@pytest.mark.parametrize("basis", [LineBasis(64, -40.0, 1.25), FourierBasis(16)], ids=repr)
+def test_a_synthesized_operator_saves_as_its_dense_copy(tmp_path, basis):
+    # the symbol it keeps is not written: the file holds the entries
+    op = synthesize_commuting_operator(0.3 - 1.1j, 0.7 + 0.2j, basis)
+    save_operator(op, tmp_path / "synth.json")
+    save_operator(OperatorMatrix(basis, op.entries), tmp_path / "dense.json")
+    assert (tmp_path / "synth.json").read_bytes() == (tmp_path / "dense.json").read_bytes()
+
+
 @pytest.mark.parametrize("space", ["line", "circle"])
 def test_decompose_reads_what_save_operator_writes(tmp_path, capsys, space, line_commutant):
     if space == "line":
@@ -246,10 +255,13 @@ def test_decompose_reads_what_save_operator_writes(tmp_path, capsys, space, line
     else:
         op = synthesize_commuting_operator(-0.4 + 0.9j, 1.3 - 0.2j, FourierBasis(128))
         decompose = decompose_circle_operator
+    op = OperatorMatrix(op.basis, op.entries)  # the loaded file is dense, as this copy
     path = tmp_path / "op.json"
     save_operator(op, path)
     assert main(["decompose", "--in", str(path), "--space", space]) == 0
-    assert capsys.readouterr().out == json.dumps(decompose(op).to_json_dict()) + "\n"
+    out = capsys.readouterr().out
+    assert out == json.dumps(decompose(op).to_json_dict()) + "\n"
+    assert out == json.dumps(decompose(load_operator(path)).to_json_dict()) + "\n"
     np.testing.assert_array_equal(load_operator(path).entries, op.entries)
 
 

@@ -9,6 +9,7 @@ import pytest
 from hilbertsym import symmetry
 from hilbertsym import (
     AffineElement,
+    CircleSignal,
     FourierBasis,
     Grid1D,
     LineBasis,
@@ -33,7 +34,7 @@ from hilbertsym.symmetry import (
     circle_semigroup_action,
     line_affine_action,
 )
-from hilbertsym.signals import sign_symbol
+from hilbertsym.signals import sign_symbol, stack_signals
 from hilbertsym.verify import _scalarity_scales
 
 N_OP = 512
@@ -740,10 +741,11 @@ def test_the_certificate_reads_either_memory_order(basis):
 @pytest.mark.parametrize("n", [255, 256])
 @pytest.mark.parametrize("case", ["H", "-H", "negated H"])
 def test_synthesized_pm_hilbert_is_at_distance_zero(monkeypatch, n, case):
-    # the certificate subtracts the same circulant view that synthesis
-    # copies its entries from, so every strip of T - sH is zero
+    # the dense copy of a synthesized +-H holds the circulant view that the
+    # certificate subtracts, so every strip of T - sH is zero
     basis = LineBasis(n, -40.0, 80.0 / n)
     T = pm_hilbert(basis, case)
+    T = OperatorMatrix(T.basis, T.entries)
     rows = []
     real = symmetry._row_sq_norms
 
@@ -761,6 +763,7 @@ def test_the_distance_pass_stops_at_the_first_strip_past_the_bound(monkeypatch):
     # rules out (ii), so the pass ends there and the exact test reads it;
     # the exact tests reduce whole n x n matrices
     T = synthesize_commuting_operator(1.0, 0.0, LBASIS)
+    T = OperatorMatrix(T.basis, T.entries)
     calls = []
     real = symmetry._row_sq_norms
     monkeypatch.setattr(symmetry, "_row_sq_norms", lambda m: calls.append(m.shape) or real(m))
@@ -950,10 +953,12 @@ class TestEngineMemory:
         assert peak > 0.9 * self.SIZE and end < 0.1 * self.SIZE
 
     def test_a_multiplier_is_decomposed_without_an_n_by_n_complex_array(self):
-        # the equality pass takes n^2 bools, a sixteenth of the spectral matrix
+        # the dense copy's equality pass takes n^2 bools, a sixteenth of the
+        # spectral matrix; the synthesized operator reads its n-value symbol
         T = self.operators(LBASIS)[0]
-        peak, end = self.traced(lambda: self.decompose(T))
-        assert peak < 0.25 * self.SIZE and end < 0.1 * self.SIZE
+        for op, most in ((OperatorMatrix(T.basis, T.entries), 0.25), (T, 0.01)):
+            peak, end = self.traced(lambda: self.decompose(op))
+            assert peak < most * self.SIZE and end < 0.1 * self.SIZE
 
     def test_no_memory_is_kept_after_a_check_raises(self, monkeypatch):
         from hilbertsym import verify
@@ -1106,3 +1111,113 @@ def test_line_synthesis_equals_dense_spectral_conjugation(n):
     dense = np.fft.ifft((lam - 1j * eta * sgn)[:, None] * F, axis=0)
     T = synthesize_commuting_operator(lam, eta, basis).entries
     np.testing.assert_allclose(T, dense, rtol=0, atol=1e-14 * (abs(lam) + abs(eta)) * n)
+
+
+# --- synthesized operators keep their symbol: decomposition, the +-H
+# certificate and apply_operator read it, and agree with the dense copy,
+# which takes the matrix paths
+
+SYMBOL_BASES = [LineBasis(n, -40.0, 80.0 / n) for n in (3, 255, 256, 1024)] + [
+    FourierBasis(K) for K in (0, 4, 128)
+]
+SYMBOL_SCALARS = [(0.0, 1.0), (0.0, -1.0), (1.0, 0.0), (0.5, 0.5j), (0.3 - 0.2j, 0.6 + 0.5j)]
+
+
+def synthesized_and_copy(basis, lam, eta):
+    T = synthesize_commuting_operator(lam, eta, basis)
+    return T, OperatorMatrix(basis, T.entries)
+
+
+def unit_probes(basis, seed=7, count=3):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(count, basis.dim)) + 1j * rng.normal(size=(count, basis.dim))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    if isinstance(basis, LineBasis):
+        return [LineSignal(basis.grid(), row) for row in v]
+    return [CircleSignal(row) for row in v]
+
+
+def _values(sig):
+    return sig.values if isinstance(sig, LineSignal) else sig.coeffs
+
+
+def symbol_actions(basis):
+    if isinstance(basis, LineBasis):
+        # translations: the probes fill the band, so no dilation keeps them
+        return [line_affine_action(AffineElement(1.0, b * basis.dx)) for b in (0.0, 3.5, 7.0)]
+    return [circle_semigroup_action(RationalScale(*r), basis.K)
+            for r in ((1, 1, 0.9), (1, 1, 2.3), (1, 2, 0.0))]
+
+
+@pytest.mark.parametrize("lam, eta", SYMBOL_SCALARS)
+@pytest.mark.parametrize("basis", SYMBOL_BASES, ids=repr)
+def test_the_symbol_path_matches_the_dense_copy(basis, lam, eta):
+    T, D = synthesized_and_copy(basis, lam, eta)
+    assert T._symbol is not None and D._symbol is None
+    # ||T||_F grows as sqrt(n): it agrees to 1e-15 relative
+    assert abs(T.frobenius_norm - D.frobenius_norm) <= 1e-15 * D.frobenius_norm
+    decompose = decompose_line_operator if isinstance(basis, LineBasis) else decompose_circle_operator
+    if basis.dim > 1:
+        assert_decompositions_agree(decompose(T), decompose(D))
+    else:  # the degenerate basis is refused on either path, with one message
+        with pytest.raises(ValueError, match="degenerate basis") as sym:
+            decompose(T)
+        with pytest.raises(ValueError) as dense:
+            decompose(D)
+        assert str(sym.value) == str(dense.value)
+    probes = unit_probes(basis)
+    f = stack_signals(probes)
+    assert np.abs(_values(apply_operator(T, f)) - _values(apply_operator(D, f))).max() <= 1e-15
+    actions = symbol_actions(basis)
+    sym, dense = commutator_defect(T, actions, probes), commutator_defect(D, actions, probes)
+    assert [r[:2] for r in sym.defects] == [r[:2] for r in dense.defects]
+    assert max(abs(a[2] - b[2]) for a, b in zip(sym.defects, dense.defects)) <= 1e-15
+    assert classify_pm_hilbert(T) == classify_pm_hilbert(D)
+
+
+@pytest.mark.parametrize("lam, eta", SYMBOL_SCALARS)
+@pytest.mark.parametrize("K", [0, 4, 128])
+def test_the_circle_symbol_path_is_bitwise_the_dense_one(K, lam, eta):
+    # the symbol's row norms are the diagonal matrix's, summed in the same order
+    T, D = synthesized_and_copy(FourierBasis(K), lam, eta)
+    assert T.frobenius_norm.hex() == D.frobenius_norm.hex()
+    if K:  # repr tells every two floats apart, -0.0 and 0.0 included
+        assert repr(decompose_circle_operator(T)) == repr(decompose_circle_operator(D))
+
+
+@pytest.mark.parametrize("basis", [LBASIS, FBASIS], ids=repr)
+def test_synthesized_entries_and_symbol_are_read_only(basis):
+    T = synthesize_commuting_operator(0.3, 0.7j, basis)
+    for arr in (T.entries, T._symbol):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+
+
+@pytest.mark.parametrize("basis", [LBASIS, FBASIS], ids=repr)
+@pytest.mark.parametrize("lam", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_scalars_are_rejected_as_entries_are(basis, lam):
+    with np.errstate(invalid="ignore"), pytest.raises(
+        ValueError, match="^operator entries must be finite$"
+    ):
+        synthesize_commuting_operator(lam, 1.0, basis)
+
+
+def test_a_synthesized_line_operator_allocates_no_n_by_n_array():
+    # synthesis, decomposition, the +-H certificate, the product with a
+    # batch and the commutator all read the n-value symbol
+    basis = LineBasis(1024, -40.0, 80.0 / 1024)
+    probes = unit_probes(basis, count=2)
+    f = stack_signals(probes)
+    actions = symbol_actions(basis)
+    out = []
+
+    def engine():
+        T = synthesize_commuting_operator(0.3 - 0.2j, 0.6 + 0.5j, basis)
+        H = synthesize_commuting_operator(0.0, 1.0, basis)
+        out.extend([decompose_line_operator(T), classify_pm_hilbert(H),
+                    apply_operator(T, f), commutator_defect(H, actions, probes)])
+
+    peak, _ = TestEngineMemory.traced(engine)
+    assert out[1].verdict == "plus-H"
+    assert peak < 0.25 * basis.dim**2 * np.dtype(complex).itemsize
