@@ -2,16 +2,18 @@
 """Time the engine layers in this one process: the minimum over
 ``--repeat`` calls, in milliseconds, of synthesize_commuting_operator,
 decompose_line_operator on the synthesized lam*I + eta*H (read from the
-symbol it keeps), as decompose_copy on its dense copy (a circulant, read
-from the FFT of its first column, the path of a saved and loaded
-operator) and, as decompose_dense, on that copy with one entry moved by
-one ulp (not a circulant, so conjugated by the DFT in full),
-classify_pm_hilbert on the synthesized H (decided by its symbol's
-distance to +-H) and on I (by the exact tests, the path of the verify
-suite's non-Hilbert cases; I fails at anti-symmetry) and commutator_defect
-(the synthesized H against two probes) for each line operator size.  After the timing loop, one tracemalloc pass calls each
-layer once more and prints its traced peak allocation in MB (numpy arrays
-included; memory held before the call is not counted).
+symbol it keeps), as decompose_copy on a copy of its entries built in the
+same call (the path of a saved and loaded operator: construction finds the
+circulant and its symbol, which the decomposition reads) and, as
+decompose_dense, on that copy with one entry moved by one ulp (not a
+circulant, so conjugated by the DFT in full), classify_pm_hilbert on the
+synthesized H and on I (both tested on their symbol; I fails at
+anti-symmetry) and commutator_defect (the synthesized H against two
+probes) for each line operator size.
+
+After the timing loop, one tracemalloc pass calls each layer once more and
+prints its traced peak allocation in MB (numpy arrays included; memory held
+before the call is not counted).
 
 The commutator actions are translations (b = 0, 3.5 dx, 7 dx), so every
 size runs the same engine work: the dilations of the size-ladder benchmark
@@ -81,7 +83,6 @@ def main():
         basis = LineBasis(n, -40.0, 80.0 / n)
         lam, eta = 0.3 - 0.2j, 1.0 + 0.5j
         T = synthesize_commuting_operator(lam, eta, basis)
-        T_copy = OperatorMatrix(basis, T.entries)
         off = T.entries.copy()
         off[1, 0] = complex(np.nextafter(off[1, 0].real, np.inf), off[1, 0].imag)
         T_off = OperatorMatrix(basis, off)
@@ -92,7 +93,7 @@ def main():
         calls = (
             lambda: synthesize_commuting_operator(lam, eta, basis),
             lambda: decompose_line_operator(T),
-            lambda: decompose_line_operator(T_copy),
+            lambda: decompose_line_operator(OperatorMatrix(basis, T.entries)),
             lambda: decompose_line_operator(T_off),
             lambda: classify_pm_hilbert(h_mat),
             lambda: classify_pm_hilbert(ident),

@@ -99,13 +99,19 @@ class OperatorMatrix:
     :func:`_frobenius`; it is inf only when the norm exceeds the float
     range.
 
-    An operator built by :func:`synthesize_commuting_operator` is a Fourier
-    multiplier and keeps its spectral symbol (wrap order on the line, the
+    An operator that commutes with the shifts of its basis is a Fourier
+    multiplier, and keeps its spectral symbol (wrap order on the line, the
     diagonal on the circle) in ``_symbol``, which decomposition, the +-H
-    classifier and :func:`apply_operator` read in place of the matrix: on
-    the line its entries are the O(n)-memory circulant view of
-    ifft(symbol), and its norm is ||symbol||_2 (Parseval).  Every other
-    operator has ``_symbol`` None and its entries are copied."""
+    classifier and :func:`apply_operator` read in place of the matrix.
+    Construction finds it by exact tests: on the line the entries must
+    equal the circulant of their first column, whose FFT is the symbol; on
+    the circle every off-diagonal entry must be 0.  The first row, and on
+    the line the main diagonal, are compared first, so most other operators
+    are turned away in O(n).  Every other operator has ``_symbol`` None.
+    An operator built by :func:`synthesize_commuting_operator` keeps the
+    symbol it was built from: on the line its entries are the O(n)-memory
+    circulant view of ifft(symbol), and its norm is ||symbol||_2
+    (Parseval)."""
 
     basis: Basis
     entries: np.ndarray
@@ -146,18 +152,38 @@ class OperatorMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
         object.__setattr__(self, "frobenius_norm", norm)
+        object.__setattr__(self, "_symbol", _symbol_of(self.basis, arr))
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
 
 
+def _symbol_of(basis: Basis, E: np.ndarray) -> Optional[np.ndarray]:
+    """The read-only symbol of E if E commutes with the shifts of ``basis``
+    (see :class:`OperatorMatrix`), else None."""
+    if isinstance(basis, LineBasis):
+        C = _circulant(E[:, 0])
+        if not (np.array_equal(E[0], C[0]) and np.array_equal(np.diagonal(E), np.diagonal(C))
+                and np.array_equal(E, C)):
+            return None
+        symbol = np.fft.fft(E[:, 0])
+        symbol.setflags(write=False)
+        return symbol
+    # the off-diagonal entries lie between the diagonal ones, n + 1 apart in
+    # the flat entries of either memory order
+    n = E.shape[0]
+    if E[0, 1:].any() or E.ravel("K")[1:].reshape(n - 1, n + 1)[:, :n].any():
+        return None
+    return np.diagonal(E)
+
+
 def apply_operator(T: OperatorMatrix, sig):
     """Apply the matrix to a signal living on the matching basis, along the
     last axis (each row of a (P, n) batch separately).
 
-    A synthesized multiplier is applied through its symbol, with no matrix
-    product: ifft(symbol * fft(x)) on the line, symbol * c on the circle."""
+    A multiplier is applied through its symbol, with no matrix product:
+    ifft(symbol * fft(x)) on the line, symbol * c on the circle."""
     if isinstance(sig, LineSignal):
         if not isinstance(T.basis, LineBasis) or T.basis.grid() != sig.grid:
             raise ValueError("operator basis does not match the signal grid")
@@ -370,40 +396,33 @@ def decompose_line_operator(T: OperatorMatrix) -> ScalarDecomposition:
 
     No commutation is assumed; the residuals quantify how far the operator
     is from the scalar-on-Hardy-blocks shape that commuting with the full
-    scale/shift action forces.  A synthesized lam*I + eta*H is read from the
-    symbol it keeps.  Any other operator that commutes with the grid shift
-    (a circulant, a saved and loaded multiplier, say) is a Fourier
-    multiplier too, F T F^-1 = diag(fft(c)) for its first column c: its
-    scalars and residuals are read from that n-point transform, with no
-    n x n change of basis.  The test is exact equality with the circulant
-    of c, its first row first, so most other operators are turned away in
-    O(n); those are conjugated by the DFT in full.
+    scale/shift action forces.  A multiplier (an operator that commutes
+    with the grid shift: synthesized, loaded from a file or any circulant)
+    is read from the n values of its symbol; every other operator is
+    conjugated by the DFT in full.
     """
     if not isinstance(T.basis, LineBasis):
         raise ValueError("line decomposition needs an operator on a line basis")
-    if T._symbol is not None:
-        return _decompose_blocks(T._symbol.copy(), T)
-    E = T.entries
-    C = _circulant(E[:, 0])
-    if np.array_equal(E[0], C[0]) and np.array_equal(E, C):
-        return _decompose_blocks(np.fft.fft(E[:, 0]), T)
-    return _decompose_blocks(_spectral_matrix(T), T)
+    return _decompose(T)
 
 
 def decompose_circle_operator(T: OperatorMatrix) -> ScalarDecomposition:
     """Extract the three block scalars (on k >= 1, k = 0, k <= -1) of a
     circle-basis operator, reported as (lam, eta, omega) in that order; a
-    synthesized one from the diagonal it keeps."""
+    diagonal one from the diagonal it keeps as its symbol."""
     if not isinstance(T.basis, FourierBasis):
         raise ValueError("circle decomposition needs an operator on a fourier basis")
-    if T._symbol is not None:
-        return _decompose_blocks(T._symbol.copy(), T)
-    return _decompose_blocks(_spectral_matrix(T), T)
+    return _decompose(T)
+
+
+def _decompose(T: OperatorMatrix) -> ScalarDecomposition:
+    tilde = _spectral_matrix(T) if T._symbol is None else T._symbol.copy()
+    return _decompose_blocks(tilde, T)
 
 
 def _decompose_blocks(tilde: np.ndarray, T: OperatorMatrix) -> ScalarDecomposition:
     """Block scalars of T from ``tilde``: its :func:`_spectral_matrix`, or,
-    for a multiplier, its symbol (:func:`decompose_line_operator`).
+    for a multiplier, a copy of its symbol (:class:`OperatorMatrix`).
 
     The blocks are s > 0, s < 0 and s == 0 for the sign symbol s of the
     basis.  The two spaces differ only in the zero block's value: on the
@@ -425,7 +444,8 @@ def _decompose_blocks(tilde: np.ndarray, T: OperatorMatrix) -> ScalarDecompositi
     k2 = complex(diag[minus].mean())
     line = isinstance(T.basis, LineBasis)
     k0 = (k2 + k1) / 2.0 if line else complex(diag[zero].mean())
-    diag -= np.where(plus, k1, np.where(minus, k2, k0))
+    for mask, k in ((plus, k1), (minus, k2), (zero, k0)):
+        diag[mask] -= k
     rows, c = _scaled_row_sq_norms(tilde.reshape(T.dim, -1))
     tnorm = T.frobenius_norm / c if T.frobenius_norm < math.inf else math.nan
 
@@ -470,88 +490,38 @@ def _antisymmetry_defect(E: np.ndarray, tnorm: float) -> float:
     return _frobenius(m) / tnorm
 
 
-def _pm_hilbert_certificate(T: OperatorMatrix, tol: float) -> Optional[HilbertClassification]:
-    """plus-H or minus-H when rho = ||T - sH||_F, the distance from T to sH
-    for s = +-1 the sign of Re<H e_0, T e_0> (of Re<d, sigma> for a T that
-    keeps its symbol sigma, d = -i sgn being H's), proves that T passes
-    every test of :func:`classify_pm_hilbert`; None when it does not.
-
-    No change of basis is made.  For a synthesized T, rho = ||sigma - sd||_2
-    (by Parseval on the line), in O(n).  Otherwise, on the line, rho is summed over strips of
-    T minus a view of the circulant H, of n/16 rows (at most 64) so that the
-    scratch stays below a tenth of an n x n array; a strip that takes the
-    sum past what (ii) allows ends the pass.  On the circle, where H is the
-    diagonal -i sgn k, it is read from the off-diagonal entries of T in
-    place and its diagonal minus sH.  With W and R the frequency-basis forms
-    of T and E = T - sH, W = sD + R for D = diag(-i sgn k), so |d_j| = 1 on
-    the m sign rows and 0 elsewhere, and ||R||_F = rho.  With r = rho +
-    4 n eps ||T||_F (the roundoff of W and rho) each test is held to tol/2:
-
-    * (i), (ii): the conjugation defect and ||T^H + T||_F are at most
-      a + 2r, where a = ||H^H + H||_F + ||Im H||_F is O(n) for a circulant
-      and 0 on the circle.  This also bounds the scalar residuals, which
-      are at most r / ||T||_F.
-    * (iii): a column of a sign block has norm at least 1 - r, and any other
-      column at most r.  So with (1 - r)^2 > 2 tol and r^2 < tol/2 the Gram
-      test keeps exactly the sign blocks, and its defect is at most
-      (2r + r^2 + 4 n eps ||T||_F^2) / sqrt(m), the last term being the
-      roundoff of the product.
-    * the block scalars k1, k2 are within r of -is, is: r <= 1e-6.
-    """
-    n, E, tnorm = T.dim, T.entries, T.frobenius_norm
-    s = sign_symbol(T.basis.signed_indices())
-    m = np.count_nonzero(s)
-    if not m:
-        return None  # no sign blocks: the exact path decides
-    d = -1j * s  # the symbol of H
+def _symbol_conjugation_defect(T: OperatorMatrix, tnorm: float) -> float:
+    """:func:`_conjugation_defect` of a multiplier, from its symbol s alone.
+    On the line Im T is the multiplier (s - conj s(-k)) / 2i, s(-k) the
+    symbol at index -j mod n, so ||Im T||_F = ||s - conj s(-k)||_2 / 2
+    (Parseval); on the circle conj(T[::-1, ::-1]) - T is the diagonal
+    conj s[::-1] - s."""
+    s = T._symbol
     line = isinstance(T.basis, LineBasis)
-    a = 0.0  # ||H^H + H||_F + ||Im H||_F, 0 for H = diag(d) on the circle
-    if line:
-        h = np.fft.ifft(d)
-        # H^H + H is the circulant of h + conj(h[-j mod n])
-        a = math.sqrt(n) * float(
-            np.linalg.norm(h + np.conj(np.roll(h[::-1], 1))) + np.linalg.norm(h.imag)
-        )
-    if T._symbol is not None:
-        sign = 1.0 if np.vdot(d, T._symbol).real >= 0.0 else -1.0
-        sq = float(_row_sq_norms((T._symbol - sign * d).reshape(-1, 1)).sum())
-    elif not line:  # H = diag(d): nothing to stream
-        sign = 1.0 if (np.conj(d[0]) * E[0, 0]).real >= 0.0 else -1.0
-        # the off-diagonal entries lie between the diagonal ones, n + 1
-        # apart in the flat entries of either memory order
-        off = E.ravel("K")[1:].reshape(n - 1, n + 1)[:, :n]
-        diag = np.diagonal(E) - sign * d
-        sq = float(_row_sq_norms(off).sum()) + float(np.vdot(diag, diag).real)
+    m = np.concatenate((s[:1], s[:0:-1])) if line else s[::-1].copy()
+    np.conjugate(m, out=m)
+    m -= s
+    return (0.5 if line else 1.0) * _frobenius(m.reshape(-1, 1)) / tnorm
+
+
+def _gram_test(T: OperatorMatrix, tol: float) -> tuple:
+    """(W, d): T in the frequency basis, where the kernel block (mean and
+    Nyquist-type modes) is axis-aligned, and the Gram defect of test (iii)
+    of :func:`classify_pm_hilbert`, None when no column is kept.  For a
+    multiplier, W is a copy of its symbol s and W^H W is diag(|s|^2)."""
+    if T._symbol is None:
+        work = _spectral_matrix(T)
+        gram = work.conj().T @ work
+        keep = np.abs(np.diagonal(gram)) > tol
+        sub = gram if keep.all() else gram[np.ix_(keep, keep)]
+        _diagonal(sub)[...] -= 1.0  # minus the identity, in place
     else:
-        H = _circulant(h)
-        sign = 1.0 if np.vdot(h, E[:, 0]).real >= 0.0 else -1.0
-        most = tol / 4 * tnorm  # (ii) needs rho <= tol/4 ||T||_F
-        most *= most
-        step = max(1, min(64, n // 16))
-        strip = np.empty((step, n), dtype=complex)
-        sq = 0.0
-        for j in range(0, n, step):
-            rows = slice(j, min(j + step, n))
-            out = strip[: rows.stop - j]
-            np.copyto(out, H[rows])  # a ufunc would first copy the overlapping view
-            (np.subtract if sign > 0 else np.add)(E[rows], out, out=out)
-            sq += float(_row_sq_norms(out).sum())
-            if not sq <= most:  # also ends on NaN
-                return None
-    rho = math.sqrt(sq)
-    if not (math.isfinite(rho) and math.isfinite(tnorm)):
-        return None
-    eps_n = 4.0 * n * math.ulp(1.0) * tnorm
-    r = rho + eps_n
-    if (
-        2.0 * r + a <= tol / 2 * tnorm
-        and r * r < tol / 2
-        and (1.0 - r) * (1.0 - r) > 2 * tol
-        and (2.0 * r + r * r + eps_n * tnorm) / math.sqrt(m) <= tol / 2
-        and r <= 1e-6
-    ):
-        return HilbertClassification("plus-H" if sign > 0 else "minus-H")
-    return None
+        work = T._symbol.copy()
+        sq = _row_sq_norms(work.reshape(-1, 1))
+        sub = sq[sq > tol].reshape(-1, 1)
+        sub -= 1.0
+    m = sub.shape[0]
+    return work, (_frobenius(sub) / math.sqrt(m) if m else None)
 
 
 def classify_pm_hilbert(T: OperatorMatrix, tol: float = 1e-8) -> HilbertClassification:
@@ -567,41 +537,33 @@ def classify_pm_hilbert(T: OperatorMatrix, tol: float = 1e-8) -> HilbertClassifi
     (k1 = -i means plus-H) provided the scalar residuals are small.  The
     first failed property is returned as the reason.
 
-    +-H pass on one O(n^2) pass, with no change of basis and at most 64 n
-    values of scratch: their distance rho = ||T - sH||_F to the nearer of
-    +-H bounds every test (:func:`_pm_hilbert_certificate`).  Anything else
-    takes the exact tests: ||Im T||_F, ||T^H + T||_F from one n x n array,
-    the O(n^2 log n) change of basis, the O(n^3) product W^H W and the
-    decomposition.  Each norm is a fixed-order row sum, finite whenever
-    representable (:func:`_frobenius`), and a NaN defect fails its test.
-    Either way, verdicts and reasons are the same.
+    A multiplier (:class:`OperatorMatrix`) is tested on the n values of its
+    symbol s, where W = diag(s), with no n x n array: (i) as
+    :func:`_symbol_conjugation_defect` says, (ii) as 2 ||Re s||_2 and (iii)
+    on |s|^2, the diagonal of W^H W.  Any other operator takes ||Im T||_F,
+    ||T^H + T||_F from one n x n array, the O(n^2 log n) change of basis,
+    the O(n^3) product W^H W and the decomposition.  Each norm is a
+    fixed-order row sum, finite whenever representable (:func:`_frobenius`),
+    and a NaN defect fails its test.
     """
     if not tol >= 0.0:  # also rejects NaN
         raise ValueError(f"tol must be a non-negative number, got {tol!r}")
     tnorm = T.frobenius_norm
     if tnorm == 0.0:
         return HilbertClassification("neither", "operator is zero")
-    certified = _pm_hilbert_certificate(T, tol)
-    if certified is not None:
-        return certified
-
-    d = _conjugation_defect(T, tnorm)
+    s = T._symbol
+    d = _conjugation_defect(T, tnorm) if s is None else _symbol_conjugation_defect(T, tnorm)
     if not d <= tol:
         return HilbertClassification("neither", f"not a real operator (defect {d:.2e})")
-    d = _antisymmetry_defect(T.entries, tnorm)
+    if s is None:
+        d = _antisymmetry_defect(T.entries, tnorm)
+    else:  # T^H + T is the multiplier conj s + s
+        d = 2.0 * _frobenius(s.real.reshape(-1, 1)) / tnorm
     if not d <= tol:
         return HilbertClassification("neither", f"not anti-symmetric (defect {d:.2e})")
-    # the kernel block (mean/Nyquist-type modes) is axis-aligned in the
-    # frequency basis, so run the Gram test there
-    work = _spectral_matrix(T)
-    gram = work.conj().T @ work
-    g_diag = np.abs(np.diagonal(gram))
-    keep = g_diag > tol
-    if not np.any(keep):
+    work, d = _gram_test(T, tol)
+    if d is None:
         return HilbertClassification("neither", "kernel exhausts the space")
-    sub = gram if keep.all() else gram[np.ix_(keep, keep)]
-    _diagonal(sub)[...] -= 1.0  # minus the identity, in place
-    d = _frobenius(sub) / math.sqrt(sub.shape[0])
     if not d <= tol:
         return HilbertClassification(
             "neither", f"not norm-preserving off the kernel block (defect {d:.2e})"

@@ -55,11 +55,13 @@ def test_engine_layers_prints_one_row_per_size():
     rows = [line.split() for line in lines[1:]]
     assert [row[0] for row in rows] == ["64", "96"]
     # each layer's time in ms, then its traced peak in MB; synthesis keeps
-    # the n-value symbol, under a quarter of one n x n complex matrix (0.14
-    # MB at n = 96), while the dense copy's circulant test compares n^2
-    # entries
+    # the n-value symbol, and I is classified from it, each under a quarter
+    # of one n x n complex matrix (0.14 MB at n = 96), while decompose_copy
+    # builds the copy of the n^2 entries and compares them with the
+    # circulant of their first column
     assert all(len(row) == 15 and all(float(t) > 0.0 for t in row[1:]) for row in rows)
     synth_mb = [float(row[8]) for row in rows]
     copy_mb = [float(row[10]) for row in rows]
-    assert synth_mb[1] > synth_mb[0] and synth_mb[1] < 96**2 * 16 / 4 / 2**20
+    quarter = 96**2 * 16 / 4 / 2**20
+    assert synth_mb[1] > synth_mb[0] and synth_mb[1] < quarter and float(rows[1][13]) < quarter
     assert copy_mb[1] > copy_mb[0] and copy_mb[1] >= 96**2 / 2**20

@@ -261,8 +261,11 @@ def test_decompose_reads_what_save_operator_writes(tmp_path, capsys, space, line
     assert main(["decompose", "--in", str(path), "--space", space]) == 0
     out = capsys.readouterr().out
     assert out == json.dumps(decompose(op).to_json_dict()) + "\n"
-    assert out == json.dumps(decompose(load_operator(path)).to_json_dict()) + "\n"
-    np.testing.assert_array_equal(load_operator(path).entries, op.entries)
+    back = load_operator(path)
+    assert out == json.dumps(decompose(back).to_json_dict()) + "\n"
+    np.testing.assert_array_equal(back.entries, op.entries)
+    # the loaded operator is found to be the multiplier it is, as the copy is
+    assert back._symbol is not None and back._symbol.tobytes() == op._symbol.tobytes()
 
 
 # --- malformed documents through the CLI: a usage (1) or i/o (2) exit, never
