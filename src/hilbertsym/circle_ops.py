@@ -196,10 +196,9 @@ def semigroup_act(c: CircleSignal, r: RationalScale, k_out: Optional[int] = None
     the largest populated output index is an error naming the required value.
     """
     K = c.K
-    if k_out is None:
+    if k_out is None:  # lossless by construction: no populated index lies past it
         k_out = r.q * (K // r.p)
-    needed = _required_k_out(c, r)
-    if k_out < needed:
+    elif k_out < (needed := _required_k_out(c, r)):
         raise ValueError(
             f"output truncation K'={k_out} loses nonzero coefficients; "
             f"required K'={needed}"

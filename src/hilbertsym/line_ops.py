@@ -269,8 +269,9 @@ def translate(f: LineSignal, b: float) -> LineSignal:
     exp(-i xi b), taken at b mod n*dx (its period on the grid) so that it
     stays finite for any finite b.
 
-    For b an integer multiple of dx this is exactly the circular index shift;
-    b = 0 returns ``f`` itself.  Signals with an energy share above
+    When b mod n*dx is an integer multiple of dx this is exactly the
+    circular index shift, taken by ``np.roll`` with no transform; b = 0
+    returns ``f`` itself.  Signals with an energy share above
     EDGE_DECAY_TOL in the band that wraps around the grid edge get an
     "edge-mass" warning flag.
     """
@@ -282,7 +283,10 @@ def translate(f: LineSignal, b: float) -> LineSignal:
     x = g.positions()
     edge = x >= g.x_min + g.span - b if b > 0 else x < g.x_min - b
     new = ("edge-mass",) if _mass_fraction(np.abs(f.values) ** 2, edge) > EDGE_DECAY_TOL else ()
-    return _multiply(f, np.exp(-1j * g.frequencies() * math.fmod(b, g.span)), new)
+    b = math.fmod(b, g.span)
+    if (steps := b / g.dx).is_integer():
+        return _carry(f, LineSignal(g, np.roll(f.values, int(steps), axis=-1)), new)
+    return _multiply(f, np.exp(-1j * g.frequencies() * b), new)
 
 
 def rep_natural(f: LineSignal, g: AffineElement) -> LineSignal:

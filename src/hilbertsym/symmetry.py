@@ -615,7 +615,9 @@ def rotation_commutant_analysis(
     Needs the scale set to contain rotations (q = p = 1 with at least two
     distinct angles) and one dilation pair (n, 1, 0), (1, p, 0) with
     n, p >= 2; raises naming whichever generator is missing.  Indices whose
-    orbit leaves [1, K] contribute only their in-range comparisons.
+    orbit leaves [1, K] contribute only their in-range comparisons.  A
+    diagonal operator (one that keeps its symbol) has diagonal and rotation
+    defects of exactly 0 and is read from its diagonal alone.
     """
     if not isinstance(T.basis, FourierBasis):
         raise ValueError("rotation analysis needs an operator on a fourier basis")
@@ -646,16 +648,25 @@ def rotation_commutant_analysis(
     tnorm = T.frobenius_norm
     if tnorm == 0.0:
         return RotationCommutantReport(0.0, 0.0, 0.0, components)
-    ks = np.arange(-K, K + 1)
-    rot_defect = 0.0
-    for beta in rot_betas:
-        d = np.exp(1j * ks * beta)
-        rot_defect = max(rot_defect, _frobenius(E * d[None, :] - d[:, None] * E) / tnorm)
-    diagonal_defect = _frobenius(E - np.diag(np.diagonal(E))) / tnorm
+    if T._symbol is not None:  # diagonal: commutes with every rotation, exactly
+        diagonal_defect = rot_defect = 0.0
+    else:
+        ks = np.arange(-K, K + 1)
+        rot_defect = 0.0
+        for beta in rot_betas:
+            d = np.exp(1j * ks * beta)
+            rot_defect = max(rot_defect, _frobenius(E * d[None, :] - d[:, None] * E) / tnorm)
+        diagonal_defect = _frobenius(E - np.diag(np.diagonal(E))) / tnorm
 
+    # the largest |d_i - d_j| over pairs in one class, a strip of rows at a
+    # time so no K x K array is made
     diag = np.diagonal(E)[K + 1 :]
-    same = label[:, None] == label[None, :]
-    spread = float(np.max(np.abs(diag[:, None] - diag[None, :]), where=same, initial=0.0))
+    step = 1 + 1024 // (K + 1)
+    spread = 0.0
+    for i in range(0, K, step):
+        rows = slice(i, i + step)
+        same = label[rows, None] == label[None, :]
+        spread = max(spread, float(np.abs((diag[rows, None] - diag[None, :])[same]).max()))
     return RotationCommutantReport(diagonal_defect, spread, rot_defect, components)
 
 

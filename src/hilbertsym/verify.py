@@ -299,9 +299,18 @@ def _rng_seed(cfg: SuiteConfig, salt: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([cfg.rng_seed, salt])
 
 
+def _cpus() -> int:
+    """The CPUs in this process's affinity mask (``os.cpu_count()`` where
+    there are no affinity masks)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _map(fn: Callable, items) -> list:
     """``[fn(x) for x in items]``, for a sequence of items, with the items
-    split over the CPUs in this process's affinity mask.
+    split over the CPUs of :func:`_cpus`.
 
     Share s of the N shares takes items s, s + N, s + 2N, ...; the calling
     thread runs share 0 and the threads of an executor opened for this call
@@ -310,7 +319,9 @@ def _map(fn: Callable, items) -> list:
     order, and when items raise, the failure of the lowest-index one is
     raised, as the serial loop would.  The gain rests on numpy's FFTs and
     array loops releasing the GIL, so ``fn`` must not call BLAS: its spinning
-    worker threads would take the CPUs the shares run on.
+    worker threads would take the CPUs the shares run on.  The items are the
+    row blocks of :func:`_by_rows` for the batched line checks, and a07's
+    operators.
 
     This is not ``ThreadPoolExecutor.map``, which gives the same results:
     there the calling thread only waits while N pool threads run, one more
@@ -320,11 +331,7 @@ def _map(fn: Callable, items) -> list:
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        cpus = os.cpu_count() or 1
-    shares = min(cpus, len(items)) or 1
+    shares = min(_cpus(), len(items)) or 1
     results = [None] * len(items)
 
     def run(share):
@@ -341,6 +348,26 @@ def _map(fn: Callable, items) -> list:
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
     return results
+
+
+def _by_rows(fn: Callable, f: LineSignal) -> list:
+    """``fn`` of row blocks of the batched probes ``f``, two blocks per CPU
+    (none empty), run by :func:`_map`: for checks whose values are each a
+    function of one probe row, so the blocks give the whole batch's values,
+    bit for bit, at any CPU count.
+
+    One block per CPU balances the work as well, but smaller blocks keep
+    the peak RSS lower: fresh processes running ``run_verify("all")`` four
+    times on 2 cores peaked at 56.1-57.6 MB with two blocks per CPU, 60.1-
+    60.7 MB with one.  A guard's message can depend on the batch (a
+    dilation names its largest row's fraction), so when a block raises, the
+    whole batch runs serially to raise what the unsplit check would.
+    """
+    blocks = [v for v in np.array_split(f.values, 2 * _cpus()) if len(v)]
+    try:
+        return _map(lambda v: fn(f.with_values(v)), blocks)
+    except Exception:  # noqa: BLE001 - the serial run raises the check's own error
+        return fn(f)
 
 
 def _rel(diff_values, ref) -> np.ndarray:
@@ -486,21 +513,28 @@ def _a01_regime(cfg: SuiteConfig) -> Optional[str]:
 @_check("line", ("a01-multiplier-vs-quadrature", "multiplier_vs_quadrature",
                  "singular kernel quadrature agrees with the multiplier form on the line"),
         regime=_a01_regime)
-def _check_multiplier_vs_quadrature(cfg: SuiteConfig) -> np.ndarray:
+def _check_multiplier_vs_quadrature(cfg: SuiteConfig) -> list:
     grid = cfg.line_grid()
     f = _probes(cfg, "gaussian-packet", 11, cfg.probe_counts["line"], grid=grid,
                 **_A01_PACKETS)
     central = slice(grid.n // 4, 3 * grid.n // 4)
-    diff = hilbert_pv_quadrature(f).values - hilbert_multiplier(f).values
-    return _rel(diff[:, central], np.linalg.norm(f.values, axis=-1))
+
+    def defects(f):
+        diff = hilbert_pv_quadrature(f).values - hilbert_multiplier(f).values
+        return _rel(diff[:, central], np.linalg.norm(f.values, axis=-1))
+
+    return _by_rows(defects, f)
 
 
 @_check("line", ("a02-involution-line", "involution_line",
                  "applying the line transform twice negates mean-free signals"))
-def _check_involution_line(cfg: SuiteConfig) -> np.ndarray:
-    f = _probes(cfg, "random-bandlimited", 12, cfg.probe_counts["line"], grid=cfg.line_grid())
-    hh = hilbert_multiplier(hilbert_multiplier(f))
-    return _rel(hh.values + f.values, np.linalg.norm(f.values, axis=-1))
+def _check_involution_line(cfg: SuiteConfig) -> list:
+    def defects(f):
+        hh = hilbert_multiplier(hilbert_multiplier(f))
+        return _rel(hh.values + f.values, np.linalg.norm(f.values, axis=-1))
+
+    return _by_rows(defects, _probes(cfg, "random-bandlimited", 12, cfg.probe_counts["line"],
+                                     grid=cfg.line_grid()))
 
 
 def _by_scale(affine_set) -> list:
@@ -526,18 +560,20 @@ def _guarded_regime(cfg: SuiteConfig) -> Optional[str]:
                  "scale and shift actions commute with the line transform"),
         regime=_guarded_regime)
 def _check_affine_commutation(cfg: SuiteConfig) -> list:
-    f = _probes(cfg, "gaussian-packet", 13, cfg.probe_counts["line"], grid=cfg.line_grid(),
-                **_GUARDED)
-    hf = hilbert_multiplier(f)
-    fn = np.linalg.norm(f.values, axis=-1)
+    groups = _by_scale(cfg.affine_set)
 
-    def defects(group):
-        a, shifts = group
-        df, dhf = dilate(f, a), dilate(hf, a)
-        return [_rel(hilbert_multiplier(translate(df, b)).values - translate(dhf, b).values, fn)
-                for b in shifts]
+    def defects(f):
+        hf = hilbert_multiplier(f)
+        fn = np.linalg.norm(f.values, axis=-1)
+        out = []
+        for a, shifts in groups:
+            df, dhf = dilate(f, a), dilate(hf, a)
+            out.append([_rel(hilbert_multiplier(translate(df, b)).values
+                             - translate(dhf, b).values, fn) for b in shifts])
+        return out
 
-    return _map(defects, _by_scale(cfg.affine_set))
+    return _by_rows(defects, _probes(cfg, "gaussian-packet", 13, cfg.probe_counts["line"],
+                                     grid=cfg.line_grid(), **_GUARDED))
 
 
 @_check("line", ("m01-line-parseval", "parseval",
@@ -562,35 +598,41 @@ def _check_line_parseval(cfg: SuiteConfig) -> tuple:
 
 @_check("line", ("m02-hardy-identities", "hardy_identities",
                  "Hardy projections partition the identity and diagonalise the transform"))
-def _check_hardy_identities(cfg: SuiteConfig) -> tuple:
-    f = _probes(cfg, "random-bandlimited", 17, cfg.probe_counts["line"], grid=cfg.line_grid())
-    plus = hardy_project(f, "+").values
-    minus = hardy_project(f, "-").values
-    h = hilbert_multiplier(f).values
-    fn = np.linalg.norm(f.values, axis=-1)
-    return (
-        _rel(plus + minus - f.values, fn),
-        _rel(plus - minus - 1j * h, fn),
-        # Hardy parts are eigenvectors (probes carry no mean/Nyquist share)
-        _rel(hilbert_multiplier(f.with_values(plus)).values + 1j * plus, fn),
-        _rel(hilbert_multiplier(f.with_values(minus)).values - 1j * minus, fn),
-    )
+def _check_hardy_identities(cfg: SuiteConfig) -> list:
+    def defects(f):
+        plus = hardy_project(f, "+").values
+        minus = hardy_project(f, "-").values
+        h = hilbert_multiplier(f).values
+        fn = np.linalg.norm(f.values, axis=-1)
+        return (
+            _rel(plus + minus - f.values, fn),
+            _rel(plus - minus - 1j * h, fn),
+            # Hardy parts are eigenvectors (probes carry no mean/Nyquist share)
+            _rel(hilbert_multiplier(f.with_values(plus)).values + 1j * plus, fn),
+            _rel(hilbert_multiplier(f.with_values(minus)).values - 1j * minus, fn),
+        )
+
+    return _by_rows(defects, _probes(cfg, "random-bandlimited", 17, cfg.probe_counts["line"],
+                                     grid=cfg.line_grid()))
 
 
 @_check("line", ("m03-rep-isometry", "rep_isometry",
                  "the natural scale/shift action preserves the norm"), regime=_guarded_regime)
 def _check_rep_isometry(cfg: SuiteConfig) -> list:
-    f = _probes(cfg, "gaussian-packet", 18, max(5, cfg.probe_counts["line"] // 2),
-                grid=cfg.line_grid(), **_GUARDED)
-    fn = np.linalg.norm(f.values, axis=-1)
+    groups = _by_scale(cfg.affine_set)
 
-    def drifts(group):
-        a, shifts = group
-        df = dilate(f, a)
-        norms = (np.linalg.norm(translate(df, b).values, axis=-1) for b in shifts)
-        return [np.abs(acted - fn) / fn for acted in norms]
+    def drifts(f):
+        fn = np.linalg.norm(f.values, axis=-1)
+        out = []
+        for a, shifts in groups:
+            df = dilate(f, a)
+            out.append([np.abs(np.linalg.norm(translate(df, b).values, axis=-1) - fn) / fn
+                        for b in shifts])
+        return out
 
-    return _map(drifts, _by_scale(cfg.affine_set))
+    return _by_rows(drifts, _probes(cfg, "gaussian-packet", 18,
+                                    max(5, cfg.probe_counts["line"] // 2),
+                                    grid=cfg.line_grid(), **_GUARDED))
 
 
 # ---------------------------------------------------------------------------

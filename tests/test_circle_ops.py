@@ -233,8 +233,21 @@ class TestSemigroup:
             assert np.all(acted.coeffs[ks >= 0] == 0)
 
     def test_truncation_overflow_error(self):
-        with pytest.raises(ValueError, match="required K'=6"):
+        with pytest.raises(ValueError, match=r"^output truncation K'=4 loses nonzero "
+                                             r"coefficients; required K'=6$"):
             semigroup_act(monomial(2, K=4), RationalScale(3, 1, 0.0), k_out=4)
+
+    def test_the_default_truncation_is_not_scanned(self, monkeypatch, trig_probes):
+        # q*floor(K/p) holds every populated output index by construction
+        from hilbertsym import circle_ops
+
+        def scan(*args):
+            raise AssertionError("the lossless default was scanned")
+
+        c, r = trig_probes[0], RationalScale(2, 3, 0.4)
+        want = semigroup_act(c, r).coeffs
+        monkeypatch.setattr(circle_ops, "_required_k_out", scan)
+        assert np.array_equal(semigroup_act(c, r).coeffs, want)
 
     def test_commutes_with_circular_hilbert_exactly(self):
         from hilbertsym import make_probes

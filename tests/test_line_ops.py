@@ -231,6 +231,19 @@ class TestTranslate:
         rolled = np.roll(f.values, 3)
         assert np.max(np.abs(out.values - rolled)) <= 1e-10
 
+    @pytest.mark.parametrize("steps", [1, -7, "n+3"])
+    def test_a_whole_step_shift_is_the_roll_bit_for_bit(self, grid, steps):
+        steps = grid.n + 3 if steps == "n+3" else steps
+        f = stack_signals(make_probes("gaussian-packet", seed=10, count=3, grid=grid))
+        out = translate(f, steps * grid.dx)
+        assert np.array_equal(out.values.view(float), np.roll(f.values, steps, axis=-1).view(float))
+
+    def test_a_fractional_shift_keeps_the_phase_ramp(self, grid):
+        f = make_probes("gaussian-packet", seed=10, count=1, grid=grid)[0]
+        b = 3.5 * grid.dx
+        ramp = np.fft.ifft(np.exp(-1j * grid.frequencies() * b) * np.fft.fft(f.values))
+        assert np.array_equal(translate(f, b).values.view(float), ramp.view(float))
+
     def test_isometry(self, packets):
         for f in packets:
             assert abs(norm(translate(f, 1.7)) - norm(f)) <= 1e-12 * norm(f)
@@ -240,6 +253,8 @@ class TestTranslate:
         f = LineSignal(grid, np.exp(-((x - 38.0) ** 2) / 2.0))
         assert "edge-mass" in translate(f, 5.0).flags
         assert "edge-mass" not in translate(f, -5.0).flags
+        # a whole-step shift is a roll, and keeps the flag
+        assert "edge-mass" in translate(f, 256 * grid.dx).flags
 
 
 class TestGroup:

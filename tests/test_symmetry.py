@@ -1118,6 +1118,32 @@ class TestRotationCommutant:
         assert (report.diagonal_defect, report.orbit_spread, report.rotation_defect) == (0, 0, 0)
         assert report.orbit_components == 16  # the odd indices of [1, 32]
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_a_diagonal_operator_is_read_from_its_diagonal(self, seed):
+        # the defects are exactly 0 with no n x n temporary, and the spread and
+        # components are the dense path's, read on a copy one ulp off diagonal
+        K = 128
+        rng = np.random.default_rng(seed)
+        diag = rng.normal(size=2 * K + 1) + 1j * rng.normal(size=2 * K + 1)
+        T = OperatorMatrix(FourierBasis(K), np.diag(diag))
+        assert T._symbol is not None
+        E = np.diag(diag)
+        E[0, 1] = 5e-324
+        dense = OperatorMatrix(FourierBasis(K), E)
+        assert dense._symbol is None
+        ref = rotation_commutant_analysis(dense, _scalarity_scales())
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            report = rotation_commutant_analysis(T, _scalarity_scales())
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert report.diagonal_defect == report.rotation_defect == 0.0
+        assert report.orbit_spread == ref.orbit_spread > 0.0
+        assert report.orbit_components == ref.orbit_components == 64
+        assert peak < 0.1 * T.dim**2 * np.dtype(complex).itemsize
+
     def test_missing_generators_rejected(self):
         T = h_circle()
         with pytest.raises(ValueError, match="rotation"):

@@ -230,14 +230,18 @@ class TestThreadedMap:
 
     @pytest.mark.parametrize("rng_seed", [0, 7])
     def test_one_cpu_report_is_byte_identical(self, monkeypatch, rng_seed):
-        # every check; an odd roundtrip count leaves the two shares unequal
-        counts = {"line": 6, "circle": 6, "roundtrip": 21, "scalarity": 4, "annihilator": 4}
-        _cpus(monkeypatch, 2)
-        threaded = run_verify("all", SuiteConfig(rng_seed=rng_seed, probe_counts=counts))
-        _cpus(monkeypatch, 1)
-        serial = run_verify("all", SuiteConfig(rng_seed=rng_seed, probe_counts=counts))
-        assert json.dumps(threaded.to_json_dict()) == json.dumps(serial.to_json_dict())
-        assert threaded.to_csv_text() == serial.to_csv_text()
+        # every check; an odd roundtrip count leaves the shares unequal, and
+        # 7 line probes do not divide into 2, 4 or 6 row blocks
+        counts = {"line": 7, "circle": 6, "roundtrip": 21, "scalarity": 4, "annihilator": 4}
+        with monkeypatch.context() as unsplit:  # the line checks on their whole batch
+            unsplit.setattr(verify, "_by_rows", lambda fn, f: fn(f))
+            _cpus(unsplit, 1)
+            serial = run_verify("all", SuiteConfig(rng_seed=rng_seed, probe_counts=counts))
+        for cpus in (1, 2, 3):
+            _cpus(monkeypatch, cpus)
+            threaded = run_verify("all", SuiteConfig(rng_seed=rng_seed, probe_counts=counts))
+            assert json.dumps(threaded.to_json_dict()) == json.dumps(serial.to_json_dict())
+            assert threaded.to_csv_text() == serial.to_csv_text()
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity masks")
     def test_one_cpu_cli_report_is_byte_identical(self):
@@ -305,12 +309,18 @@ class TestAffineCommutationByScale:
     @pytest.mark.parametrize("rng_seed", [0, 7])
     def test_grouped_check_equals_the_per_element_oracle(self, monkeypatch, rng_seed):
         cfg = SuiteConfig(rng_seed=rng_seed)
-        dilations = []
+        rows = dict.fromkeys((0.5, 2.0, 4.0), 0)
         real = verify.dilate
-        monkeypatch.setattr(verify, "dilate", lambda f, a: dilations.append(a) or real(f, a))
+
+        def counting(f, a):
+            rows[a] += len(f.values)
+            return real(f, a)
+
+        monkeypatch.setattr(verify, "dilate", counting)
         measured = _worst(_check_affine_commutation(cfg))
-        # one dilation of f and one of H f per distinct scale, not per element
-        assert sorted(dilations) == sorted(2 * [a for a in (0.5, 2.0, 4.0)])
+        # each probe row of f and of H f is dilated once per distinct scale,
+        # not once per element, whatever the row blocks
+        assert rows == dict.fromkeys((0.5, 2.0, 4.0), 2 * cfg.probe_counts["line"])
         assert measured.hex() == _a03_per_element(cfg).hex()
         assert _worst(_check_rep_isometry(cfg)).hex() == _m03_per_element(cfg).hex()
 
