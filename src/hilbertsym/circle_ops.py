@@ -219,15 +219,23 @@ def semigroup_act_samples(c: CircleSignal, r: RationalScale, n_samples: int) -> 
 
         (p/q)^(1/2) (1/p) sum_{l=0}^{p-1} f(e^{i(q theta/p + beta)} omega_p^l)
 
-    evaluated through the truncated series (exact on trig polynomials), all p
-    shifted angle sets in one evaluation.  That this matches the coefficient
-    form is the well-definedness test of the averaging formula."""
-    theta = 2.0 * np.pi * np.arange(n_samples) / n_samples
-    base = r.q * theta / r.p + r.beta
-    shifts = 2.0 * np.pi * np.arange(r.p) / r.p
-    vals = evaluate_fourier_series(c, (shifts[:, None] + base[None, :]).ravel())
-    total = vals.reshape(vals.shape[:-1] + (r.p, n_samples)).sum(axis=-2)
-    return CircleSamples(math.sqrt(r.p / r.q) / r.p * total)
+    at theta_j = 2 pi j/n, n = n_samples, through the truncated series
+    (exact on trig polynomials).  Every angle q theta_j/p + beta + 2 pi l/p
+    is beta + 2 pi m/N with N = p*n and m = q*j + n*l, so the series is
+    summed on that shifted uniform grid by one inverse FFT of the
+    c_k exp(i k beta) folded onto k mod N (exact for any K, also when
+    N < 2K+1), and the p values of each j are gathered from it and
+    averaged.  That this matches the coefficient form is the
+    well-definedness test of the averaging formula."""
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
+        raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+    N = r.p * n_samples
+    ks = c.indices()
+    folded = np.zeros(c.coeffs.shape[:-1] + (N,), dtype=complex)
+    np.add.at(folded, (..., ks % N), c.coeffs * np.exp(1j * ks * r.beta))
+    vals = np.fft.ifft(folded, norm="forward")
+    m = (r.q * np.arange(n_samples) + n_samples * np.arange(r.p)[:, None]) % N
+    return CircleSamples(math.sqrt(r.p / r.q) / r.p * vals[..., m].sum(axis=-2))
 
 
 def moebius_act(s: CircleSamples, m: MoebiusElement, weight: str = "plain") -> CircleSamples:

@@ -139,7 +139,7 @@ class OperatorMatrix:
         return T
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=complex)
+        arr = np.array(self.entries, dtype=complex, order="C")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"operator entries must be square, got shape {arr.shape}")
         if arr.shape[0] != self.basis.dim:
@@ -147,7 +147,7 @@ class OperatorMatrix:
                 f"dimension {arr.shape[0]} inconsistent with basis dim {self.basis.dim}"
             )
         norm = _frobenius(arr)  # finite only if every entry is; inf may be a huge norm
-        if not math.isfinite(norm) and not np.isfinite(arr.ravel("K").view(float)).all():
+        if not math.isfinite(norm) and not np.isfinite(arr.view(float)).all():
             raise ValueError("operator entries must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
@@ -171,9 +171,9 @@ def _symbol_of(basis: Basis, E: np.ndarray) -> Optional[np.ndarray]:
         symbol.setflags(write=False)
         return symbol
     # the off-diagonal entries lie between the diagonal ones, n + 1 apart in
-    # the flat entries of either memory order
+    # the flat entries
     n = E.shape[0]
-    if E[0, 1:].any() or E.ravel("K")[1:].reshape(n - 1, n + 1)[:, :n].any():
+    if E[0, 1:].any() or E.ravel()[1:].reshape(n - 1, n + 1)[:, :n].any():
         return None
     return np.diagonal(E)
 

@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,6 +206,53 @@ class TestSemigroup:
                     semigroup_act_samples(c, r, n_s), closed.K
                 )
                 assert np.max(np.abs(closed.coeffs - recovered.coeffs)) <= 1e-12
+
+    @staticmethod
+    def series_average(c, r, n_samples):
+        """The averaging formula summed at each of its p*n angles."""
+        theta = 2.0 * np.pi * np.arange(n_samples) / n_samples
+        base = r.q * theta / r.p + r.beta
+        shifts = 2.0 * np.pi * np.arange(r.p) / r.p
+        vals = evaluate_fourier_series(c, (shifts[:, None] + base[None, :]).ravel())
+        total = vals.reshape(vals.shape[:-1] + (r.p, n_samples)).sum(axis=-2)
+        return np.sqrt(r.p / r.q) / r.p * total
+
+    COPRIME = [(q, p) for q in range(1, 6) for p in range(1, 6) if np.gcd(q, p) == 1]
+
+    @staticmethod
+    def random_batch(K, seed):
+        rng = np.random.default_rng(seed)
+        return CircleSignal(rng.standard_normal((3, 2 * K + 1))
+                            + 1j * rng.standard_normal((3, 2 * K + 1)))
+
+    @pytest.mark.parametrize("K", [3, 25, 40, 128])
+    def test_fft_oracle_matches_the_series_at_each_angle(self, K):
+        # from K = 25, n_samples = 1, 7 and 8 put p*n below 2K+1: the
+        # coefficients fold onto k mod p*n
+        c = self.random_batch(K, K)
+        scale = np.abs(c.coeffs).sum(axis=-1, keepdims=True)
+        for n_s in (1, 7, 8, 64, 300):
+            for (q, p), beta in itertools.product(self.COPRIME, (0.0, 1.0, np.pi / 3)):
+                r = RationalScale(q, p, beta)
+                got = semigroup_act_samples(c, r, n_s).values
+                assert got.shape == (3, n_s)
+                assert np.all(np.abs(got - self.series_average(c, r, n_s)) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("K", [3, 25, 40, 128])
+    def test_fft_oracle_matches_the_closed_form_at_a_large_rotation(self, K):
+        c = self.random_batch(K, K + 1)
+        for q, p in self.COPRIME:
+            r = RationalScale(q, p, 1e3)
+            closed = semigroup_act(c, r)
+            recovered = circle_coeffs_from_samples(
+                semigroup_act_samples(c, r, 2 * closed.K + 2), closed.K)
+            assert np.max(np.abs(closed.coeffs - recovered.coeffs)) <= 1e-12
+
+    @pytest.mark.parametrize("n_samples", [0, -3, 2.0, "8"])
+    def test_a_bad_sample_count_is_named(self, n_samples):
+        with pytest.raises(ValueError, match=rf"^n_samples must be an integer >= 1, "
+                                             rf"got {re.escape(repr(n_samples))}$"):
+            semigroup_act_samples(monomial(2), RationalScale(2, 3, 0.5), n_samples)
 
     def test_composition_law(self, trig_probes):
         c = trig_probes[0]

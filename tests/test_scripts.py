@@ -65,3 +65,16 @@ def test_engine_layers_prints_one_row_per_size():
     quarter = 96**2 * 16 / 4 / 2**20
     assert synth_mb[1] > synth_mb[0] and synth_mb[1] < quarter and float(rows[1][13]) < quarter
     assert copy_mb[1] > copy_mb[0] and copy_mb[1] >= 96**2 / 2**20
+
+
+def test_circle_layers_prints_one_row_per_degree():
+    lines = _run("circle_layers.py", "--K", "8", "32", "--repeat", "1").splitlines()
+    layers = ["semigroup", "samples", "moebius_plain", "moebius_jacobian", "hilbert"]
+    assert lines[0].split()[:11] == ["K", *layers, *[name + "_MB" for name in layers]]
+    rows = [line.split() for line in lines[1:]]
+    assert [row[0] for row in rows] == ["8", "32"]
+    # each layer's time in ms, then its traced peak in MB; the averaging
+    # oracle sums the series by one FFT of p*n points (3*64 at both
+    # degrees), so its peak stays under a tenth of a MB
+    assert all(len(row) == 11 and all(float(t) > 0.0 for t in row[1:]) for row in rows)
+    assert all(float(row[7]) < 0.1 for row in rows)

@@ -788,7 +788,7 @@ def test_either_memory_order_gets_the_same_symbol(basis):
                                    (h + 1e-7 * a, False)):
         c = OperatorMatrix(basis, np.ascontiguousarray(entries))
         f = OperatorMatrix(basis, np.asfortranarray(entries))
-        assert f.entries.flags.f_contiguous and not f.entries.flags.c_contiguous
+        assert f.entries.flags.c_contiguous and f.entries.tobytes() == c.entries.tobytes()
         if is_multiplier:  # bit for bit
             assert c._symbol.tobytes() == f._symbol.tobytes()
         else:
@@ -982,14 +982,13 @@ class TestEngineMemory:
     def test_a_non_multiplier_is_turned_away_in_linear_time(self, layout):
         # diag(x) matches the circulant of its first column on the first
         # row, but not on the main diagonal: no n^2 comparison is made, and
-        # building it allocates no more than its copy (in C order)
+        # building it allocates no more than its C-order copy
         for E in (np.diag(LBASIS.grid().positions()), random_operator(LBASIS).entries):
             E = layout(E.astype(complex))
             built = []
             peak, _ = self.traced(lambda: built.append(OperatorMatrix(LBASIS, E)))
             assert built[0]._symbol is None
-            if layout is np.asarray:
-                assert peak < 1.05 * self.SIZE
+            assert peak < 1.05 * self.SIZE
 
     def test_no_memory_is_kept_after_a_check_raises(self, monkeypatch):
         from hilbertsym import verify
