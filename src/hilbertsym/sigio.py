@@ -8,9 +8,11 @@ Signal files:
 
 values are ordered by sample index (line, circle-samples) or by k from -K to
 K (circle-coeffs).  The sizes n, K and dim are JSON integers; a float, string
-or boolean there makes the document malformed.  Floats are written as their
-shortest round-tripping decimal representation (``repr``, at most 17
-significant digits), so a file loads back to equal values.
+or boolean there makes the document malformed.  The coordinates x_min and dx
+(of a line signal or a line basis) are JSON numbers, an integer or a float; a
+string or boolean there makes the document malformed too.  Floats are
+written as their shortest round-tripping decimal representation (``repr``,
+at most 17 significant digits), so a file loads back to equal values.
 
 Operator files:
 
@@ -113,12 +115,16 @@ def signal_to_dict(sig) -> dict:
     return {**head, "values": _pairs(values)}
 
 
+_KINDS = {dict: ("an object", dict), int: ("an integer", int), float: ("a number", (int, float))}
+
+
 def _field(doc: dict, key: str, kind: type):
-    """``doc[key]``, which must be a JSON object (kind dict) or integer (int)."""
+    """``doc[key]``, which must be a JSON object (kind dict), integer (int)
+    or number (float: an integer or a float)."""
     value = doc[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise TypeError(f"field {key!r} must be {'an object' if kind is dict else 'an integer'}, "
-                        f"got {type(value).__name__}")
+    name, types = _KINDS[kind]
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise TypeError(f"field {key!r} must be {name}, got {type(value).__name__}")
     return value
 
 
@@ -128,7 +134,8 @@ def signal_from_dict(doc: dict):
         grid = _field(doc, "grid", dict)
         values = _unpairs(doc["values"])
         if kind == "line":
-            return LineSignal(Grid1D(grid["x_min"], _field(grid, "n", int), grid["dx"]), values)
+            return LineSignal(Grid1D(_field(grid, "x_min", float), _field(grid, "n", int),
+                                     _field(grid, "dx", float)), values)
         if kind == "circle-coeffs":
             K = _field(grid, "K", int)
             if len(values) != 2 * K + 1:
@@ -185,8 +192,8 @@ def operator_from_dict(doc: dict) -> OperatorMatrix:
         elif kind == "line":
             basis = LineBasis(
                 n=_field(basis_doc, "n", int),
-                x_min=float(basis_doc["x_min"]),
-                dx=float(basis_doc["dx"]),
+                x_min=float(_field(basis_doc, "x_min", float)),
+                dx=float(_field(basis_doc, "dx", float)),
             )
         else:
             raise ValueError(f"unknown basis kind {kind!r}")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +94,8 @@ class Grid1D:
     dx: float
 
     def __post_init__(self):
+        if not isinstance(self.n, numbers.Integral) or isinstance(self.n, bool):
+            raise ValueError(f"grid size n must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ValueError(f"grid needs at least two samples, got n={self.n}")
         if not (self.dx > 0.0) or not math.isfinite(self.dx):

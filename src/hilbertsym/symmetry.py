@@ -383,8 +383,8 @@ def _frobenius(m: np.ndarray) -> float:
     """Frobenius norm of a matrix from its :func:`_scaled_row_sq_norms`, so
     finite whenever representable; only a complex matrix whose rows are not
     contiguous is copied first.  Not np.linalg.norm, which sums a complex
-    matrix through BLAS, whose threads split the sum (its last bits depend
-    on the CPU count) and spin on the CPUs of the verify suite's thread map."""
+    matrix through BLAS, whose threads split the sum, so that its last bits
+    depend on the CPU count."""
     if m.dtype.kind == "c" and m.strides[-1] != m.itemsize:
         m = np.ascontiguousarray(m)  # its float view needs contiguous rows
     rows, c = _scaled_row_sq_norms(m)

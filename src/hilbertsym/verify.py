@@ -299,75 +299,54 @@ def _rng_seed(cfg: SuiteConfig, salt: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([cfg.rng_seed, salt])
 
 
-def _cpus() -> int:
-    """The CPUs in this process's affinity mask (``os.cpu_count()`` where
-    there are no affinity masks)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _map(fn: Callable, items) -> list:
-    """``[fn(x) for x in items]``, for a sequence of items, with the items
-    split over the CPUs of :func:`_cpus`.
-
-    Share s of the N shares takes items s, s + N, s + 2N, ...; the calling
-    thread runs share 0 and the threads of an executor opened for this call
-    the others.  Threads start only on submit, so one CPU (or one item)
-    starts none, and none outlives the call.  Results come back in item
-    order, and when items raise, the failure of the lowest-index one is
-    raised, as the serial loop would.  The gain rests on numpy's FFTs and
-    array loops releasing the GIL, so ``fn`` must not call BLAS: its spinning
-    worker threads would take the CPUs the shares run on.  The items are the
-    row blocks of :func:`_by_rows` for the batched line checks, and a07's
-    operators.
-
-    This is not ``ThreadPoolExecutor.map``, which gives the same results:
-    there the calling thread only waits while N pool threads run, one more
-    allocating thread than here.  On 2 cores that raised the peak RSS of a
-    process running ``run_verify("all")`` from 63 MB to 70 MB (from 60 MB
-    to 63.5 MB with glibc held to one malloc arena).
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    shares = min(_cpus(), len(items)) or 1
-    results = [None] * len(items)
-
-    def run(share):
-        for i in range(share, len(items), shares):
-            try:
-                results[i] = fn(items[i])
-            except Exception as exc:  # noqa: BLE001 - re-raised below, by index
-                return i, exc
-        return None
-
-    with ThreadPoolExecutor(shares, "hilbertsym-verify") as pool:
-        futures = [pool.submit(run, s) for s in range(1, shares)]
-        failures = [f for f in (run(0), *(future.result() for future in futures)) if f]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    return results
-
-
 def _by_rows(fn: Callable, f: LineSignal) -> list:
     """``fn`` of row blocks of the batched probes ``f``, two blocks per CPU
-    (none empty), run by :func:`_map`: for checks whose values are each a
-    function of one probe row, so the blocks give the whole batch's values,
-    bit for bit, at any CPU count.
+    of this process's affinity mask (none empty), split over those CPUs: for
+    checks whose values are each a function of one probe row, so the blocks
+    give the whole batch's values, bit for bit, at any CPU count.
+
+    Share s of the N shares takes blocks s, s + N, s + 2N, ...; the calling
+    thread runs share 0 and the threads of an executor opened for this call
+    the others.  Threads start only on submit, so one CPU starts none, and
+    none outlives the call.  The gain rests on numpy's FFTs and array loops
+    releasing the GIL, so ``fn`` must not call BLAS: its spinning worker
+    threads would take the CPUs the shares run on.  This is not
+    ``ThreadPoolExecutor.map``, which gives the same results: there the
+    calling thread only waits while N pool threads run, one more allocating
+    thread than here.  On 2 cores that raised the peak RSS of a process
+    running ``run_verify("all")`` from 63 MB to 70 MB (from 60 MB to 63.5 MB
+    with glibc held to one malloc arena).
 
     One block per CPU balances the work as well, but smaller blocks keep
     the peak RSS lower: fresh processes running ``run_verify("all")`` four
     times on 2 cores peaked at 56.1-57.6 MB with two blocks per CPU, 60.1-
     60.7 MB with one.  A guard's message can depend on the batch (a
-    dilation names its largest row's fraction), so when a block raises, the
-    whole batch runs serially to raise what the unsplit check would.
+    dilation names its largest row's fraction), so when any block raises,
+    the whole batch runs serially to raise what the unsplit check would.
     """
-    blocks = [v for v in np.array_split(f.values, 2 * _cpus()) if len(v)]
+    from concurrent.futures import ThreadPoolExecutor
+
     try:
-        return _map(lambda v: fn(f.with_values(v)), blocks)
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks
+        cpus = os.cpu_count() or 1
+    blocks = [v for v in np.array_split(f.values, 2 * cpus) if len(v)]
+    shares = min(cpus, len(blocks))
+    values = [None] * len(blocks)
+
+    def run(share):
+        for i in range(share, len(blocks), shares):
+            values[i] = fn(f.with_values(blocks[i]))
+
+    try:
+        with ThreadPoolExecutor(shares, "hilbertsym-verify") as pool:
+            futures = [pool.submit(run, s) for s in range(1, shares)]
+            run(0)
+            for future in futures:
+                future.result()
     except Exception:  # noqa: BLE001 - the serial run raises the check's own error
         return fn(f)
+    return values
 
 
 def _rel(diff_values, ref) -> np.ndarray:
@@ -888,7 +867,7 @@ def _check_decomposition_roundtrip(cfg: SuiteConfig) -> list:
     # one dense operator per suite: building one per draw costs more than
     # the rest of the check
     items = [(draw, synthesize_commuting_operator) for draw in draws]
-    return _map(roundtrip, [(draws[0], from_multiplier), *items])
+    return list(map(roundtrip, [(draws[0], from_multiplier), *items]))
 
 
 @_check("symmetry", ("a07-hilbert-classifier", "classifier_verdicts",

@@ -78,3 +78,13 @@ def test_circle_layers_prints_one_row_per_degree():
     # degrees), so its peak stays under a tenth of a MB
     assert all(len(row) == 11 and all(float(t) > 0.0 for t in row[1:]) for row in rows)
     assert all(float(row[7]) < 0.1 for row in rows)
+
+
+def test_check_times_prints_one_row_per_check():
+    from hilbertsym.verify import _REGISTRY
+
+    lines = _run("check_times.py", "--repeat", "1").splitlines()
+    assert lines[0].split()[:2] == ["check", "ms"]
+    rows = [line.split() for line in lines[1:]]
+    assert [row[0] for row in rows] == [c.records[0][0] for c in _REGISTRY] + ["all"]
+    assert all(len(row) == 2 and float(row[1]) > 0.0 for row in rows)

@@ -378,6 +378,55 @@ def test_sizes_load_only_as_json_integers(template, holder, field, spoil):
         from_dict(json.loads(json.dumps(doc)))
 
 
+_COORDINATE_FIELDS = [  # (template, the object holding the coordinate, field)
+    (template, holder, field)
+    for template, holder in ((_SIGNAL_TEMPLATES[0], "grid"), (_OPERATOR_TEMPLATES[1], "basis"))
+    for field in ("x_min", "dx")
+]
+
+
+@pytest.mark.parametrize("spoil", [str, lambda v: True, lambda v: False, lambda v: None,
+                                   lambda v: [v]])
+@pytest.mark.parametrize("template, holder, field", _COORDINATE_FIELDS)
+def test_coordinates_load_only_as_json_numbers(template, holder, field, spoil):
+    doc = json.loads(json.dumps(template))
+    from_dict = operator_from_dict if "entries" in doc else signal_from_dict
+    doc[holder][field] = spoil(doc[holder][field])
+    with pytest.raises(ValueError, match=f"malformed .* document: field '{field}' must be a "
+                                         "number, got "):
+        from_dict(json.loads(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("template, holder, field", _COORDINATE_FIELDS)
+def test_integer_coordinates_load(template, holder, field):
+    doc = json.loads(json.dumps(template))
+    from_dict = operator_from_dict if "entries" in doc else signal_from_dict
+    doc[holder][field] = int(doc[holder][field]) or 1
+    loaded = from_dict(json.loads(json.dumps(doc)))
+    grid = loaded.grid if "entries" not in doc else loaded.basis
+    assert getattr(grid, field) == doc[holder][field]
+
+
+@pytest.mark.parametrize("x_min, dx", [(True, True), ("0", 0.5), (-1.0, "0.5"), (None, 0.5)])
+def test_apply_rejects_a_line_file_with_non_number_coordinates(tmp_path, capsys, x_min, dx):
+    doc = json.loads(json.dumps(_SIGNAL_TEMPLATES[0]))
+    doc["grid"].update(x_min=x_min, dx=dx)
+    out = tmp_path / "out.json"
+    assert _exit_code(tmp_path, doc, ["apply", "hilbert", "--out", str(out)]) == 1
+    assert not out.exists()
+    field = "dx" if isinstance(x_min, float) else "x_min"
+    assert f"field '{field}' must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x_min, dx", [(True, 1.0), ("0", 1.0), (0.0, False), (0.0, "1")])
+def test_decompose_rejects_a_line_basis_with_non_number_coordinates(tmp_path, capsys, x_min, dx):
+    doc = json.loads(json.dumps(_OPERATOR_TEMPLATES[1]))
+    doc["basis"].update(x_min=x_min, dx=dx)
+    assert _exit_code(tmp_path, doc, ["decompose", "--space", "line"]) == 1
+    field = "dx" if isinstance(x_min, float) else "x_min"
+    assert f"field '{field}' must be a number" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("n", [1024.9, "1024"])
 def test_apply_rejects_a_line_file_with_a_non_integer_size(tmp_path, capsys, n):
     grid = Grid1D.from_interval(-40.0, 40.0, 1024)

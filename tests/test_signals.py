@@ -7,6 +7,7 @@ from hilbertsym import (
     CircleSamples,
     CircleSignal,
     Grid1D,
+    LineBasis,
     LineSignal,
     dft,
     idft,
@@ -39,6 +40,19 @@ class TestGridAndTypes:
             Grid1D(x_min=0.0, n=16, dx=0.0)
         with pytest.raises(ValueError):
             Grid1D(x_min=np.nan, n=16, dx=0.1)
+
+    @pytest.mark.parametrize("n", [2.5, 8.0, "8", True])
+    def test_grid_size_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match=rf"grid size n must be an integer, got {n!r}$"):
+            Grid1D(0.0, n, 1.0)
+
+    def test_numpy_integer_grid_size_is_accepted(self):
+        g = Grid1D(0.0, np.int64(8), 1.0)
+        assert g.signed_indices().tolist() == [0, 1, 2, 3, 4, -3, -2, -1]
+        assert g.signed_indices().dtype.kind == "i"
+        assert LineBasis(np.int64(8), 0.0, 1.0).grid() == Grid1D(0.0, 8, 1.0)
+        with pytest.raises(ValueError, match="grid needs at least two samples, got n=1$"):
+            Grid1D(0.0, np.int64(1), 1.0)
 
     def test_signed_index_map(self):
         assert list(signed_indices(8)) == [0, 1, 2, 3, 4, -3, -2, -1]

@@ -90,6 +90,8 @@ class TestOperatorMatrix:
             (lambda: LineBasis(4, 0.0, 0.0), "dx"),
             (lambda: LineBasis(4, 0.0, -0.5), "dx"),
             (lambda: LineBasis(1, 0.0, 0.5), "n"),
+            (lambda: LineBasis(2.5, 0.0, 0.5), "n"),
+            (lambda: LineBasis(8.0, 0.0, 0.5), "n"),
             (lambda: LineBasis(4, float("nan"), 0.5), "x_min"),
         ],
     )

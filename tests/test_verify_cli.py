@@ -23,9 +23,9 @@ from hilbertsym.verify import (
     CircleConfig,
     LineGridConfig,
     SuiteConfig,
+    _by_rows,
     _check_affine_commutation,
     _check_rep_isometry,
-    _map,
     _moebius_samples_needed,
     _probes,
     _rel,
@@ -202,36 +202,62 @@ def _cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
+def _rows(count):
+    """A batch of ``count`` probe rows whose first sample is the row index."""
+    values = np.zeros((count, 4), dtype=complex)
+    values[:, 0] = np.arange(count)
+    return LineSignal(Grid1D(0.0, 4, 1.0), values)
+
+
 class TestThreadedMap:
+    @pytest.mark.parametrize("rows", [1, 3, 40, 2000])
     @pytest.mark.parametrize("cpus", [1, 2, 3, 5, 8])
-    def test_results_in_item_order(self, monkeypatch, cpus):
+    def test_results_in_row_order(self, monkeypatch, cpus, rows):
         _cpus(monkeypatch, cpus)
-        assert _map(lambda x: x * x, range(11)) == [x * x for x in range(11)]
-        assert _map(str, []) == []
+        caller = threading.current_thread()
+
+        def fn(g):
+            return g.values[:, 0].real.astype(int).tolist(), threading.current_thread()
+
         # more threads than cores, switching as often as the interpreter can
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            assert _map(lambda x: [x] * 3, range(2000)) == [[x] * 3 for x in range(2000)]
+            out = _by_rows(fn, _rows(rows))
         finally:
             sys.setswitchinterval(interval)
+        # two blocks per CPU, none empty, in row order
+        blocks = [block for block, _ in out]
+        assert len(blocks) == min(2 * cpus, rows) and all(blocks)
+        assert sum(blocks, []) == list(range(rows))
+        # share 0 (blocks 0, N, 2N, ...) runs on the calling thread, the
+        # other shares on the call's own executor
+        shares = min(cpus, len(blocks))
+        for i, (_, thread) in enumerate(out):
+            assert (thread is caller) == (i % shares == 0)
+            assert thread is caller or thread.name.startswith("hilbertsym-verify")
 
+    @pytest.mark.parametrize("bad_row", [0, 5, 11])
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_lowest_index_failure_is_raised(self, monkeypatch, cpus):
+    def test_a_raising_block_reruns_the_whole_batch(self, monkeypatch, cpus, bad_row):
         _cpus(monkeypatch, cpus)
+        calls = []
 
-        def fn(x):
-            if x in (4, 5, 9):
-                raise ValueError(f"item {x}")
-            return x
+        def fn(g):
+            rows = g.values[:, 0].real.astype(int).tolist()
+            calls.append(rows)
+            if bad_row in rows:
+                raise ValueError(f"row {bad_row} of a batch of {len(rows)}")
+            return rows
 
-        with pytest.raises(ValueError, match="item 4"):
-            _map(fn, range(12))
+        with pytest.raises(ValueError, match=f"row {bad_row} of a batch of 12$"):
+            _by_rows(fn, _rows(12))
+        # the last call is the serial rerun on the unsplit batch
+        assert calls[-1] == list(range(12)) and len(calls) > 1
 
     @pytest.mark.parametrize("rng_seed", [0, 7])
     def test_one_cpu_report_is_byte_identical(self, monkeypatch, rng_seed):
-        # every check; an odd roundtrip count leaves the shares unequal, and
-        # 7 line probes do not divide into 2, 4 or 6 row blocks
+        # every check; 7 line probes do not divide into 2, 4 or 6 row blocks
         counts = {"line": 7, "circle": 6, "roundtrip": 21, "scalarity": 4, "annihilator": 4}
         with monkeypatch.context() as unsplit:  # the line checks on their whole batch
             unsplit.setattr(verify, "_by_rows", lambda fn, f: fn(f))
@@ -265,8 +291,8 @@ class TestThreadedMap:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_check_error_names_the_lowest_failing_element(self, monkeypatch, cpus):
-        # a=0.05 (item 1) and a=0.02 (item 2) both alias; with two CPUs they
-        # fall in different shares, the later one on the calling thread
+        # a=0.05 (element 1) and a=0.02 (element 2) both alias; a raising row
+        # block reruns the whole batch, which dilates by the scales in order
         _cpus(monkeypatch, cpus)
         cfg = SuiteConfig(rng_seed=3, probe_counts={"line": 4})
         # past validate(), which rejects scales this small
