@@ -6,8 +6,8 @@ record id), then the same for the whole ``run_verify("all")``.
 
 One untimed ``run_verify("all")`` warms the process first, so every row is
 a warm figure.  The checks run on the CPUs of this process's affinity mask,
-as the suite does: the batched line checks split their probe rows over
-them.  Run the script under ``taskset -c 0`` for the one-CPU figures.
+as the suite does: the line checks a01, a03 and m02 split their probe
+rows over them.  Run the script under ``taskset -c 0`` for the one-CPU figures.
 
 Example:
     python scripts/check_times.py --repeat 10

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Sweep scale/shift group elements and print the commutator defect of the
-line Hilbert transform against each, plus the intertwining defect of the
+line Hilbert transform against each, measured by the engine's
+commutator_defect on the synthesized H, plus the intertwining defect of the
 frequency-side form.  The probes go through every operator as one batch.
 
 Example:
@@ -13,13 +14,14 @@ import numpy as np
 
 from hilbertsym import (
     AffineElement,
-    Grid1D,
+    LineBasis,
     LineSignal,
-    hilbert_multiplier,
+    commutator_defect,
     intertwine_defect,
     make_probes,
-    rep_natural,
+    synthesize_commuting_operator,
 )
+from hilbertsym.symmetry import line_affine_action
 
 
 def main():
@@ -34,30 +36,26 @@ def main():
     ap.add_argument("--dat", help="write two-column (index, defect) data here")
     args = ap.parse_args()
 
-    grid = Grid1D.from_interval(-args.x_span, args.x_span, args.n)
+    basis = LineBasis(args.n, -args.x_span, 2 * args.x_span / args.n)
+    grid = basis.grid()
     shifts = args.shifts if args.shifts is not None else [0.0, 7 * grid.dx, 3.5 * grid.dx]
     probes = make_probes(
         "gaussian-packet", seed=args.seed, count=args.probes, grid=grid,
         width=(1.25, 1.4), center=(-1.0, 1.0), modulation=(4.5, 5.2),
     )
+    elements = [AffineElement(a, b) for a in args.scales for b in shifts]
+    h = synthesize_commuting_operator(0.0, 1.0, basis)
+    actions = [line_affine_action(g) for g in elements]
+    worst = commutator_defect(h, actions, probes).defects.max(axis=1)
     f = LineSignal(grid, np.stack([p.values for p in probes]))
-    hf = hilbert_multiplier(f)
-    fn = np.linalg.norm(f.values, axis=-1)
 
-    rows = []
     print(f"{'a':>8} {'b':>10} {'commutator':>12} {'intertwine':>12}")
-    for a in args.scales:
-        for b in shifts:
-            g = AffineElement(a, b)
-            diff = hilbert_multiplier(rep_natural(f, g)).values - rep_natural(hf, g).values
-            worst = float(np.max(np.linalg.norm(diff, axis=-1) / fn))
-            iw = intertwine_defect(f, g)
-            rows.append(worst)
-            print(f"{a:8.3f} {b:10.4f} {worst:12.3e} {iw:12.3e}")
+    for g, w in zip(elements, worst):
+        print(f"{g.a:8.3f} {g.b:10.4f} {w:12.3e} {intertwine_defect(f, g):12.3e}")
 
     if args.dat:
         with open(args.dat, "w") as fh:
-            for i, d in enumerate(rows):
+            for i, d in enumerate(worst):
                 fh.write(f"{i} {d:.17g}\n")
         print(f"wrote {args.dat}")
 

@@ -39,6 +39,7 @@ import numpy as np
 from .signals import (
     CircleSamples,
     CircleSignal,
+    _is_integer,
     evaluate_fourier_series,
     sign_symbol,
 )
@@ -71,6 +72,8 @@ class RationalScale:
     beta: float
 
     def __post_init__(self):
+        if not (_is_integer(self.q) and _is_integer(self.p)):
+            raise ValueError(f"q and p must be integers, got q={self.q!r}, p={self.p!r}")
         if self.q < 1 or self.p < 1:
             raise ValueError("q and p must be positive integers")
         if math.gcd(self.q, self.p) != 1:
@@ -227,7 +230,7 @@ def semigroup_act_samples(c: CircleSignal, r: RationalScale, n_samples: int) -> 
     N < 2K+1), and the p values of each j are gathered from it and
     averaged.  That this matches the coefficient form is the
     well-definedness test of the averaging formula."""
-    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
+    if not _is_integer(n_samples) or n_samples < 1:
         raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     N = r.p * n_samples
     ks = c.indices()

@@ -398,6 +398,8 @@ def intertwine_defect(f: LineSignal, g: AffineElement) -> float:
     """
     grid = f.grid
     n = grid.n
+    if n < 4:
+        raise ValueError(f"intertwine_defect needs n >= 4 samples, got n={n}")
     half = n // 2
     s = dft(f).values
     plus, minus = (

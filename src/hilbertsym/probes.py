@@ -25,7 +25,9 @@ from __future__ import annotations
 import numpy as np
 
 from .line_ops import ALIAS_GUARD_TOL, _band_share, _edge_test
-from .signals import CircleSignal, Grid1D, LineSignal, LineSpectrum, idft, norm, sign_symbol
+from .signals import (
+    CircleSignal, Grid1D, LineSignal, LineSpectrum, _is_integer, idft, norm, sign_symbol,
+)
 
 __all__ = ["make_probes"]
 
@@ -137,6 +139,8 @@ def make_probes(kind, *, seed, count, grid: Grid1D | None = None, K: int | None 
     random-bandlimited takes none; trig-poly takes ``degree`` (default K) and
     ``real``.  A parameter the kind does not read raises ValueError.
     """
+    if not _is_integer(count):
+        raise ValueError(f"count must be an integer, got {count!r}")
     if count < 1:
         raise ValueError("count must be at least 1")
     if kind not in _PARAMS:

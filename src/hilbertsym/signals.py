@@ -47,6 +47,12 @@ __all__ = [
 ]
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer argument: a numbers.Integral that is
+    not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _frozen_complex_array(values, expected_len=None) -> np.ndarray:
     arr = np.array(values, dtype=complex)
     if arr.ndim not in (1, 2):
@@ -94,7 +100,7 @@ class Grid1D:
     dx: float
 
     def __post_init__(self):
-        if not isinstance(self.n, numbers.Integral) or isinstance(self.n, bool):
+        if not _is_integer(self.n):
             raise ValueError(f"grid size n must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ValueError(f"grid needs at least two samples, got n={self.n}")

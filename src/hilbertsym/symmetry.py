@@ -23,7 +23,7 @@ import numpy as np
 
 from .circle_ops import RationalScale, semigroup_act
 from .line_ops import AffineElement, rep_natural
-from .signals import CircleSignal, Grid1D, LineSignal, sign_symbol, stack_signals
+from .signals import CircleSignal, Grid1D, LineSignal, _is_integer, sign_symbol, stack_signals
 
 __all__ = [
     "LineBasis",
@@ -75,7 +75,7 @@ class FourierBasis:
     K: int
 
     def __post_init__(self):
-        if not isinstance(self.K, (int, np.integer)) or self.K < 0:
+        if not _is_integer(self.K) or self.K < 0:
             raise ValueError(f"Fourier basis degree K must be an integer >= 0, got {self.K!r}")
 
     def signed_indices(self) -> np.ndarray:
@@ -217,13 +217,16 @@ def circle_semigroup_action(r: RationalScale, K: int):
 
 @dataclass(frozen=True)
 class CommutatorReport:
-    """Per-(action, probe) relative commutator defects."""
+    """Relative commutator defects: ``defects[i, j]``, of a read-only float
+    array of shape (actions, probes), is that of action ``labels[i]`` on
+    probe j."""
 
-    defects: tuple  # of (action_label, probe_id, defect)
+    labels: tuple
+    defects: np.ndarray
 
     @property
     def max_defect(self) -> float:
-        return max((d for _, _, d in self.defects), default=0.0)
+        return float(self.defects.max(initial=0.0))
 
 
 def commutator_defect(
@@ -239,23 +242,23 @@ def commutator_defect(
     last axis, as :func:`line_affine_action` and :func:`circle_semigroup_action`
     do.
 
-    Results are deterministic and order-independent: each record is keyed by
-    the action label and probe index, and the evaluation is a pure function
-    of (T, action, probe).
+    Results are deterministic and order-independent: each defect is a pure
+    function of (T, action, probe).
     """
-    if not probes:
-        return CommutatorReport(())
-    batch = stack_signals(probes)
-    probe_norms = np.linalg.norm(_values(batch), axis=-1)
-    if not np.all(probe_norms > 0.0):
-        raise ValueError("probes must be nonzero")
-    t_batch = apply_operator(T, batch)
-    records = []
-    for label, act in actions:
-        diff = _values(apply_operator(T, act(batch))) - _values(act(t_batch))
-        defects = np.linalg.norm(diff, axis=-1) / probe_norms
-        records.extend((label, pid, float(d)) for pid, d in enumerate(defects))
-    return CommutatorReport(tuple(records))
+    labels = tuple(label for label, _ in actions)
+    defects = np.zeros((len(labels), 0))
+    if probes:
+        batch = stack_signals(probes)
+        probe_norms = np.linalg.norm(_values(batch), axis=-1)
+        if not np.all(probe_norms > 0.0):
+            raise ValueError("probes must be nonzero")
+        t_batch = apply_operator(T, batch)
+        defects = np.array([
+            np.linalg.norm(_values(apply_operator(T, act(batch))) - _values(act(t_batch)), axis=-1)
+            for _, act in actions
+        ]).reshape(len(labels), len(probes)) / probe_norms
+    defects.setflags(write=False)
+    return CommutatorReport(labels, defects)
 
 
 def _values(sig) -> np.ndarray:
@@ -289,21 +292,18 @@ class ScalarDecomposition:
     omega: Optional[complex]
     residual_plus: float
     residual_minus: float
-    residual_zero: Optional[float]
+    residual_zero: float
 
     @property
     def max_residual(self) -> float:
-        parts = [self.residual_plus, self.residual_minus]
-        if self.residual_zero is not None:
-            parts.append(self.residual_zero)
-        return max(parts)
+        return max(self.residual_plus, self.residual_minus, self.residual_zero)
 
     def to_json_dict(self) -> dict:
         """The fields as strict JSON: a non-finite float (a residual relative
         to an unrepresentable ||T||_F, say) is null, as in the verify report."""
 
         def num(x):
-            return None if x is None or not math.isfinite(x) else float(x)
+            return None if not math.isfinite(x) else float(x)
 
         def c2(z):
             return None if z is None else [num(np.real(z)), num(np.imag(z))]
@@ -480,10 +480,9 @@ def _conjugation_defect(T: OperatorMatrix, tnorm: float) -> float:
 
 
 def _antisymmetry_defect(E: np.ndarray, tnorm: float) -> float:
-    """||E^H + E||_F / tnorm, built in one C-order n x n array (a copy, which
-    unlike a ufunc on two memory orders takes no buffer).  F-order entries
-    are read as E^T, whose matrix is the exact conjugate: the same float."""
-    E = E.T if E.flags.f_contiguous else E
+    """||E^H + E||_F / tnorm of C-order entries, built in one C-order n x n
+    array (a copy, which unlike a ufunc on two memory orders takes no
+    buffer)."""
     m = E.T.copy()
     np.conjugate(m, out=m)
     m += E

@@ -303,7 +303,8 @@ def _by_rows(fn: Callable, f: LineSignal) -> list:
     """``fn`` of row blocks of the batched probes ``f``, two blocks per CPU
     of this process's affinity mask (none empty), split over those CPUs: for
     checks whose values are each a function of one probe row, so the blocks
-    give the whole batch's values, bit for bit, at any CPU count.
+    give the whole batch's values, bit for bit, at any CPU count (a02 and
+    m03 run unsplit: on 2 CPUs their blocks ran no faster).
 
     Share s of the N shares takes blocks s, s + N, s + 2N, ...; the calling
     thread runs share 0 and the threads of an executor opened for this call
@@ -507,13 +508,10 @@ def _check_multiplier_vs_quadrature(cfg: SuiteConfig) -> list:
 
 @_check("line", ("a02-involution-line", "involution_line",
                  "applying the line transform twice negates mean-free signals"))
-def _check_involution_line(cfg: SuiteConfig) -> list:
-    def defects(f):
-        hh = hilbert_multiplier(hilbert_multiplier(f))
-        return _rel(hh.values + f.values, np.linalg.norm(f.values, axis=-1))
-
-    return _by_rows(defects, _probes(cfg, "random-bandlimited", 12, cfg.probe_counts["line"],
-                                     grid=cfg.line_grid()))
+def _check_involution_line(cfg: SuiteConfig) -> np.ndarray:
+    f = _probes(cfg, "random-bandlimited", 12, cfg.probe_counts["line"], grid=cfg.line_grid())
+    hh = hilbert_multiplier(hilbert_multiplier(f))
+    return _rel(hh.values + f.values, np.linalg.norm(f.values, axis=-1))
 
 
 def _by_scale(affine_set) -> list:
@@ -598,20 +596,15 @@ def _check_hardy_identities(cfg: SuiteConfig) -> list:
 @_check("line", ("m03-rep-isometry", "rep_isometry",
                  "the natural scale/shift action preserves the norm"), regime=_guarded_regime)
 def _check_rep_isometry(cfg: SuiteConfig) -> list:
-    groups = _by_scale(cfg.affine_set)
-
-    def drifts(f):
-        fn = np.linalg.norm(f.values, axis=-1)
-        out = []
-        for a, shifts in groups:
-            df = dilate(f, a)
-            out.append([np.abs(np.linalg.norm(translate(df, b).values, axis=-1) - fn) / fn
-                        for b in shifts])
-        return out
-
-    return _by_rows(drifts, _probes(cfg, "gaussian-packet", 18,
-                                    max(5, cfg.probe_counts["line"] // 2),
-                                    grid=cfg.line_grid(), **_GUARDED))
+    f = _probes(cfg, "gaussian-packet", 18, max(5, cfg.probe_counts["line"] // 2),
+                grid=cfg.line_grid(), **_GUARDED)
+    fn = np.linalg.norm(f.values, axis=-1)
+    out = []
+    for a, shifts in _by_scale(cfg.affine_set):
+        df = dilate(f, a)
+        out.append([np.abs(np.linalg.norm(translate(df, b).values, axis=-1) - fn) / fn
+                    for b in shifts])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -975,7 +968,7 @@ def _check_perturbation_flags(cfg: SuiteConfig) -> int:
 @_check("symmetry", ("m06-engine-commutator-line", "engine_commutator_line",
                      "matrix engine reproduces the line commutation bound"),
         regime=_guarded_regime)
-def _check_engine_commutator_line(cfg: SuiteConfig) -> float:
+def _check_engine_commutator_line(cfg: SuiteConfig) -> np.ndarray:
     grid = cfg.operator_grid()
     basis = LineBasis(grid.n, grid.x_min, grid.dx)
     h_mat = synthesize_commuting_operator(0.0, 1.0, basis)
@@ -986,19 +979,19 @@ def _check_engine_commutator_line(cfg: SuiteConfig) -> float:
         for a in _ENGINE_SCALES
         for b in (0.0, 7 * grid.dx, 3.5 * grid.dx)
     ]
-    return commutator_defect(h_mat, actions, probes).max_defect
+    return commutator_defect(h_mat, actions, probes).defects
 
 
 @_check("symmetry", ("m07-engine-commutator-circle", "engine_commutator_circle",
                      "matrix engine reproduces the exact circle commutation"))
-def _check_engine_commutator_circle(cfg: SuiteConfig) -> float:
+def _check_engine_commutator_circle(cfg: SuiteConfig) -> np.ndarray:
     K = cfg.circle.K
     h_mat = synthesize_commuting_operator(0.0, 1.0, FourierBasis(K))
     actions = [circle_semigroup_action(RationalScale(*r), K) for r in cfg.rational_set[:12]]
     probes = make_probes(
         "trig-poly", seed=_rng_seed(cfg, 35), count=5, K=K, degree=max(1, K // 25)
     )
-    return commutator_defect(h_mat, actions, probes).max_defect
+    return commutator_defect(h_mat, actions, probes).defects
 
 
 @_check("symmetry", ("m08-decomposition-soundness", "soundness",

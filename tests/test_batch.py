@@ -298,15 +298,11 @@ def test_commutator_defect_calls_each_action_twice_on_the_batch():
     calls: list = []
     report = commutator_defect(T, [_counting(a, calls) for a in actions], probes)
     assert calls == [(4, 256)] * 4
-    assert [(label, pid) for label, pid, _ in report.defects] == [
-        (label, pid) for label, _ in actions for pid in range(4)
-    ]
-    for (label, pid, d), (label1, _, d1) in zip(report.defects, [
-        rec for label, act in actions for f in probes
-        for rec in commutator_defect(T, [(label, act)], [f]).defects
-    ]):
-        assert label == label1
-        assert d == pytest.approx(d1, rel=1e-12)
+    # one row per action, one column per probe
+    assert report.labels == tuple(label for label, _ in actions)
+    assert report.defects.shape == (2, 4) and not report.defects.flags.writeable
+    single = [[commutator_defect(T, [a], [f]).defects[0, 0] for f in probes] for a in actions]
+    assert report.defects == pytest.approx(np.array(single), rel=1e-12)
 
 
 def test_commutator_defect_on_circle_batch_matches_single_probes():
@@ -316,9 +312,9 @@ def test_commutator_defect_on_circle_batch_matches_single_probes():
     actions = [circle_semigroup_action(RationalScale(1, 2, 0.3), K),
                circle_semigroup_action(RationalScale(3, 1, 0.0), K)]
     batched = commutator_defect(T, actions, probes).defects
-    single = [rec for a in actions for f in probes
-              for rec in commutator_defect(T, [a], [f]).defects]
-    assert [d for *_, d in batched] == pytest.approx([d for *_, d in single], rel=1e-12)
+    single = [[commutator_defect(T, [a], [f]).defects[0, 0] for f in probes] for a in actions]
+    assert batched.shape == (2, 5)
+    assert batched == pytest.approx(np.array(single), rel=1e-12)
 
 
 def test_commutator_defect_refuses_mixed_or_zero_probes(packets):
@@ -334,7 +330,8 @@ def test_commutator_defect_refuses_mixed_or_zero_probes(packets):
     zero = LineSignal(packets[0].grid, np.zeros(packets[0].grid.n))
     with pytest.raises(ValueError, match="nonzero"):
         commutator_defect(T, action, [packets[0], zero])
-    assert commutator_defect(T, action, []).defects == ()
+    empty = commutator_defect(T, action, [])
+    assert empty.defects.shape == (1, 0) and empty.max_defect == 0.0
 
 
 # ---------------------------------------------------------------------------

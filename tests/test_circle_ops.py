@@ -180,6 +180,12 @@ class TestSemigroup:
         with pytest.raises(ValueError):
             RationalScale(0, 1, 0.0)
 
+    @pytest.mark.parametrize("q, p", [(True, 1), (2, True), (2.0, 1), (1, 3.0)])
+    def test_a_non_integer_q_or_p_is_named(self, q, p):
+        with pytest.raises(ValueError, match=rf"^q and p must be integers, "
+                                             rf"got q={q!r}, p={p!r}$"):
+            RationalScale(q, p, 0.0)
+
     def test_halving_on_t2(self):
         out = semigroup_act(monomial(2), RationalScale(1, 2, 0.0))
         assert out.coeff(1) == pytest.approx(np.sqrt(2.0))
@@ -248,7 +254,7 @@ class TestSemigroup:
                 semigroup_act_samples(c, r, 2 * closed.K + 2), closed.K)
             assert np.max(np.abs(closed.coeffs - recovered.coeffs)) <= 1e-12
 
-    @pytest.mark.parametrize("n_samples", [0, -3, 2.0, "8"])
+    @pytest.mark.parametrize("n_samples", [0, -3, 2.0, "8", True])
     def test_a_bad_sample_count_is_named(self, n_samples):
         with pytest.raises(ValueError, match=rf"^n_samples must be an integer >= 1, "
                                              rf"got {re.escape(repr(n_samples))}$"):

@@ -483,6 +483,13 @@ class TestIntertwining:
     def test_identity_element(self, packets):
         assert intertwine_defect(packets[0], AffineElement(1, 0)) <= 1e-13
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_grid_below_four_samples_is_named(self, n):
+        f = LineSignal(Grid1D(0.0, n, 1.0), np.arange(1.0, n + 1.0))
+        with pytest.raises(ValueError, match=rf"^intertwine_defect needs n >= 4 samples, "
+                                             rf"got n={n}$"):
+            intertwine_defect(f, AffineElement(1, 0))
+
     def test_integer_dilation(self, big_grid):
         x = big_grid.positions()
         f = LineSignal(big_grid, np.exp(-(x**2) / 2.0))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,13 @@ def test_gaussian_packet_guards_reject_degenerate_params(grid):
         make_probes("gaussian-packet", seed=1, count=1, grid=grid, width=-1.0)
     with pytest.raises(ValueError):
         make_probes("gaussian-packet", seed=1, count=0, grid=grid)
+
+
+@pytest.mark.parametrize("count", [True, 2.5, 2.0, "3"])
+def test_a_non_integer_count_is_named(grid, count):
+    with pytest.raises(ValueError,
+                       match=rf"^count must be an integer, got {re.escape(repr(count))}$"):
+        make_probes("random-bandlimited", seed=1, count=count, grid=grid)
 
 
 def test_packet_guards_are_the_line_operators_rules():

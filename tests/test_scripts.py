@@ -1,14 +1,24 @@
 """The example scripts run end to end, and the commutation sweep's
-intertwining column is a real measurement at every scale."""
+commutator and intertwining columns are real measurements at every scale."""
 
+import itertools
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hilbertsym
+from hilbertsym import (
+    AffineElement,
+    Grid1D,
+    LineSignal,
+    hilbert_multiplier,
+    make_probes,
+    rep_natural,
+)
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 SRC = str(Path(hilbertsym.__file__).resolve().parent.parent)
@@ -25,10 +35,39 @@ def _run(script, *args):
 
 
 @pytest.fixture(scope="module")
-def sweep_rows():
-    lines = _run("commutation_sweep.py", "--n", "1024", "--probes", "2").splitlines()
+def sweep_run(tmp_path_factory):
+    dat = tmp_path_factory.mktemp("sweep") / "sweep.dat"
+    lines = _run("commutation_sweep.py", "--n", "1024", "--probes", "2",
+                 "--dat", str(dat)).splitlines()
     assert lines[0].split() == ["a", "b", "commutator", "intertwine"]
-    return [tuple(float(v) for v in line.split()) for line in lines[1:]]
+    assert lines[-1] == f"wrote {dat}"
+    return lines[1:-1], dat.read_text().splitlines()
+
+
+@pytest.fixture(scope="module")
+def sweep_rows(sweep_run):
+    return [tuple(float(v) for v in line.split()) for line in sweep_run[0]]
+
+
+def test_sweep_commutator_column_is_the_line_commutator(sweep_run):
+    # the defaults: 2 guarded packets on [-40, 40), scales 0.5-4, shifts 0, 7 dx, 3.5 dx
+    grid = Grid1D.from_interval(-40.0, 40.0, 1024)
+    probes = make_probes("gaussian-packet", seed=0, count=2, grid=grid,
+                         width=(1.25, 1.4), center=(-1.0, 1.0), modulation=(4.5, 5.2))
+    f = LineSignal(grid, np.stack([p.values for p in probes]))
+    hf = hilbert_multiplier(f)
+    fn = np.linalg.norm(f.values, axis=-1)
+    elements = list(itertools.product([0.5, 1.0, 2.0, 4.0], [0.0, 7 * grid.dx, 3.5 * grid.dx]))
+    table, dat = sweep_run
+    assert len(table) == len(dat) == len(elements)
+    for i, (row, line, (a, b)) in enumerate(zip(table, dat, elements)):
+        g = AffineElement(a, b)
+        diff = hilbert_multiplier(rep_natural(f, g)).values - rep_natural(hf, g).values
+        direct = float(np.max(np.linalg.norm(diff, axis=-1) / fn))
+        index, defect = line.split()
+        assert int(index) == i and float(defect) == pytest.approx(direct, rel=1e-12, abs=0.0)
+        assert row.split()[:3] == [f"{a:.3f}", f"{b:.4f}", f"{direct:.3e}"]
+        assert direct <= 1e-6  # a03's tolerance
 
 
 @pytest.mark.parametrize("a", [1.0, 2.0, 4.0])

@@ -404,6 +404,12 @@ class TestCliVerify:
         cfg_path.write_text(json.dumps({"circle": {"n_samples": 511}}))
         assert main(["verify", "circle", "--config", str(cfg_path)]) == 1
 
+    def test_a_boolean_rational_element_is_usage_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"rational_set": [[True, 1, 0.0]]}))
+        assert main(["verify", "circle", "--config", str(cfg_path)]) == 1
+        assert "q and p must be integers, got q=True, p=1" in capsys.readouterr().err
+
     def test_missing_config_file_is_io_error(self):
         assert main(["verify", "circle", "--config", "/nonexistent/cfg.json"]) == 2
 
