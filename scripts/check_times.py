@@ -5,9 +5,9 @@ own function on the default config (one row per check, named by its first
 record id), then the same for the whole ``run_verify("all")``.
 
 One untimed ``run_verify("all")`` warms the process first, so every row is
-a warm figure.  The checks run on the CPUs of this process's affinity mask,
-as the suite does: the line checks a01, a03 and m02 split their probe
-rows over them.  Run the script under ``taskset -c 0`` for the one-CPU figures.
+a warm figure.  The checks run in the calling thread, as the suite does;
+only BLAS uses the other CPUs of this process's affinity mask.  Run the
+script under ``taskset -c 0`` for the one-CPU figures.
 
 Example:
     python scripts/check_times.py --repeat 10

@@ -201,6 +201,8 @@ def semigroup_act(c: CircleSignal, r: RationalScale, k_out: Optional[int] = None
     K = c.K
     if k_out is None:  # lossless by construction: no populated index lies past it
         k_out = r.q * (K // r.p)
+    elif not _is_integer(k_out):
+        raise ValueError(f"output truncation K' must be an integer, got {k_out!r}")
     elif k_out < (needed := _required_k_out(c, r)):
         raise ValueError(
             f"output truncation K'={k_out} loses nonzero coefficients; "

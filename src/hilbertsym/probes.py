@@ -112,6 +112,8 @@ def _random_bandlimited(grid, rng, count):
 
 def _trig_polys(K, rng, count, degree=None, real=False):
     degree = K if degree is None else degree
+    if not _is_integer(degree):
+        raise ValueError(f"degree must be an integer, got {degree!r}")
     if degree > K:
         raise ValueError(f"degree {degree} exceeds truncation K={K}")
     if degree < 0:
@@ -151,6 +153,8 @@ def make_probes(kind, *, seed, count, grid: Grid1D | None = None, K: int | None 
     if kind == "trig-poly":
         if K is None:
             raise ValueError("trig-poly probes need a truncation degree K")
+        if not _is_integer(K):
+            raise ValueError(f"truncation K must be an integer, got {K!r}")
         return _trig_polys(K, rng, count, **params)
     if grid is None:
         raise ValueError(f"{kind} probes need a grid")

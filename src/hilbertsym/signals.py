@@ -329,6 +329,8 @@ def stack_signals(sigs):
 def circle_samples_from_coeffs(c: CircleSignal, n: int) -> CircleSamples:
     """Evaluate the truncated series at n equispaced angles (lossless for
     n >= 2K+1)."""
+    if not _is_integer(n):
+        raise ValueError(f"sample count n must be an integer, got {n!r}")
     if n < 2 * c.K + 1:
         raise ValueError(f"need n >= 2K+1 = {2 * c.K + 1} samples, got {n}")
     arr = np.zeros(c.coeffs.shape[:-1] + (n,), dtype=complex)
@@ -339,6 +341,8 @@ def circle_samples_from_coeffs(c: CircleSignal, n: int) -> CircleSamples:
 def circle_coeffs_from_samples(s: CircleSamples, K: int) -> CircleSignal:
     """Recover coefficients up to degree K (exact when the samples come from
     a trig polynomial of degree <= K and n >= 2K+1)."""
+    if not _is_integer(K):
+        raise ValueError(f"truncation K must be an integer, got {K!r}")
     if s.n < 2 * K + 1:
         raise ValueError(f"need n >= 2K+1 = {2 * K + 1} samples, got {s.n}")
     F = np.fft.fft(s.values) / s.n

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import os
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -299,57 +298,6 @@ def _rng_seed(cfg: SuiteConfig, salt: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([cfg.rng_seed, salt])
 
 
-def _by_rows(fn: Callable, f: LineSignal) -> list:
-    """``fn`` of row blocks of the batched probes ``f``, two blocks per CPU
-    of this process's affinity mask (none empty), split over those CPUs: for
-    checks whose values are each a function of one probe row, so the blocks
-    give the whole batch's values, bit for bit, at any CPU count (a02 and
-    m03 run unsplit: on 2 CPUs their blocks ran no faster).
-
-    Share s of the N shares takes blocks s, s + N, s + 2N, ...; the calling
-    thread runs share 0 and the threads of an executor opened for this call
-    the others.  Threads start only on submit, so one CPU starts none, and
-    none outlives the call.  The gain rests on numpy's FFTs and array loops
-    releasing the GIL, so ``fn`` must not call BLAS: its spinning worker
-    threads would take the CPUs the shares run on.  This is not
-    ``ThreadPoolExecutor.map``, which gives the same results: there the
-    calling thread only waits while N pool threads run, one more allocating
-    thread than here.  On 2 cores that raised the peak RSS of a process
-    running ``run_verify("all")`` from 63 MB to 70 MB (from 60 MB to 63.5 MB
-    with glibc held to one malloc arena).
-
-    One block per CPU balances the work as well, but smaller blocks keep
-    the peak RSS lower: fresh processes running ``run_verify("all")`` four
-    times on 2 cores peaked at 56.1-57.6 MB with two blocks per CPU, 60.1-
-    60.7 MB with one.  A guard's message can depend on the batch (a
-    dilation names its largest row's fraction), so when any block raises,
-    the whole batch runs serially to raise what the unsplit check would.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks
-        cpus = os.cpu_count() or 1
-    blocks = [v for v in np.array_split(f.values, 2 * cpus) if len(v)]
-    shares = min(cpus, len(blocks))
-    values = [None] * len(blocks)
-
-    def run(share):
-        for i in range(share, len(blocks), shares):
-            values[i] = fn(f.with_values(blocks[i]))
-
-    try:
-        with ThreadPoolExecutor(shares, "hilbertsym-verify") as pool:
-            futures = [pool.submit(run, s) for s in range(1, shares)]
-            run(0)
-            for future in futures:
-                future.result()
-    except Exception:  # noqa: BLE001 - the serial run raises the check's own error
-        return fn(f)
-    return values
-
-
 def _rel(diff_values, ref) -> np.ndarray:
     """||diff|| / ref per row, for one signal or a batch of rows (ref is a
     scalar or one value per row)."""
@@ -493,17 +441,13 @@ def _a01_regime(cfg: SuiteConfig) -> Optional[str]:
 @_check("line", ("a01-multiplier-vs-quadrature", "multiplier_vs_quadrature",
                  "singular kernel quadrature agrees with the multiplier form on the line"),
         regime=_a01_regime)
-def _check_multiplier_vs_quadrature(cfg: SuiteConfig) -> list:
+def _check_multiplier_vs_quadrature(cfg: SuiteConfig) -> np.ndarray:
     grid = cfg.line_grid()
     f = _probes(cfg, "gaussian-packet", 11, cfg.probe_counts["line"], grid=grid,
                 **_A01_PACKETS)
     central = slice(grid.n // 4, 3 * grid.n // 4)
-
-    def defects(f):
-        diff = hilbert_pv_quadrature(f).values - hilbert_multiplier(f).values
-        return _rel(diff[:, central], np.linalg.norm(f.values, axis=-1))
-
-    return _by_rows(defects, f)
+    diff = hilbert_pv_quadrature(f).values - hilbert_multiplier(f).values
+    return _rel(diff[:, central], np.linalg.norm(f.values, axis=-1))
 
 
 @_check("line", ("a02-involution-line", "involution_line",
@@ -537,20 +481,16 @@ def _guarded_regime(cfg: SuiteConfig) -> Optional[str]:
                  "scale and shift actions commute with the line transform"),
         regime=_guarded_regime)
 def _check_affine_commutation(cfg: SuiteConfig) -> list:
-    groups = _by_scale(cfg.affine_set)
-
-    def defects(f):
-        hf = hilbert_multiplier(f)
-        fn = np.linalg.norm(f.values, axis=-1)
-        out = []
-        for a, shifts in groups:
-            df, dhf = dilate(f, a), dilate(hf, a)
-            out.append([_rel(hilbert_multiplier(translate(df, b)).values
-                             - translate(dhf, b).values, fn) for b in shifts])
-        return out
-
-    return _by_rows(defects, _probes(cfg, "gaussian-packet", 13, cfg.probe_counts["line"],
-                                     grid=cfg.line_grid(), **_GUARDED))
+    f = _probes(cfg, "gaussian-packet", 13, cfg.probe_counts["line"], grid=cfg.line_grid(),
+                **_GUARDED)
+    hf = hilbert_multiplier(f)
+    fn = np.linalg.norm(f.values, axis=-1)
+    out = []
+    for a, shifts in _by_scale(cfg.affine_set):
+        df, dhf = dilate(f, a), dilate(hf, a)
+        out.append([_rel(hilbert_multiplier(translate(df, b)).values
+                         - translate(dhf, b).values, fn) for b in shifts])
+    return out
 
 
 @_check("line", ("m01-line-parseval", "parseval",
@@ -575,22 +515,19 @@ def _check_line_parseval(cfg: SuiteConfig) -> tuple:
 
 @_check("line", ("m02-hardy-identities", "hardy_identities",
                  "Hardy projections partition the identity and diagonalise the transform"))
-def _check_hardy_identities(cfg: SuiteConfig) -> list:
-    def defects(f):
-        plus = hardy_project(f, "+").values
-        minus = hardy_project(f, "-").values
-        h = hilbert_multiplier(f).values
-        fn = np.linalg.norm(f.values, axis=-1)
-        return (
-            _rel(plus + minus - f.values, fn),
-            _rel(plus - minus - 1j * h, fn),
-            # Hardy parts are eigenvectors (probes carry no mean/Nyquist share)
-            _rel(hilbert_multiplier(f.with_values(plus)).values + 1j * plus, fn),
-            _rel(hilbert_multiplier(f.with_values(minus)).values - 1j * minus, fn),
-        )
-
-    return _by_rows(defects, _probes(cfg, "random-bandlimited", 17, cfg.probe_counts["line"],
-                                     grid=cfg.line_grid()))
+def _check_hardy_identities(cfg: SuiteConfig) -> tuple:
+    f = _probes(cfg, "random-bandlimited", 17, cfg.probe_counts["line"], grid=cfg.line_grid())
+    plus = hardy_project(f, "+").values
+    minus = hardy_project(f, "-").values
+    h = hilbert_multiplier(f).values
+    fn = np.linalg.norm(f.values, axis=-1)
+    return (
+        _rel(plus + minus - f.values, fn),
+        _rel(plus - minus - 1j * h, fn),
+        # Hardy parts are eigenvectors (probes carry no mean/Nyquist share)
+        _rel(hilbert_multiplier(f.with_values(plus)).values + 1j * plus, fn),
+        _rel(hilbert_multiplier(f.with_values(minus)).values - 1j * minus, fn),
+    )
 
 
 @_check("line", ("m03-rep-isometry", "rep_isometry",

@@ -293,6 +293,12 @@ class TestSemigroup:
                                              r"coefficients; required K'=6$"):
             semigroup_act(monomial(2, K=4), RationalScale(3, 1, 0.0), k_out=4)
 
+    @pytest.mark.parametrize("k_out", [True, 8.0, 4.5])
+    def test_a_non_integer_truncation_is_named(self, k_out):
+        with pytest.raises(ValueError, match=rf"^output truncation K' must be an integer, "
+                                             rf"got {re.escape(repr(k_out))}$"):
+            semigroup_act(monomial(2, K=4), RationalScale(3, 1, 0.0), k_out=k_out)
+
     def test_the_default_truncation_is_not_scanned(self, monkeypatch, trig_probes):
         # q*floor(K/p) holds every populated output index by construction
         from hilbertsym import circle_ops

@@ -118,6 +118,14 @@ def test_trig_poly_degree_errors():
         make_probes("trig-poly", seed=1, count=1, K=8, degree=-1)
 
 
+@pytest.mark.parametrize("name, sizes", [("K", {}), ("degree", {"K": 4})])
+def test_a_non_integer_trig_poly_size_is_named(name, sizes):
+    for bad in (True, 2.0, 1.5):
+        with pytest.raises(ValueError,
+                           match=rf"{name} must be an integer, got {re.escape(repr(bad))}$"):
+            make_probes("trig-poly", seed=1, count=1, **{name: bad, **sizes})
+
+
 def test_unknown_kind():
     with pytest.raises(ValueError):
         make_probes("sinc-train", seed=1, count=1)

@@ -187,6 +187,17 @@ class TestCircleConversions:
         with pytest.raises(ValueError):
             circle_samples_from_coeffs(c, 8)
 
+    @pytest.mark.parametrize("name, convert", [
+        ("sample count n", lambda c, bad: circle_samples_from_coeffs(c, bad)),
+        ("truncation K", lambda c, bad: circle_coeffs_from_samples(
+            circle_samples_from_coeffs(c, 9), bad)),
+    ], ids=["n", "K"])
+    def test_a_non_integer_size_is_named(self, name, convert):
+        c = CircleSignal(np.ones(9))
+        for bad in (True, 9.0, 2.0):
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {bad!r}$"):
+                convert(c, bad)
+
     def test_series_evaluation_matches_samples(self, trig_probes):
         c = trig_probes[0]
         n = 4 * c.K + 2

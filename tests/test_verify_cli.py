@@ -23,7 +23,6 @@ from hilbertsym.verify import (
     CircleConfig,
     LineGridConfig,
     SuiteConfig,
-    _by_rows,
     _check_affine_commutation,
     _check_rep_isometry,
     _moebius_samples_needed,
@@ -198,76 +197,21 @@ def test_operator_grids_at_the_m06_band_bound_pass_m06(operator_n, rng_seed):
     assert _worst(m06.fn(cfg)) <= cfg.tolerances["engine_commutator_line"]
 
 
-def _cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
-def _rows(count):
-    """A batch of ``count`` probe rows whose first sample is the row index."""
-    values = np.zeros((count, 4), dtype=complex)
-    values[:, 0] = np.arange(count)
-    return LineSignal(Grid1D(0.0, 4, 1.0), values)
-
-
-class TestThreadedMap:
-    @pytest.mark.parametrize("rows", [1, 3, 40, 2000])
+class TestSingleThread:
     @pytest.mark.parametrize("cpus", [1, 2, 3, 5, 8])
-    def test_results_in_row_order(self, monkeypatch, cpus, rows):
-        _cpus(monkeypatch, cpus)
-        caller = threading.current_thread()
+    def test_the_suite_starts_no_thread(self, monkeypatch, cpus):
+        # however many CPUs the process may run on
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        started = []
+        start = threading.Thread.start
 
-        def fn(g):
-            return g.values[:, 0].real.astype(int).tolist(), threading.current_thread()
+        def recording(thread):
+            started.append(thread.name)
+            start(thread)
 
-        # more threads than cores, switching as often as the interpreter can
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            out = _by_rows(fn, _rows(rows))
-        finally:
-            sys.setswitchinterval(interval)
-        # two blocks per CPU, none empty, in row order
-        blocks = [block for block, _ in out]
-        assert len(blocks) == min(2 * cpus, rows) and all(blocks)
-        assert sum(blocks, []) == list(range(rows))
-        # share 0 (blocks 0, N, 2N, ...) runs on the calling thread, the
-        # other shares on the call's own executor
-        shares = min(cpus, len(blocks))
-        for i, (_, thread) in enumerate(out):
-            assert (thread is caller) == (i % shares == 0)
-            assert thread is caller or thread.name.startswith("hilbertsym-verify")
-
-    @pytest.mark.parametrize("bad_row", [0, 5, 11])
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_a_raising_block_reruns_the_whole_batch(self, monkeypatch, cpus, bad_row):
-        _cpus(monkeypatch, cpus)
-        calls = []
-
-        def fn(g):
-            rows = g.values[:, 0].real.astype(int).tolist()
-            calls.append(rows)
-            if bad_row in rows:
-                raise ValueError(f"row {bad_row} of a batch of {len(rows)}")
-            return rows
-
-        with pytest.raises(ValueError, match=f"row {bad_row} of a batch of 12$"):
-            _by_rows(fn, _rows(12))
-        # the last call is the serial rerun on the unsplit batch
-        assert calls[-1] == list(range(12)) and len(calls) > 1
-
-    @pytest.mark.parametrize("rng_seed", [0, 7])
-    def test_one_cpu_report_is_byte_identical(self, monkeypatch, rng_seed):
-        # every check; 7 line probes do not divide into 2, 4 or 6 row blocks
-        counts = {"line": 7, "circle": 6, "roundtrip": 21, "scalarity": 4, "annihilator": 4}
-        with monkeypatch.context() as unsplit:  # the line checks on their whole batch
-            unsplit.setattr(verify, "_by_rows", lambda fn, f: fn(f))
-            _cpus(unsplit, 1)
-            serial = run_verify("all", SuiteConfig(rng_seed=rng_seed, probe_counts=counts))
-        for cpus in (1, 2, 3):
-            _cpus(monkeypatch, cpus)
-            threaded = run_verify("all", SuiteConfig(rng_seed=rng_seed, probe_counts=counts))
-            assert json.dumps(threaded.to_json_dict()) == json.dumps(serial.to_json_dict())
-            assert threaded.to_csv_text() == serial.to_csv_text()
+        monkeypatch.setattr(threading.Thread, "start", recording)
+        assert run_verify("all", SuiteConfig(probe_counts={"line": 4, "roundtrip": 5})).passed
+        assert started == []
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity masks")
     def test_one_cpu_cli_report_is_byte_identical(self):
@@ -283,25 +227,61 @@ class TestThreadedMap:
         assert json.loads(one_cpu)["pass"] is True
         assert verify_all() == one_cpu
 
-    def test_no_thread_outlives_a_run(self):
-        before = threading.active_count()
-        run_verify("all", SuiteConfig(probe_counts={"line": 4, "roundtrip": 5}))
-        assert threading.active_count() == before
-        assert [t for t in threading.enumerate() if t.name.startswith("hilbertsym-verify")] == []
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_check_error_names_the_lowest_failing_element(self, monkeypatch, cpus):
-        # a=0.05 (element 1) and a=0.02 (element 2) both alias; a raising row
-        # block reruns the whole batch, which dilates by the scales in order
-        _cpus(monkeypatch, cpus)
+    @pytest.mark.parametrize("affine_set, named", [
+        ([(2.0, 0.0), (0.05, 0.0), (0.02, 0.0), (4.0, 0.0)], 0.05),
+        ([(0.02, 0.0), (2.0, 0.0), (0.05, 0.0)], 0.02),
+        ([(2.0, 0.0), (4.0, 0.0), (0.5, 0.1), (0.05, -0.1)], 0.05),
+    ], ids=["second", "first", "last"])
+    def test_check_error_names_the_lowest_failing_element(self, affine_set, named):
+        # a=0.05 and a=0.02 both alias; the check dilates by the scales in
+        # order, so the error names the first of them
         cfg = SuiteConfig(rng_seed=3, probe_counts={"line": 4})
         # past validate(), which rejects scales this small
-        cfg.affine_set = [(2.0, 0.0), (0.05, 0.0), (0.02, 0.0), (4.0, 0.0)]
+        cfg.affine_set = affine_set
         records = {r.check_id: r for r in run_verify("line", cfg).records}
         a03 = records["a03-affine-commutation"]
         assert a03.measured is None and not a03.passed
-        assert a03.note.startswith("error: dilation by a=0.05 would alias")
+        assert a03.note.startswith(f"error: dilation by a={named} would alias")
         assert run_verify("line", SuiteConfig(probe_counts={"line": 4})).passed
+
+
+def _leaves(defects) -> list:
+    """The arrays of a check's nested lists and tuples of defects, in order."""
+    if isinstance(defects, (list, tuple)):
+        return [leaf for d in defects for leaf in _leaves(d)]
+    return [np.asarray(defects)]
+
+
+# the line checks that draw their probes through _probes, one value per probe row
+_ROW_CHECKS = ["a01-multiplier-vs-quadrature", "a02-involution-line", "a03-affine-commutation",
+               "m02-hardy-identities", "m03-rep-isometry"]
+
+
+class TestRowByRow:
+    @pytest.mark.parametrize("blocks", [2, 3, 5, 8])
+    @pytest.mark.parametrize("check_id", _ROW_CHECKS)
+    def test_row_blocks_give_the_batch_values(self, monkeypatch, check_id, blocks):
+        # each value is a function of one probe row alone, bit for bit: the
+        # checks run on the whole batch, and the batch size mixes no rows
+        check = next(c for c in _REGISTRY if c.records[0][0] == check_id)
+        cfg = SuiteConfig(rng_seed=5, probe_counts={"line": 8})
+        whole = _leaves(check.fn(cfg))
+        real, rows = verify._probes, [None]
+
+        def block_probes(*args, **kwargs):
+            f = real(*args, **kwargs)
+            return f.with_values(f.values[rows[0]])
+
+        monkeypatch.setattr(verify, "_probes", block_probes)
+        parts = []
+        for block in np.array_split(np.arange(len(whole[0])), blocks):
+            if len(block):
+                rows[0] = block
+                parts.append(_leaves(check.fn(cfg)))
+        assert len(parts) == min(blocks, len(whole[0]))
+        joined = [np.concatenate(leaf) for leaf in zip(*parts)]
+        assert len(joined) == len(whole)
+        assert all(np.array_equal(j, w) for j, w in zip(joined, whole))
 
 
 def _a03_per_element(cfg):
@@ -345,16 +325,17 @@ class TestAffineCommutationByScale:
         monkeypatch.setattr(verify, "dilate", counting)
         measured = _worst(_check_affine_commutation(cfg))
         # each probe row of f and of H f is dilated once per distinct scale,
-        # not once per element, whatever the row blocks
+        # not once per element
         assert rows == dict.fromkeys((0.5, 2.0, 4.0), 2 * cfg.probe_counts["line"])
         assert measured.hex() == _a03_per_element(cfg).hex()
         assert _worst(_check_rep_isometry(cfg)).hex() == _m03_per_element(cfg).hex()
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_interleaved_repeated_scales(self, monkeypatch, cpus):
-        _cpus(monkeypatch, cpus)
-        cfg = SuiteConfig(rng_seed=7, probe_counts={"line": 6},
-                          affine_set=[(2.0, 0.0), (0.5, 0.1), (2.0, -0.2), (0.5, 0.0)])
+    @pytest.mark.parametrize("affine_set", [
+        [(2.0, 0.0), (0.5, 0.1), (2.0, -0.2), (0.5, 0.0)],
+        [(0.5, 0.0), (4.0, 0.3), (0.5, -0.3), (4.0, 0.0), (0.5, 0.2)],
+    ], ids=["two-scales", "three-of-one-scale"])
+    def test_interleaved_repeated_scales(self, affine_set):
+        cfg = SuiteConfig(rng_seed=7, probe_counts={"line": 6}, affine_set=affine_set)
         assert _worst(_check_affine_commutation(cfg)).hex() == _a03_per_element(cfg).hex()
         assert _worst(_check_rep_isometry(cfg)).hex() == _m03_per_element(cfg).hex()
 

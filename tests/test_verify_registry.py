@@ -294,7 +294,7 @@ def test_a_config_is_rejected_naming_a_check_or_its_report_passes(
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 6: a01 has a window floor (3.50e-5 at n = 8192 on [-40, 40], seed 2) that "
+    "ROADMAP item 3: a01 has a window floor (3.50e-5 at n = 8192 on [-40, 40], seed 2) that "
     "_a01_regime's 16*dx^3 model does not see, so validate() admits this config"))
 def test_a_config_inside_the_a01_cubic_rule_passes_a01():
     cfg = SuiteConfig(rng_seed=2, line=LineGridConfig(n=8192),
